@@ -6,7 +6,7 @@ derivatives -> integer Smith normal form -> rank and torsion of H1, checked
 against combinatorial bounds and exactness criteria.
 """
 
-from .snf import AbelianGroup, IntMatrix, SmithForm, quotient, rank_mod_p, smith_normal_form
+from .snf import AbelianGroup, IntMatrix, SmithForm, rank_mod_p, smith_normal_form
 from .geometry import (
     AffineArrangement,
     AffineLine,
@@ -86,7 +86,6 @@ __all__ = [
     "phi_degree",
     "predict",
     "projective_presentation",
-    "quotient",
     "rank_mod_p",
     "shear_to_generic",
     "smith_normal_form",

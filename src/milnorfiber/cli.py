@@ -21,6 +21,7 @@ from . import bounds as bounds_mod
 from . import geometry
 from . import pipeline
 from . import presets
+from . import snf
 from . import validation
 from .geometry import InputError
 
@@ -38,6 +39,9 @@ def _parse_primes(text):
         primes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"bad --primes list {text!r}") from None
+    for p in primes:
+        if snf.prime_factors(p) != [p]:
+            raise InputError(f"bad --primes entry {p}: not a prime")
     return primes
 
 

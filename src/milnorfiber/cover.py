@@ -9,8 +9,10 @@ multiplying by x^k rotates a tuple k places to the right:
 
 The cover has n vertices x^i v, n edges x^i g_j per generator (oriented
 from x^i v to x^{i+1} v), and n 2-cells per relator (the x^i-shifts of its
-lift).  Boundaries are stored row-per-cell: d2 has one row per 2-cell and
-one column per edge; d1 has one row per edge and one column per vertex.
+lift).  The boundary d2 is stored row-per-cell: one row per 2-cell and one
+column per edge, the edges of generator j in columns j*n .. j*n + n - 1.
+The edge boundary needs no matrix: the edges x^0 g_1 .. x^{n-2} g_1 form a
+spanning tree of the 1-skeleton, and contracting it leaves one vertex.
 """
 
 from __future__ import annotations
@@ -101,18 +103,26 @@ class CoverComplex:
     relator_count: int
     fox_rows: tuple  # one row per relator: tuple of group-ring tuples
     d2: IntMatrix  # (n * relators) x (n * generators)
-    d1: IntMatrix  # (n * generators) x n
 
     def chain_ok(self):
-        """d1 after d2 is zero (rows are chains, so the product is d2 * d1)."""
-        return (self.d2 * self.d1).is_zero()
+        """The boundary of every 2-cell's boundary is zero.
+
+        Edge x^i g_j has boundary (x - 1) x^i v, so this holds exactly when
+        every relator r satisfies sum_j (dr/dg_j)(x - 1) = 0 in Z[Z/n],
+        i.e. when the sum of r's Fox derivatives is fixed by x.
+        """
+        for row in self.fox_rows:
+            total = tuple(sum(t[i] for t in row) for i in range(self.n))
+            if cyc_shift(total, 1) != total:
+                return False
+        return True
 
     def euler_characteristic(self):
         return self.n * (1 - self.generator_count + self.relator_count)
 
 
 def build_cover_complex(pres, modulus=None):
-    """Assemble the cover's boundary matrices from a presentation.
+    """Assemble the cover's boundary matrix d2 from a presentation.
 
     ``modulus`` overrides the presentation's cover degree (for studying
     the auxiliary covers with every generator sent to 1 in Z/m); every
@@ -121,8 +131,8 @@ def build_cover_complex(pres, modulus=None):
     >>> from . import geometry, presentation
     >>> aff = geometry.shear_to_generic(geometry.parse_arrangement("affine\\n1 0 0\\n0 1 0"))
     >>> c = build_cover_complex(presentation.arvola_randell(aff))
-    >>> c.n, c.d2.shape, c.d1.shape
-    (3, (3, 6), (6, 3))
+    >>> c.n, c.d2.shape
+    (3, (3, 6))
     >>> c.chain_ok()
     True
     """
@@ -147,15 +157,7 @@ def build_cover_complex(pres, modulus=None):
                 flat.extend(cyc_shift(t, i))
             d2_rows.append(flat)
     d2 = IntMatrix(d2_rows, ncols=n * G)
-    d1_rows = []
-    for _ in range(G):
-        for i in range(n):
-            row = [0] * n
-            row[(i + 1) % n] += 1
-            row[i] -= 1
-            d1_rows.append(row)
-    d1 = IntMatrix(d1_rows, ncols=n)
-    return CoverComplex(n, G, len(pres.relators), fox_rows, d2, d1)
+    return CoverComplex(n, G, len(pres.relators), fox_rows, d2)
 
 
 @dataclass(frozen=True)
@@ -174,25 +176,25 @@ class CoverHomology:
 
 
 def h1_of_cover(complex_, primes=()):
-    """H1 = ker d1 / im d2 by integer Smith reduction, plus Betti numbers
-    over Q and over each requested prime field."""
-    del1 = complex_.d1.transpose()  # vertices x edges, column convention
-    del2 = complex_.d2.transpose()  # edges x cells
-    group, rank_d1, rank_d2 = snf.quotient_with_ranks(del1, del2)
-    edges = complex_.n * complex_.generator_count
-    cells = complex_.n * complex_.relator_count
-    b0 = complex_.n - rank_d1
-    b2 = cells - rank_d2
-    betti_mod = {}
-    for p in sorted(set(primes)):
-        rp1 = snf.rank_mod_p(complex_.d1, p)
-        rp2 = snf.rank_mod_p(complex_.d2, p)
-        betti_mod[p] = edges - rp1 - rp2
+    """H1 by one integer Smith reduction, plus Betti numbers over Q and
+    over each requested prime field.
+
+    Contracting the spanning tree x^0 g_1 .. x^{n-2} g_1 (the first n - 1
+    columns of d2) leaves a single vertex, so H1 is the cokernel of d2
+    with those columns deleted (Fox, Free differential calculus I).
+    """
+    n = complex_.n
+    t = n - 1 if complex_.generator_count else 0
+    cols = complex_.d2.ncols - t
+    contracted = IntMatrix([row[t:] for row in complex_.d2.rows], ncols=cols)
+    form = snf.smith_normal_form(contracted)
+    b1 = cols - form.rank
+    betti_mod = {p: cols - snf.rank_mod_p(contracted, p) for p in sorted(set(primes))}
     return CoverHomology(
-        group=group,
-        b0=b0,
-        b1=group.free_rank,
-        b2=b2,
+        group=AbelianGroup(b1, tuple(d for d in form.diagonal if d != 1)),
+        b0=n - t,
+        b1=b1,
+        b2=n * complex_.relator_count - form.rank,
         betti_mod=betti_mod,
         euler=complex_.euler_characteristic(),
     )

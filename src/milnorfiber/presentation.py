@@ -227,7 +227,7 @@ def _auxiliary_line(arr, inc):
         s += 1
 
 
-def projective_presentation(arr, base_line=None):
+def projective_presentation(arr):
     """Presentation of the projective complement's fundamental group with
     one generator per line and a single product relator.
 
@@ -239,9 +239,7 @@ def projective_presentation(arr, base_line=None):
         g_{s(N)} g_{s(N-1)} ... g_{s(1)},
 
     the meridians multiplied top-to-bottom as they appear far to the right
-    of the swept picture (descending slope).  The result does not depend
-    on base_line; the parameter is accepted for interface symmetry with
-    decone and ignored.
+    of the swept picture (descending slope).
 
     >>> arr = geometry.parse_arrangement("projective\\n1 0 0\\n0 1 0\\n0 0 1")
     >>> pres = projective_presentation(arr)

@@ -1,7 +1,6 @@
 """Exact integer linear algebra for homology computations.
 
-Smith normal form over the integers, ranks over prime fields, and the
-quotient (kernel modulo image) of a pair of integer boundary matrices.
+Smith normal form over the integers and ranks over prime fields.
 All arithmetic uses Python's arbitrary-precision integers; nothing here
 is probabilistic, modular-shortcut based, or floating point.
 
@@ -10,8 +9,6 @@ column vectors of length ``n`` to column vectors of length ``m``.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
 (2, 4)
->>> quotient(IntMatrix.zeros(1, 2), IntMatrix([[2], [0]]))
-AbelianGroup(free_rank=1, torsion=(2,))
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ class IntMatrix:
     >>> m = IntMatrix([[1, 2], [3, 4]])
     >>> m.shape
     (2, 2)
-    >>> m * IntMatrix.identity(2) == m
-    True
     >>> IntMatrix([], ncols=3).shape
     (0, 3)
     """
@@ -61,27 +56,6 @@ class IntMatrix:
 
     def copy_rows(self):
         return [row[:] for row in self.rows]
-
-    def transpose(self):
-        return IntMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def is_zero(self):
-        return all(v == 0 for row in self.rows for v in row)
-
-    def __mul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
-        ot = other.transpose().rows
-        prod = [
-            [sum(a * b for a, b in zip(row, col)) for col in ot]
-            for row in self.rows
-        ]
-        return IntMatrix(prod, ncols=other.ncols)
 
     def __eq__(self, other):
         return (
@@ -180,13 +154,7 @@ class AbelianGroup:
 # ---------------------------------------------------------------------------
 # Core Smith reduction engine.
 #
-# Reduces A in place by unimodular row and column operations.  When W is
-# given it is kept equal to V^{-1}, where V is the accumulated column
-# transform (A_final = U * A_input * V): every column operation on A is
-# paired with the inverse row operation on W.  Rows r..n-1 of W (r = rank)
-# then form a basis of the integer kernel coordinates: for y in ker(A_input),
-# the coordinate vector of y in the kernel basis (columns r.. of V) is
-# (W @ y)[r:].
+# Reduces A in place by unimodular row and column operations.
 # ---------------------------------------------------------------------------
 
 
@@ -205,7 +173,7 @@ def _min_abs_pivot(A, t, m, n):
     return best
 
 
-def _clear_at(A, t, m, n, W):
+def _clear_at(A, t, m, n):
     """Clear row t and column t outside the pivot at (t, t)."""
     while True:
         piv = A[t][t]
@@ -228,14 +196,9 @@ def _clear_at(A, t, m, n, W):
                 if q:
                     for row in A:
                         row[j] -= q * row[t]
-                    if W is not None:
-                        Wj = W[j]
-                        W[t] = [a + q * b for a, b in zip(W[t], Wj)]
                 if A[t][j]:
                     for row in A:
                         row[t], row[j] = row[j], row[t]
-                    if W is not None:
-                        W[t], W[j] = W[j], W[t]
                     restart = True
                     break
         if restart:
@@ -243,7 +206,7 @@ def _clear_at(A, t, m, n, W):
         return
 
 
-def _smith(A, m, n, W=None):
+def _smith(A, m, n):
     """In-place Smith reduction; returns the list of diagonal entries."""
     t = 0
     while True:
@@ -256,11 +219,9 @@ def _smith(A, m, n, W=None):
         if pj != t:
             for row in A:
                 row[t], row[pj] = row[pj], row[t]
-            if W is not None:
-                W[t], W[pj] = W[pj], W[t]
         if A[t][t] < 0:
             A[t] = [-v for v in A[t]]
-        _clear_at(A, t, m, n, W)
+        _clear_at(A, t, m, n)
         t += 1
     rank = t
     # Divisibility fix-up: repair the chain, re-clearing locally each time.
@@ -273,12 +234,9 @@ def _smith(A, m, n, W=None):
                 # fold column i+1 into column i, then re-reduce the block
                 for row in A:
                     row[i] += row[i + 1]
-                if W is not None:
-                    Wi = W[i]
-                    W[i + 1] = [x - y for x, y in zip(W[i + 1], Wi)]
                 if A[i][i] < 0:
                     A[i] = [-v for v in A[i]]
-                _clear_at(A, i, m, n, W)
+                _clear_at(A, i, m, n)
         if ok:
             break
     for i in range(rank):
@@ -350,51 +308,6 @@ def rank_mod_p(m, p, ncols=None):
     return rank
 
 
-def quotient_with_ranks(d1, d2):
-    """Homology of C2 --d2--> C1 --d1--> C0, plus the ranks of d1 and d2.
-
-    Returns ``(ker d1 / im d2, rank d1, rank d2)``.  The quotient is
-    computed integrally: a basis of the kernel lattice of d1 is extracted
-    from the inverse column transform of d1's Smith reduction, the columns
-    of d2 are rewritten in that basis (exactly, no division needed), and a
-    second Smith reduction reads off the invariant factors.
-    """
-    d1m = as_matrix(d1)
-    d2m = as_matrix(d2)
-    if d1m.ncols != d2m.nrows:
-        raise ValueError(f"shape mismatch: d1 is {d1m.shape}, d2 is {d2m.shape}")
-    if not (d1m * d2m).is_zero():
-        raise ValueError("chain condition violated: d1 * d2 != 0")
-    m1 = d1m.ncols
-    A = d1m.copy_rows()
-    W = IntMatrix.identity(m1).copy_rows()
-    diag1 = _smith(A, d1m.nrows, m1, W)
-    r = len(diag1)
-    # image of d2 in kernel coordinates: rows r.. of W @ d2
-    d2rows = d2m.rows
-    m2 = d2m.ncols
-    X = []
-    for i in range(r, m1):
-        Wi = W[i]
-        X.append([sum(Wi[k] * d2rows[k][j] for k in range(m1) if Wi[k]) for j in range(m2)])
-    diag2 = _smith(X, m1 - r, m2)
-    torsion = tuple(d for d in diag2 if d != 1)
-    free = (m1 - r) - len(diag2)
-    return AbelianGroup(free, torsion), r, len(diag2)
-
-
-def quotient(d1, d2):
-    """ker d1 / im d2 as an AbelianGroup (requires d1 * d2 = 0).
-
-    >>> quotient(IntMatrix.zeros(1, 3), IntMatrix.zeros(3, 2))
-    AbelianGroup(free_rank=3, torsion=())
-    >>> quotient(IntMatrix.zeros(1, 2), IntMatrix([[2], [0]]))
-    AbelianGroup(free_rank=1, torsion=(2,))
-    """
-    group, _, _ = quotient_with_ranks(d1, d2)
-    return group
-
-
 def prime_factors(n):
     """Sorted distinct prime factors of |n| (empty for n in {-1, 0, 1}).
 
@@ -416,37 +329,3 @@ def prime_factors(n):
         out.append(n)
     return out
 
-
-def write_triplets(m):
-    """Serialize a matrix in sparse triplet text: header 'nrows ncols', then
-    one 'row col value' line per nonzero entry (row-major order)."""
-    mat = as_matrix(m)
-    lines = [f"{mat.nrows} {mat.ncols}"]
-    for i, row in enumerate(mat.rows):
-        for j, v in enumerate(row):
-            if v:
-                lines.append(f"{i} {j} {v}")
-    return "\n".join(lines) + "\n"
-
-
-def read_triplets(text):
-    """Parse the sparse triplet text format back into an IntMatrix."""
-    rows = None
-    for raw in text.splitlines():
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if rows is None:
-            if len(parts) != 2:
-                raise ValueError("triplet header must be 'nrows ncols'")
-            nrows, ncols = int(parts[0]), int(parts[1])
-            rows = [[0] * ncols for _ in range(nrows)]
-            continue
-        if len(parts) != 3:
-            raise ValueError(f"bad triplet line: {raw!r}")
-        i, j, v = int(parts[0]), int(parts[1]), int(parts[2])
-        rows[i][j] = v
-    if rows is None:
-        raise ValueError("empty triplet input")
-    return IntMatrix(rows, ncols=ncols)

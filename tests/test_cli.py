@@ -75,6 +75,14 @@ def test_analyze_primes_flag(tri_file, capsys):
     assert "F_13: 2" in out
 
 
+@pytest.mark.parametrize("entry", ["4", "0", "-3"])
+def test_analyze_primes_rejects_non_prime(tri_file, capsys, entry):
+    code, out, err = run(capsys, "analyze", tri_file, "--primes", f"2,{entry}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad --primes entry {entry}: not a prime\n"
+
+
 def test_analyze_modulus(tmp_path, capsys):
     p = tmp_path / "pencil4.txt"
     code = cli.main(["preset", "pencil:4"])

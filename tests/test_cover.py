@@ -4,11 +4,13 @@ Group-ring elements of Z[Z/n] are length-n integer tuples; entry i is the
 coefficient of x^i.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorfiber import geometry
+from milnorfiber import geometry, pipeline, validation
 from milnorfiber.cover import (
     build_cover_complex,
     cyc_add,
@@ -26,7 +28,7 @@ from milnorfiber.presentation import (
     arvola_randell,
     projective_presentation,
 )
-from milnorfiber.snf import AbelianGroup, IntMatrix
+from milnorfiber.snf import AbelianGroup, rank_mod_p, smith_normal_form
 
 
 def affine_complex(text, modulus=None):
@@ -124,7 +126,6 @@ def test_two_line_complex_shapes():
     assert c.n == 3
     assert (c.generator_count, c.relator_count) == (2, 1)
     assert c.d2.shape == (3, 6)
-    assert c.d1.shape == (6, 3)
     assert c.chain_ok()
     assert c.euler_characteristic() == 3 * (1 - 2 + 1)
 
@@ -139,18 +140,6 @@ def test_d2_rows_are_shifts():
         assert block1 == cyc_shift(block0, 1)
 
 
-def test_d1_structure():
-    c = affine_complex("affine\n1 0 0\n0 1 0\n")
-    # edge x^i g_j runs from vertex x^i to vertex x^{i+1}
-    for j in range(2):
-        for i in range(3):
-            row = c.d1.rows[3 * j + i]
-            expected = [0, 0, 0]
-            expected[(i + 1) % 3] += 1
-            expected[i] -= 1
-            assert row == expected
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -161,6 +150,17 @@ def test_d1_structure():
 )
 def test_chain_condition(text):
     assert affine_complex(text).chain_ok()
+
+
+def test_chain_condition_detects_perturbed_fox_entry():
+    c = affine_complex("affine\n1 0 0\n0 1 0\n1 1 0\n")
+    assert c.chain_ok()
+    for r, row in enumerate(c.fox_rows):
+        for j, entry in enumerate(row):
+            for i in range(c.n):
+                bumped = row[:j] + (cyc_add(entry, cyc_unit(c.n, i)),) + row[j + 1 :]
+                fox_rows = c.fox_rows[:r] + (bumped,) + c.fox_rows[r + 1 :]
+                assert not dataclasses.replace(c, fox_rows=fox_rows).chain_ok(), (r, j, i)
 
 
 def test_modulus_override_validation():
@@ -175,6 +175,18 @@ def test_modulus_override_validation():
 
 
 # --- homology ----------------------------------------------------------------
+
+
+def assert_full_d2_oracle(c, h, label=""):
+    """The uncontracted d2 presents H1 + Z^{n-1}: deleting the n - 1 tree
+    columns must remove exactly a free summand of that rank, integrally
+    and over every probed prime field."""
+    ncols = c.d2.ncols
+    full = smith_normal_form(c.d2)
+    assert ncols - full.rank == h.b1 + c.n - 1, label
+    assert tuple(d for d in full.diagonal if d != 1) == h.group.torsion, label
+    for p, betti in h.betti_mod.items():
+        assert ncols - rank_mod_p(c.d2, p) == betti + c.n - 1, (label, p)
 
 
 def test_h1_two_crossing_lines():
@@ -210,6 +222,7 @@ def test_h1_betti_mod_detects_torsion():
     assert h.group == AbelianGroup(0, (2,))
     assert h.b1 == 0
     assert h.betti_mod == {2: 1, 3: 0}
+    assert_full_d2_oracle(c, h)
 
 
 def test_h1_of_projective_triangle():
@@ -240,3 +253,13 @@ def test_shift_invariance_of_homology():
     h_conj = h1_of_cover(build_cover_complex(conj), primes=(2, 5))
     assert h_base.group == h_conj.group
     assert h_base.betti_mod == h_conj.betti_mod
+
+
+def test_full_d2_oracle_on_small_corpus():
+    checked = 0
+    for name, text in validation.Corpus().entries:
+        if geometry.parse_arrangement(text).n_lines <= 7:
+            a = pipeline.analyze_text(text)
+            assert_full_d2_oracle(a.complex, a.homology, name)
+            checked += 1
+    assert checked > 100

@@ -187,16 +187,11 @@ def test_projective_abelianization():
     ones = [r for r in rows if any(r)]
     assert ones == [[1] * 6]
 
-    from milnorfiber.snf import quotient, IntMatrix
+    from milnorfiber.snf import smith_normal_form
 
-    d2 = IntMatrix(rows, ncols=6).transpose()
-    h1 = quotient(IntMatrix.zeros(1, 6), d2)
-    assert h1.free_rank == 5 and not h1.torsion
-
-
-def test_projective_base_line_ignored():
-    arr = geometry.parse_arrangement("projective\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
-    assert projective_presentation(arr) == projective_presentation(arr, base_line=2)
+    # H1 = Z^6 / (row span): free of rank 6 - rank, torsion-free
+    form = smith_normal_form(rows, ncols=6)
+    assert 6 - form.rank == 5 and form.diagonal == (1,)
 
 
 def test_projective_rejects_affine_input():

@@ -10,12 +10,8 @@ from milnorfiber.snf import (
     IntMatrix,
     SmithForm,
     prime_factors,
-    quotient,
-    quotient_with_ranks,
     rank_mod_p,
-    read_triplets,
     smith_normal_form,
-    write_triplets,
 )
 
 
@@ -55,34 +51,6 @@ def test_abelian_group_str():
         AbelianGroup(-1)
 
 
-def test_quotient_trivial_d1():
-    # d1 = 0 from Z^3, d2 = 0: kernel is everything, image nothing
-    g = quotient(IntMatrix.zeros(1, 3), IntMatrix.zeros(3, 2))
-    assert g == AbelianGroup(3)
-
-
-def test_quotient_torsion():
-    # ker(0: Z^2 -> Z) / im(column (2,0)) = Z + Z/2
-    g = quotient(IntMatrix.zeros(1, 2), IntMatrix([[2], [0]]))
-    assert g == AbelianGroup(1, (2,))
-
-
-def test_quotient_kernel_extraction():
-    # d1 kills the diagonal of Z^2; d2 maps onto 3 * that diagonal.
-    d1 = IntMatrix([[1, -1]])
-    d2 = IntMatrix([[3], [3]])
-    g, r1, r2 = quotient_with_ranks(d1, d2)
-    assert (r1, r2) == (1, 1)
-    assert g == AbelianGroup(0, (3,))
-
-
-def test_quotient_rejects_non_chain():
-    with pytest.raises(ValueError, match="chain"):
-        quotient(IntMatrix([[1, 0]]), IntMatrix([[1], [0]]))
-    with pytest.raises(ValueError, match="shape"):
-        quotient(IntMatrix([[1, 0]]), IntMatrix([[1, 2, 3]]))
-
-
 def test_rank_mod_p():
     assert rank_mod_p([[2, 4], [6, 8]], 2) == 0
     assert rank_mod_p([[2, 4], [6, 8]], 3) == 2
@@ -97,14 +65,6 @@ def test_prime_factors():
     assert prime_factors(97) == [97]
     assert prime_factors(1) == []
     assert prime_factors(-18) == [2, 3]
-
-
-def test_triplet_round_trip():
-    m = IntMatrix([[0, 5, 0], [-2, 0, 0]])
-    assert read_triplets(write_triplets(m)) == m
-    assert read_triplets("2 2\n# comment\n0 0 7\n") == IntMatrix([[7, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        read_triplets("")
 
 
 def _det(rows):
@@ -205,11 +165,3 @@ def test_unimodular_moves_preserve_form(rows):
     transposed = [list(col) for col in zip(*rows)]
     assert smith_normal_form(transposed).diagonal == base
 
-
-def test_matrix_multiply_and_zero():
-    a = IntMatrix([[1, 2], [3, 4]])
-    b = IntMatrix([[0, 1], [1, 0]])
-    assert (a * b) == IntMatrix([[2, 1], [4, 3]])
-    assert not (a * b).is_zero()
-    assert IntMatrix.zeros(2, 2).is_zero()
-    assert a.transpose() == IntMatrix([[1, 3], [2, 4]])
