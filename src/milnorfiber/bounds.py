@@ -203,7 +203,7 @@ def oka_sakamoto_check(aff):
             a2, b2, _ = aff.lines[j].coeffs
             if a1 * b2 - a2 * b1 == 0:
                 union(i, j)
-    inc = geometry.intersection_points(aff)
+    inc = aff.incidence
     for pt in inc.points:
         if pt.multiplicity >= 3:
             first = pt.incident[0]
@@ -279,6 +279,40 @@ class BoundReport:
     def upper_bound(self):
         return min(self.onehyp_best, self.cdo_total)
 
+    def prediction(self):
+        """The N-1 lower bound, the best upper bound, and the free group of
+        rank N-1 as an exact answer whenever an exactness criterion fired."""
+        exact = AbelianGroup(self.n - 1) if self.applicable else None
+        return Prediction(exact=exact, lower=self.lower_bound, upper=self.upper_bound)
+
+    def as_dict(self):
+        """JSON-ready bounds block, shared by the analysis report and the
+        bounds command."""
+
+        def jsonable(w):
+            return [jsonable(x) for x in w] if isinstance(w, tuple) else w
+
+        opc = self.one_point
+        return {
+            "lower": self.lower_bound,
+            "onehyp": {
+                "per_line": {str(i): v for i, v in sorted(self.onehyp_per_line.items())},
+                "best": self.onehyp_best,
+            },
+            "cdo": {
+                "per_k": {str(k): v for k, v in sorted(self.cdo_per_k.items())},
+                "total": self.cdo_total,
+            },
+            "corollary_witness": self.corollary_witness,
+            "one_point": {
+                "fires": opc.fires,
+                "witness": jsonable(opc.witness),
+                "guard_blocked": jsonable(opc.guard_blocked),
+            },
+            "oka_sakamoto": jsonable(self.oka_sakamoto),
+            "applicable": [[name, jsonable(w)] for name, w in self.applicable],
+        }
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -342,18 +376,6 @@ def predict(arr, infinity_index=None):
 
     Returns (Prediction, BoundReport).
     """
-    if isinstance(arr, geometry.AffineArrangement):
-        aff = arr
-        proj = geometry.cone(arr)
-    elif isinstance(arr, geometry.Arrangement):
-        idx = arr.n_lines - 1 if infinity_index is None else infinity_index
-        aff = geometry.decone(arr, idx)
-        proj = arr
-    else:
-        raise TypeError(f"cannot predict from {type(arr).__name__}")
-    n = proj.n_lines
-    inc = geometry.intersection_points(proj)
-    report = bound_report(inc, n, aff=aff)
-    exact = AbelianGroup(n - 1) if report.applicable else None
-    pred = Prediction(exact=exact, lower=n - 1, upper=report.upper_bound)
-    return pred, report
+    proj, aff, _ = geometry.affine_picture(arr, infinity_index)
+    report = bound_report(proj.incidence, proj.n_lines, aff=aff)
+    return report.prediction(), report

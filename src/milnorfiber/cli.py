@@ -20,8 +20,8 @@ import sys
 from . import bounds as bounds_mod
 from . import geometry
 from . import pipeline
+from . import presentation as presentation_mod
 from . import presets
-from . import snf
 from . import validation
 from .geometry import InputError
 
@@ -35,14 +35,11 @@ def _read(path):
 
 
 def _parse_primes(text):
+    """Integers of a --primes list; pipeline.analyze checks that they are primes."""
     try:
-        primes = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"bad --primes list {text!r}") from None
-    for p in primes:
-        if snf.prime_factors(p) != [p]:
-            raise InputError(f"bad --primes entry {p}: not a prime")
-    return primes
 
 
 def _emit_json(obj, out):
@@ -93,15 +90,8 @@ def cmd_analyze(args, out):
 
 def cmd_presentation(args, out):
     arr = geometry.parse_arrangement(_read(args.file))
-    if isinstance(arr, geometry.Arrangement):
-        idx = arr.n_lines - 1 if args.infinity is None else args.infinity
-        aff = geometry.decone(arr, idx)
-    else:
-        aff = arr
-    aff = geometry.shear_to_generic(aff)
-    from .presentation import arvola_randell
-
-    pres = arvola_randell(aff)
+    _, aff, _ = geometry.affine_picture(arr, args.infinity)
+    pres = presentation_mod.arvola_randell(geometry.shear_to_generic(aff))
     if args.json:
         _emit_json(
             {
@@ -125,34 +115,17 @@ def cmd_bounds(args, out):
     head = next((l.split("#")[0].strip() for l in text.splitlines() if l.split("#")[0].strip()), "")
     if head.startswith("incidence"):
         inc = bounds_mod.parse_incidence(text)
-        n = inc.n_lines
-        report = bounds_mod.bound_report(inc, n, aff=None)
-        note = "raw incidence input: the transverse-split check needs coordinates and was skipped"
+        report = bounds_mod.bound_report(inc, inc.n_lines, aff=None)
+        notes = ["raw incidence input: the transverse-split check needs coordinates and was skipped"]
     else:
         arr = geometry.parse_arrangement(text)
         _, report = bounds_mod.predict(arr, infinity_index=args.infinity)
-        n = report.n
-        note = None
-    opc = report.one_point
-    payload = {
-        "n_lines": n,
-        "lower": report.lower_bound,
-        "onehyp": {"per_line": {str(i): v for i, v in sorted(report.onehyp_per_line.items())},
-                   "best": report.onehyp_best},
-        "cdo": {"per_k": {str(k): v for k, v in sorted(report.cdo_per_k.items())},
-                "total": report.cdo_total},
-        "corollary_witness": report.corollary_witness,
-        "one_point": {"fires": opc.fires,
-                      "witness": list(opc.witness) if opc.witness else None,
-                      "guard_blocked": list(opc.guard_blocked) if opc.guard_blocked else None},
-        "oka_sakamoto": [list(s) for s in report.oka_sakamoto] if report.oka_sakamoto else None,
-        "applicable": [[name, pipeline._jsonable(w)] for name, w in report.applicable],
-        "notes": list(report.notes) + ([note] if note else []),
-    }
+        notes = []
+    payload = {**report.as_dict(), "n_lines": report.n, "notes": list(report.notes) + notes}
     if args.json:
         _emit_json(payload, out)
     else:
-        out.write(f"lines: {n}\n")
+        out.write(f"lines: {report.n}\n")
         out.write(f"lower bound: {report.lower_bound}\n")
         out.write(f"per-line upper bound (best): {report.onehyp_best}\n")
         out.write(f"per-degree upper bound (total): {report.cdo_total}\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 
@@ -119,6 +120,11 @@ class Arrangement:
         """Degree of the Milnor-fiber cover: the number of lines."""
         return len(self.lines)
 
+    @cached_property
+    def incidence(self):
+        """Intersection points, computed once per arrangement object."""
+        return intersection_points(self)
+
 
 @dataclass(frozen=True)
 class AffineArrangement:
@@ -149,6 +155,11 @@ class AffineArrangement:
     @property
     def cover_degree(self):
         return len(self.lines) + 1
+
+    @cached_property
+    def incidence(self):
+        """Finite intersection points, computed once per arrangement object."""
+        return intersection_points(self)
 
 
 @dataclass(frozen=True)
@@ -311,44 +322,51 @@ def cone(aff):
     return Arrangement(tuple(lines) + (inf,))
 
 
+def affine_picture(arr, infinity_index=None):
+    """The projective arrangement, the affine picture the sweep runs on,
+    and the index of the line at infinity, as ``(proj, aff, index)``.
+
+    Affine input is coned (its infinity line is appended last) and
+    ``infinity_index`` is ignored; projective input is deconed along
+    ``infinity_index`` (default: the last line).
+    """
+    if isinstance(arr, AffineArrangement):
+        proj = cone(arr)
+        return proj, arr, proj.n_lines - 1
+    if not isinstance(arr, Arrangement):
+        raise TypeError(f"expected an arrangement, got {type(arr).__name__}")
+    if infinity_index is None:
+        infinity_index = arr.n_lines - 1
+    return arr, decone(arr, infinity_index), infinity_index
+
+
 def is_sweep_generic(aff):
     """No vertical line, and no two intersection points share an x value."""
     if any(l.is_vertical for l in aff.lines):
         return False
-    xs = [pt.xy()[0] for pt in intersection_points(aff).points]
+    xs = [pt.xy()[0] for pt in aff.incidence.points]
     return len(xs) == len(set(xs))
 
 
 def shear_to_generic(aff):
-    """Shear (x, y) -> (x + t*y, y) into sweep position.
+    """Shear (x, y) -> (x - t*y, y) into sweep position.
 
     The substitution keeps the arrangement's topology (it is an ambient
     linear isotopy) while removing vertical lines and making all
     intersection-point x coordinates distinct.  t is the smallest
-    non-negative integer that works, so runs are reproducible.
+    non-negative integer that works, found by trying t = 0, 1, 2, ...
+    (only finitely many values fail), so runs are reproducible.
     """
-    bad = set()
-    for line in aff.lines:
-        a, b, _ = line.coeffs
-        if a != 0:
-            # new y-coefficient is a*t + b; forbid the t that kills it
-            bad.add(Fraction(-b, a))
-    pts = []
-    for i in range(len(aff.lines)):
-        for j in range(i + 1, len(aff.lines)):
-            p = _cross(aff.lines[i].coeffs, aff.lines[j].coeffs)
-            if p[2] != 0:
-                pts.append((Fraction(p[0], p[2]), Fraction(p[1], p[2])))
-    pts = sorted(set(pts))
-    for k in range(len(pts)):
-        for l in range(k + 1, len(pts)):
-            x1, y1 = pts[k]
-            x2, y2 = pts[l]
-            if y1 != y2:
-                # sheared x coordinates collide at t = (x1 - x2) / (y1 - y2)
-                bad.add(Fraction(x1 - x2, y1 - y2))
+    xys = [pt.xy() for pt in aff.incidence.points]
+
+    def works(t):
+        # a line's new y-coefficient is a*t + b; a vertex (x, y) moves to x - t*y
+        if any(a * t + b == 0 for a, b, _ in (l.coeffs for l in aff.lines)):
+            return False
+        return len({x - t * y for x, y in xys}) == len(xys)
+
     t = 0
-    while Fraction(t) in bad:
+    while not works(t):
         t += 1
     new_lines = []
     for line in aff.lines:
@@ -367,7 +385,9 @@ def parse_arrangement(text):
 
     First non-comment line: ``projective`` or ``affine``.  Each further
     non-comment line: three whitespace-separated rationals (``p`` or
-    ``p/q``).  ``#`` starts a comment.
+    ``p/q``); exponent notation such as ``1e9`` is refused, since a short
+    token like ``1e30000000`` would expand to millions of digits.  ``#``
+    starts a comment.
 
     >>> parse_arrangement("projective\\n1 0 0\\n0 1 0\\n0 0 1").n_lines
     3
@@ -388,6 +408,11 @@ def parse_arrangement(text):
         parts = line.split()
         if len(parts) != 3:
             raise InputError(f"line {lineno}: expected three rationals, got {line!r}")
+        for p in parts:
+            if "e" in p.lower():
+                raise InputError(
+                    f"line {lineno}: malformed rational {p!r} (write p or p/q; no exponents)"
+                )
         try:
             coeffs = tuple(Fraction(p) for p in parts)
         except (ValueError, ZeroDivisionError) as exc:

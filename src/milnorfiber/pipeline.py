@@ -17,12 +17,24 @@ from . import presentation as presentation_mod
 from . import snf
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11)
+# Requested probe primes must lie below this ceiling, so that checking
+# one for primality (trial division up to its square root) stays instant.
+PRIME_CEILING = 2**31
 
 
-def probe_primes(n, incidence, extra=()):
+def _check_primes(primes):
+    """Refuse any requested probe that is not a prime below PRIME_CEILING."""
+    for p in primes:
+        if p >= PRIME_CEILING:
+            raise geometry.InputError(f"bad --primes entry {p}: probe primes must be below 2^31")
+        if snf.prime_factors(p) != [p]:
+            raise geometry.InputError(f"bad --primes entry {p}: not a prime")
+
+
+def probe_primes(n, incidence):
     """Default torsion probes: 2,3,5,7,11 plus every prime dividing the
     cover degree or a point multiplicity."""
-    ps = set(DEFAULT_PRIMES) | set(extra)
+    ps = set(DEFAULT_PRIMES)
     ps.update(snf.prime_factors(n))
     for pt in incidence.points:
         ps.update(snf.prime_factors(pt.multiplicity))
@@ -87,21 +99,14 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     ``infinity_index`` picks the line sent to infinity (projective input
     only; default: the last line).  ``modulus`` analyzes the Z/m quotient
     cover instead of the full Milnor-fiber cover; combinatorial bounds are
-    about the full cover, so they are skipped in that case.
+    about the full cover, so they are skipped in that case.  Each of the
+    requested ``primes`` must be a prime below PRIME_CEILING; this is
+    checked before any geometry.
     """
-    if isinstance(arr, geometry.AffineArrangement):
-        mode = "affine"
-        aff0 = arr
-        proj = geometry.cone(arr)
-        infinity_index = proj.n_lines - 1
-    elif isinstance(arr, geometry.Arrangement):
-        mode = "projective"
-        if infinity_index is None:
-            infinity_index = arr.n_lines - 1
-        proj = arr
-        aff0 = geometry.decone(arr, infinity_index)
-    else:
-        raise TypeError(f"cannot analyze {type(arr).__name__}")
+    if primes is not None:
+        _check_primes(primes)
+    mode = "affine" if isinstance(arr, geometry.AffineArrangement) else "projective"
+    proj, aff0, infinity_index = geometry.affine_picture(arr, infinity_index)
     if modulus is not None and modulus < 1:
         raise geometry.InputError(f"modulus must be a positive integer, got {modulus}")
     full_degree = proj.n_lines
@@ -110,7 +115,7 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     complex_ = cover_mod.build_cover_complex(pres, modulus=modulus)
     n = complex_.n
     milnor = n == full_degree
-    incidence = geometry.intersection_points(proj)
+    incidence = proj.incidence
     if primes is None:
         primes = probe_primes(full_degree, incidence)
     else:
@@ -119,11 +124,7 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     notes = []
     if milnor:
         report = bounds_mod.bound_report(incidence, full_degree, aff=aff)
-        prediction = bounds_mod.Prediction(
-            exact=snf.AbelianGroup(full_degree - 1) if report.applicable else None,
-            lower=full_degree - 1,
-            upper=report.upper_bound,
-        )
+        prediction = report.prediction()
         notes.extend({"id": "single-heavy-point-guard", "text": t} for t in report.notes)
     else:
         report = None
@@ -230,28 +231,8 @@ def report_dict(a):
     if a.bound_report is None:
         bounds_block = None
     else:
-        r = a.bound_report
-        opc = r.one_point
-        bounds_block = {
-            "lower": r.lower_bound,
-            "onehyp": {
-                "per_line": {str(i): v for i, v in sorted(r.onehyp_per_line.items())},
-                "best": r.onehyp_best,
-            },
-            "cdo": {
-                "per_k": {str(k): v for k, v in sorted(r.cdo_per_k.items())},
-                "total": r.cdo_total,
-            },
-            "corollary_witness": r.corollary_witness,
-            "one_point": {
-                "fires": opc.fires,
-                "witness": list(opc.witness) if opc.witness else None,
-                "literal_fires": opc.literal_fires,
-                "guard_blocked": list(opc.guard_blocked) if opc.guard_blocked else None,
-            },
-            "oka_sakamoto": [list(side) for side in r.oka_sakamoto] if r.oka_sakamoto else None,
-            "applicable": [[name, _jsonable(w)] for name, w in r.applicable],
-        }
+        bounds_block = a.bound_report.as_dict()
+        bounds_block["one_point"]["literal_fires"] = a.bound_report.one_point.literal_fires
     if a.prediction is None:
         prediction_block = None
     else:
@@ -275,8 +256,3 @@ def report_dict(a):
         "notes": [dict(n) for n in a.notes],
     }
 
-
-def _jsonable(w):
-    if isinstance(w, tuple):
-        return [_jsonable(x) for x in w]
-    return w

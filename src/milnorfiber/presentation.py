@@ -193,7 +193,7 @@ def arvola_randell(aff, *, top_down=False):
     """
     if not aff.sweep_ready:
         raise ValueError("arrangement is not in sweep position; apply shear_to_generic first")
-    inc = geometry.intersection_points(aff)
+    inc = aff.incidence
     verts = sorted(inc.points, key=lambda pt: pt.xy()[0], reverse=True)
     for a, b in zip(verts, verts[1:]):
         if a.xy()[0] == b.xy()[0]:
@@ -248,7 +248,7 @@ def projective_presentation(arr):
     """
     if not isinstance(arr, geometry.Arrangement):
         raise TypeError("projective_presentation expects a projective arrangement")
-    inc = geometry.intersection_points(arr)
+    inc = arr.incidence
     aux = _auxiliary_line(arr, inc)
     extended = geometry.Arrangement(arr.lines + (aux,))
     aff = geometry.decone(extended, extended.n_lines - 1)

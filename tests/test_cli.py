@@ -83,6 +83,23 @@ def test_analyze_primes_rejects_non_prime(tri_file, capsys, entry):
     assert err == f"error: bad --primes entry {entry}: not a prime\n"
 
 
+def test_analyze_primes_refuses_huge_prime(tri_file, capsys):
+    # trial division of a 19-digit prime would run for minutes
+    code, out, err = run(capsys, "analyze", tri_file, "--primes", "2,1000000000000000003")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad --primes entry 1000000000000000003: probe primes must be below 2^31\n"
+
+
+def test_analyze_refuses_exponent_notation(tmp_path, capsys):
+    p = tmp_path / "exp.txt"
+    p.write_text("projective\n1e30000000 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: malformed rational '1e30000000'")
+
+
 def test_analyze_modulus(tmp_path, capsys):
     p = tmp_path / "pencil4.txt"
     code = cli.main(["preset", "pencil:4"])

@@ -1,6 +1,8 @@
 """Exact-rational geometry: parsing, canonicalization, incidence, decone,
 and the shear that puts an affine arrangement into sweep position."""
 
+import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milnorfiber import geometry
 from milnorfiber.geometry import (
     AffineArrangement,
     AffineLine,
@@ -63,6 +66,15 @@ def test_parse_comments_blanks_and_fractions():
 def test_parse_errors(text, fragment):
     with pytest.raises(InputError, match=fragment):
         parse_arrangement(text)
+
+
+@pytest.mark.parametrize("token", ["1e3", "2E-5", "1/1e2", "1e30000000"])
+def test_parse_refuses_exponent_notation(token):
+    # Fraction() would expand 1e30000000 to thirty million digits
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=f"line 3: malformed rational '{token}'"):
+        parse_arrangement(f"projective\n0 1 0\n{token} 0 1\n0 0 1\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_round_trip_text():
@@ -248,6 +260,53 @@ def test_shear_preserves_multiplicity_census():
     out = shear_to_generic(aff)
     after = intersection_points(out).multiplicity_census()
     assert before == after
+
+
+def forbidden_shears(aff):
+    """Reference: every t at which the shear fails, listed pairwise.  A line
+    turns vertical at t = -b/a; two vertices share x - t*y at
+    t = (x1 - x2) / (y1 - y2)."""
+    bad = {Fraction(-b, a) for a, b, _ in (l.coeffs for l in aff.lines) if a}
+    pts = sorted({pt.xy() for pt in intersection_points(aff).points})
+    for k, (x1, y1) in enumerate(pts):
+        for x2, y2 in pts[k + 1 :]:
+            if y1 != y2:
+                bad.add((x1 - x2) / (y1 - y2))
+    return bad
+
+
+def test_shear_is_smallest_outside_forbidden_set():
+    rng = random.Random(20110401)
+    sheared = 0
+    for _ in range(300):
+        k = rng.randint(3, 7)
+        lines = []
+        while len(lines) < k:
+            cand = tuple(rng.randint(-3, 3) for _ in range(3))
+            if cand != (0, 0, 0) and ProjLine(cand) not in lines:
+                lines.append(ProjLine(cand))
+        arr = Arrangement(tuple(lines))
+        for idx in range(arr.n_lines):
+            aff = decone(arr, idx)
+            bad = forbidden_shears(aff)
+            t = 0
+            while t in bad:
+                t += 1
+            assert shear_to_generic(aff).shear == t
+            sheared += t > 0
+    assert sheared > 100
+
+
+def test_incidence_is_computed_once_per_object(monkeypatch):
+    calls = []
+    real = geometry.intersection_points
+    monkeypatch.setattr(geometry, "intersection_points", lambda arr: calls.append(arr) or real(arr))
+    arr = parse_arrangement(TRIANGLE)
+    assert arr.incidence is arr.incidence
+    assert arr.incidence == real(arr)
+    aff = decone(arr, 2)
+    shear_to_generic(aff)
+    assert [type(a) for a in calls] == [Arrangement, AffineArrangement, AffineArrangement]
 
 
 def test_slope_and_vertical():

@@ -1,8 +1,10 @@
 """End-to-end analyses of the built-in arrangements, plus preset sanity."""
 
+import time
+
 import pytest
 
-from milnorfiber import geometry, pipeline, presets
+from milnorfiber import bounds, geometry, pipeline, presets
 from milnorfiber.geometry import InputError
 from milnorfiber.snf import AbelianGroup
 
@@ -109,6 +111,45 @@ def test_verdicts_all_present():
         "exact_prediction",
     }
     assert set(analyze("triangle").verdicts) == expected
+
+
+@pytest.mark.parametrize("primes", [(4,), (2, 0), (-3,), (2, 1000000000000000003), (2**31,)])
+def test_analyze_refuses_bad_primes_before_geometry(primes, monkeypatch):
+    # the check runs first, so it never reaches the (here broken) geometry
+    monkeypatch.setattr(geometry, "affine_picture", None)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=f"bad --primes entry {primes[-1]}"):
+        pipeline.analyze(geometry.parse_arrangement(presets.preset_text("triangle")), primes=primes)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_analyze_accepts_prime_below_ceiling():
+    a = analyze("triangle", primes=(2**31 - 1,))
+    assert a.homology.betti_mod == {2**31 - 1: 2}
+
+
+def count_incidence_calls(monkeypatch):
+    calls = []
+    real = geometry.intersection_points
+    monkeypatch.setattr(geometry, "intersection_points", lambda arr: calls.append(arr) or real(arr))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["braid-a3", "parallel-family", "nearpencil:6"])
+def test_one_incidence_per_arrangement_object(name, monkeypatch):
+    calls = count_incidence_calls(monkeypatch)
+
+    def fresh():
+        return geometry.parse_arrangement(presets.preset_text(name))
+
+    pipeline.analyze(fresh())  # the input, its decone and the sheared picture
+    assert len(calls) == 3
+    del calls[:]
+    pipeline.analyze(geometry.decone(fresh(), 0))  # the input, its cone and the sheared picture
+    assert len(calls) == 3
+    del calls[:]
+    bounds.predict(fresh())  # the input and its decone
+    assert len(calls) == 2
 
 
 # --- presets ------------------------------------------------------------------
