@@ -9,10 +9,14 @@ multiplying by x^k rotates a tuple k places to the right:
 
 The cover has n vertices x^i v, n edges x^i g_j per generator (oriented
 from x^i v to x^{i+1} v), and n 2-cells per relator (the x^i-shifts of its
-lift).  The boundary d2 is stored row-per-cell: one row per 2-cell and one
-column per edge, the edges of generator j in columns j*n .. j*n + n - 1.
-The edge boundary needs no matrix: the edges x^0 g_1 .. x^{n-2} g_1 form a
-spanning tree of the 1-skeleton, and contracting it leaves one vertex.
+lift).  The boundary d2 is stored sparsely, one ``{column: value}`` dict
+of nonzeros per 2-cell, with one column per edge: the edges of generator j
+in columns j*n .. j*n + n - 1.  The edge boundary needs no matrix: the
+edges x^0 g_1 .. x^{n-2} g_1 form a spanning tree of the 1-skeleton, and
+contracting it leaves one vertex.
+
+A cover with more than CELL_BUDGET cells (n vertices plus n edges per
+generator plus n 2-cells per relator) is refused before it is built.
 """
 
 from __future__ import annotations
@@ -20,8 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import snf
+from .geometry import InputError
 from .snf import AbelianGroup, IntMatrix
 from .presentation import Word
+
+# Largest cover, in cells, that build_cover_complex assembles.  The
+# Milnor cover of a generic arrangement of 50 lines has about 61 000.
+CELL_BUDGET = 250_000
 
 
 def phi_degree(word, n):
@@ -126,7 +135,8 @@ def build_cover_complex(pres, modulus=None):
 
     ``modulus`` overrides the presentation's cover degree (for studying
     the auxiliary covers with every generator sent to 1 in Z/m); every
-    relator must still map to 0 mod the chosen modulus.
+    relator must still map to 0 mod the chosen modulus.  A cover of more
+    than CELL_BUDGET cells is refused with an InputError.
 
     >>> from . import geometry, presentation
     >>> aff = geometry.shear_to_generic(geometry.parse_arrangement("affine\\n1 0 0\\n0 1 0"))
@@ -139,24 +149,29 @@ def build_cover_complex(pres, modulus=None):
     n = pres.phi_modulus if modulus is None else int(modulus)
     if n < 1:
         raise ValueError("cover degree must be >= 1")
+    G = pres.generator_count
+    cells = n * (1 + G + len(pres.relators))
+    if cells > CELL_BUDGET:
+        raise InputError(
+            f"the degree-{n} cover would have {cells} cells, over the budget of "
+            f"{CELL_BUDGET}; choose a smaller --modulus"
+        )
     for r in pres.relators:
         if phi_degree(r.word, n) != 0:
             raise ValueError(
                 f"relator {r.word.format()!r} has exponent sum {r.word.exponent_sum()}, "
                 f"not divisible by modulus {n}; no such cover exists"
             )
-    G = pres.generator_count
     fox_rows = tuple(
         tuple(fox_derivative(r.word, j + 1, n) for j in range(G)) for r in pres.relators
     )
-    d2_rows = []
+    entries = []
     for row in fox_rows:
+        # the lift's nonzeros as (generator block, power of x, coefficient)
+        nonzero = [(j * n, k, v) for j, t in enumerate(row) for k, v in enumerate(t) if v]
         for i in range(n):
-            flat = []
-            for t in row:
-                flat.extend(cyc_shift(t, i))
-            d2_rows.append(flat)
-    d2 = IntMatrix(d2_rows, ncols=n * G)
+            entries.append({base + (k + i) % n: v for base, k, v in nonzero})
+    d2 = IntMatrix.from_entries(entries, ncols=n * G)
     return CoverComplex(n, G, len(pres.relators), fox_rows, d2)
 
 
@@ -175,6 +190,16 @@ class CoverHomology:
         return self.b0 - self.b1 + self.b2 == self.euler
 
 
+def contracted_d2(complex_):
+    """d2 with the spanning-tree columns x^0 g_1 .. x^{n-2} g_1 (the first
+    n - 1, none without generators) deleted."""
+    t = complex_.n - 1 if complex_.generator_count else 0
+    return IntMatrix.from_entries(
+        [{j - t: v for j, v in row.items() if j >= t} for row in complex_.d2.entries],
+        ncols=complex_.d2.ncols - t,
+    )
+
+
 def h1_of_cover(complex_, primes=()):
     """H1 by one integer Smith reduction, plus Betti numbers over Q and
     over each requested prime field.
@@ -184,15 +209,15 @@ def h1_of_cover(complex_, primes=()):
     with those columns deleted (Fox, Free differential calculus I).
     """
     n = complex_.n
-    t = n - 1 if complex_.generator_count else 0
-    cols = complex_.d2.ncols - t
-    contracted = IntMatrix([row[t:] for row in complex_.d2.rows], ncols=cols)
+    contracted = contracted_d2(complex_)
+    cols = contracted.ncols
+    tree = complex_.d2.ncols - cols  # edges of the contracted spanning tree
     form = snf.smith_normal_form(contracted)
     b1 = cols - form.rank
     betti_mod = {p: cols - snf.rank_mod_p(contracted, p) for p in sorted(set(primes))}
     return CoverHomology(
         group=AbelianGroup(b1, tuple(d for d in form.diagonal if d != 1)),
-        b0=n - t,
+        b0=n - tree,
         b1=b1,
         b2=n * complex_.relator_count - form.rank,
         betti_mod=betti_mod,

@@ -5,7 +5,9 @@ All arithmetic uses Python's arbitrary-precision integers; nothing here
 is probabilistic, modular-shortcut based, or floating point.
 
 Matrices use the column-vector convention: an ``m x n`` matrix maps
-column vectors of length ``n`` to column vectors of length ``m``.
+column vectors of length ``n`` to column vectors of length ``m``.  They
+are stored sparsely, and both the Smith form and the ranks come from one
+sparse row-echelon routine, ``_echelon``.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
 (2, 4)
@@ -14,20 +16,23 @@ column vectors of length ``n`` to column vectors of length ``m``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
 
 
 class IntMatrix:
-    """A dense integer matrix stored as a list of row lists.
+    """An integer matrix stored sparsely: one ``{column: value}`` dict of
+    the nonzero entries per row.  ``rows`` is a dense view.
 
-    >>> m = IntMatrix([[1, 2], [3, 4]])
-    >>> m.shape
-    (2, 2)
+    >>> m = IntMatrix([[1, 0], [3, 4]])
+    >>> m.shape, m.entries
+    ((2, 2), [{0: 1}, {0: 3, 1: 4}])
     >>> IntMatrix([], ncols=3).shape
     (0, 3)
+    >>> IntMatrix.from_entries([{1: 4, 0: 3}, {0: 1}], ncols=2).rows
+    [[3, 4], [1, 0]]
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, rows, ncols=None):
         rows = [[int(v) for v in row] for row in rows]
@@ -38,34 +43,54 @@ class IntMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows in matrix input")
-        self.rows = rows
+        self.entries = [{j: v for j, v in enumerate(row) if v} for row in rows]
         self.nrows = len(rows)
         self.ncols = int(ncols)
 
     @classmethod
+    def from_entries(cls, entries, ncols):
+        """A matrix from one ``{column: value}`` dict of nonzero ``int``
+        entries per row; the dicts are taken over, not copied."""
+        entries = list(entries)
+        for row in entries:
+            for j, v in row.items():
+                if not 0 <= j < ncols or not v:
+                    raise ValueError(f"bad sparse entry {j}: {v} for {ncols} columns")
+        m = cls.__new__(cls)
+        m.entries, m.nrows, m.ncols = entries, len(entries), ncols
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls.from_entries([{i: 1} for i in range(n)], ncols=n)
 
     @classmethod
     def zeros(cls, m, n):
-        return cls([[0] * n for _ in range(m)], ncols=n)
+        return cls.from_entries([{} for _ in range(m)], ncols=n)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def copy_rows(self):
-        return [row[:] for row in self.rows]
+    @property
+    def rows(self):
+        out = []
+        for nonzero in self.entries:
+            row = [0] * self.ncols
+            for j, v in nonzero.items():
+                row[j] = v
+            out.append(row)
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.shape, tuple(tuple(r) for r in self.rows)))
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self.entries)))
 
     def __repr__(self):
         if self.nrows <= 6 and self.ncols <= 6:
@@ -245,11 +270,63 @@ def _smith(A, m, n):
     return [A[i][i] for i in range(rank)]
 
 
+def _subtract(row, f, pivot, p=None):
+    """row -= f * pivot on sparse rows, in place (mod p when p is given)."""
+    for j, v in pivot.items():
+        w = row.get(j, 0) - f * v
+        if p is not None:
+            w %= p
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
+def _echelon(rows, p=None):
+    """Row echelon form of sparse rows (``{column: value}`` dicts, consumed).
+
+    Each row is reduced by the pivot of its leading column until it
+    vanishes or leads in a column without a pivot.  Over F_p (``p`` given,
+    entries taken mod p) the row then becomes that column's pivot, scaled
+    to lead with 1.  Over Z it becomes a pivot only when it leads with
+    +-1 (negated to lead with 1); otherwise it is set aside.  Returns the
+    pivots as ``{column: row}`` and the rows set aside.
+    """
+    pivots = {}
+    rest = []
+    for row in rows:
+        if p is not None:
+            row = {j: v % p for j, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                break
+            _subtract(row, row[lead], pivots[lead], p)
+        if not row:
+            continue
+        a = row[lead]
+        if p is not None:
+            inv = pow(a, -1, p)
+            pivots[lead] = {j: v * inv % p for j, v in row.items()}
+        elif a == 1:
+            pivots[lead] = row
+        elif a == -1:
+            pivots[lead] = {j: -v for j, v in row.items()}
+        else:
+            rest.append(row)
+    return pivots, rest
+
+
 def smith_normal_form(m, ncols=None):
     """Smith normal form of an integer matrix.
 
-    Deterministic: the pivot is always the nonzero entry of least absolute
-    value (ties broken by lowest row, then lowest column).
+    Rows are first reduced to echelon form with pivots only on leading
+    entries +-1 (unit pivots, as in Dumas, Saunders & Villard, J. Symbolic
+    Comput. 2001); each pivot contributes a 1 to the diagonal.  The rows
+    left over are cleared on every pivot column, which splits the matrix
+    into an identity block and that leftover block, and the leftover block
+    goes to a dense reduction whose pivot is always the nonzero entry of
+    least absolute value (ties broken by lowest row, then lowest column).
 
     >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
     (2, 4)
@@ -259,23 +336,26 @@ def smith_normal_form(m, ncols=None):
     ()
     """
     mat = as_matrix(m, ncols=ncols)
-    A = mat.copy_rows()
-    diag = _smith(A, mat.nrows, mat.ncols)
+    pivots, rest = _echelon([dict(row) for row in mat.entries])
+    for row in rest:
+        while hit := [j for j in row if j in pivots]:
+            c = min(hit)
+            _subtract(row, row[c], pivots[c])
+    cols = sorted({j for row in rest for j in row})
+    block = [[row.get(j, 0) for j in cols] for row in rest]
+    diag = [1] * len(pivots) + _smith(block, len(block), len(cols))
     return SmithForm(tuple(diag))
 
 
+@lru_cache(maxsize=64)  # trial division of a prime near 2^31 takes about 10 ms
 def _require_prime(p):
-    if p < 2:
+    if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"{p} is not prime")
-        d += 1
 
 
 def rank_mod_p(m, p, ncols=None):
-    """Rank of an integer matrix over the field with p elements.
+    """Rank of an integer matrix over the field with p elements: the
+    number of pivots of its own row echelon form mod p.
 
     >>> rank_mod_p([[2]], 2)
     0
@@ -283,29 +363,8 @@ def rank_mod_p(m, p, ncols=None):
     (0, 2)
     """
     _require_prime(p)
-    mat = as_matrix(m, ncols=ncols)
-    A = [[v % p for v in row] for row in mat.rows]
-    nrows, ncols = mat.nrows, mat.ncols
-    rank = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if A[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = pow(A[rank][j], -1, p)
-        A[rank] = [(v * inv) % p for v in A[rank]]
-        for i in range(nrows):
-            if i != rank and A[i][j]:
-                f = A[i][j]
-                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    pivots, _ = _echelon(as_matrix(m, ncols=ncols).entries, p)
+    return len(pivots)
 
 
 def prime_factors(n):

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, JSON schema and determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -117,6 +118,20 @@ def test_analyze_bad_modulus(tri_file, capsys):
     code, out, err = run(capsys, "analyze", tri_file, "--modulus", "0")
     assert code == 2
     assert "positive" in err
+
+
+def test_analyze_refuses_cover_over_cell_budget(tri_file, capsys):
+    # the degree-10^6 cover of the triangle has 4 * 10^6 cells; it must be
+    # refused before anything is assembled, not left to run for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", tri_file, "--modulus", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the degree-1000000 cover would have 4000000 cells, over the budget "
+        "of 250000; choose a smaller --modulus\n"
+    )
 
 
 def test_analyze_parse_error(tmp_path, capsys):

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorfiber import geometry, pipeline, validation
+from milnorfiber import geometry, pipeline, presets, validation
 from milnorfiber.cover import (
+    CELL_BUDGET,
     build_cover_complex,
+    contracted_d2,
     cyc_add,
     cyc_mul,
     cyc_shift,
@@ -161,6 +163,35 @@ def test_chain_condition_detects_perturbed_fox_entry():
                 bumped = row[:j] + (cyc_add(entry, cyc_unit(c.n, i)),) + row[j + 1 :]
                 fox_rows = c.fox_rows[:r] + (bumped,) + c.fox_rows[r + 1 :]
                 assert not dataclasses.replace(c, fox_rows=fox_rows).chain_ok(), (r, j, i)
+
+
+def test_d2_nonzeros_match_dense_view():
+    # the benchmark counts d2's nonzeros from the dense view; on its
+    # generic ladder (generic:{8,12,14,16}:1) that count is 14 400
+    total = 0
+    for n in (8, 12, 14, 16):
+        c = pipeline.analyze_text(presets.preset_text(f"generic:{n}:1")).complex
+        nnz = sum(len(row) for row in c.d2.entries)
+        assert nnz == sum(1 for row in c.d2.rows for v in row if v)
+        assert all(len(row) == c.d2.ncols for row in c.d2.rows)
+        total += nnz
+    assert total == 14400
+
+
+def test_contracted_d2_drops_tree_columns():
+    c = affine_complex("affine\n1 0 0\n0 1 0\n1 1 0\n")
+    m = contracted_d2(c)
+    assert m.shape == (c.d2.nrows, c.d2.ncols - (c.n - 1))
+    assert m.rows == [row[c.n - 1 :] for row in c.d2.rows]
+
+
+def test_cell_budget():
+    # a relator-free presentation: n vertices and n edges, so 2n cells
+    free = Presentation(1, (), "affine-decone", 2)
+    c = build_cover_complex(free, modulus=CELL_BUDGET // 2)
+    assert c.d2.shape == (0, CELL_BUDGET // 2)
+    with pytest.raises(geometry.InputError, match=f"budget of {CELL_BUDGET}.*--modulus"):
+        build_cover_complex(free, modulus=CELL_BUDGET // 2 + 1)
 
 
 def test_modulus_override_validation():

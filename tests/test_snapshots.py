@@ -10,6 +10,9 @@ new code and say why in the change log.
 The inputs cover a shear of 1 (braid-a3, nearpencil-8), of 4 (an affine
 input with two vertical lines) and of 5 (parallel-family), no shear
 (generic-8-1), and a non-default line at infinity (nearpencil-8-inf0).
+Two more ``analyze --json`` reports of braid-a3 pin the ``betti.mod``
+block: one of the auxiliary cover of degree 2, one with explicit probe
+primes.
 """
 
 from pathlib import Path
@@ -35,6 +38,11 @@ COMMANDS = {
     "bounds-json": ["bounds", "--json"],
     "presentation-json": ["presentation", "--json"],
 }
+# case -> (input stem, full argument list after the input path)
+EXTRA_CASES = {
+    "braid-a3-mod2.analyze-json": ("braid-a3", ["--json", "--modulus", "2"]),
+    "braid-a3-primes.analyze-json": ("braid-a3", ["--json", "--primes", "2,3,13"]),
+}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -47,3 +55,13 @@ def test_report_matches_snapshot(case, command, capsys):
     assert code == 0
     assert captured.err == ""
     assert captured.out == (DATA / f"{case}.{command}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(EXTRA_CASES))
+def test_analyze_option_matches_snapshot(case, capsys):
+    stem, flags = EXTRA_CASES[case]
+    code = cli.main(["analyze", str(DATA / f"{stem}.txt"), *flags])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out == (DATA / f"{case}.out").read_text(encoding="utf-8")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milnorfiber import geometry, pipeline, presets, snf, validation
+from milnorfiber.cover import contracted_d2
 from milnorfiber.snf import (
     AbelianGroup,
     IntMatrix,
@@ -58,6 +60,54 @@ def test_rank_mod_p():
     assert rank_mod_p(IntMatrix.zeros(3, 3), 7) == 0
     with pytest.raises(ValueError):
         rank_mod_p([[1]], 6)
+    assert rank_mod_p([[1, 1]], 2**31 - 1) == 1
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 2**31 + 1])
+def test_rank_mod_p_refuses_non_prime(p):
+    with pytest.raises(ValueError, match=f"{p} is not prime"):
+        rank_mod_p([[1]], p)
+
+
+# --- IntMatrix ---------------------------------------------------------------
+
+
+def test_intmatrix_dense_view():
+    m = IntMatrix([[0, 2, 0], [-1, 0, 3]])
+    assert m.entries == [{1: 2}, {0: -1, 2: 3}]
+    assert m.rows == [[0, 2, 0], [-1, 0, 3]]
+    assert IntMatrix.from_entries([{2: 3, 0: -1}, {}], ncols=3).rows == [[-1, 0, 3], [0, 0, 0]]
+    assert repr(m) == "IntMatrix([[0, 2, 0], [-1, 0, 3]])"
+
+
+def test_intmatrix_equality_ignores_dict_order():
+    dense = IntMatrix([[0, 2, 0], [-1, 0, 3]])
+    sparse = IntMatrix.from_entries([{1: 2}, {2: 3, 0: -1}], ncols=3)
+    assert list(sparse.entries[1]) != list(dense.entries[1])
+    assert dense == sparse
+    assert hash(dense) == hash(sparse)
+    assert dense != IntMatrix([[0, 2, 0], [-1, 0, 4]])
+    assert dense != IntMatrix.from_entries([{1: 2}, {2: 3, 0: -1}], ncols=4)
+
+
+def test_intmatrix_zeros_and_identity():
+    assert IntMatrix.zeros(2, 3).rows == [[0, 0, 0], [0, 0, 0]]
+    assert IntMatrix.zeros(2, 3) == IntMatrix([[0] * 3] * 2)
+    assert IntMatrix.identity(3) == IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert IntMatrix.zeros(0, 4).shape == (0, 4)
+
+
+def test_intmatrix_input_errors():
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2]], ncols=3)
+    with pytest.raises(ValueError, match="explicit column count"):
+        IntMatrix([])
+    with pytest.raises(ValueError, match="bad sparse entry"):
+        IntMatrix.from_entries([{3: 1}], ncols=3)
+    with pytest.raises(ValueError, match="bad sparse entry"):
+        IntMatrix.from_entries([{0: 0}], ncols=3)
 
 
 def test_prime_factors():
@@ -165,3 +215,95 @@ def test_unimodular_moves_preserve_form(rows):
     transposed = [list(col) for col in zip(*rows)]
     assert smith_normal_form(transposed).diagonal == base
 
+
+
+# --- the sparse engine against dense references --------------------------------
+#
+# The two references below are the dense engines the package used before
+# its sparse echelon: the least-absolute-value Smith reduction run on the
+# whole matrix, and Gauss-Jordan elimination mod p.  They are kept here only
+# as oracles.
+
+ORACLE_PRIMES = (2, 3, 5, 7, 2**31 - 1)
+DENSE_SMITH = snf._smith
+
+
+def dense_smith_diagonal(rows, ncols):
+    return tuple(DENSE_SMITH([list(row) for row in rows], len(rows), ncols))
+
+
+def dense_rank_mod_p(rows, ncols, p):
+    A = [[v % p for v in row] for row in rows]
+    rank = 0
+    for j in range(ncols):
+        piv = next((i for i in range(rank, len(A)) if A[i][j]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][j], -1, p)
+        A[rank] = [v * inv % p for v in A[rank]]
+        for i in range(len(A)):
+            if i != rank and A[i][j]:
+                f = A[i][j]
+                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
+def assert_engines_agree(m, label=""):
+    """Smith diagonal and rank mod each of ORACLE_PRIMES of an IntMatrix,
+    sparse engine against the dense references."""
+    rows, ncols = m.rows, m.ncols
+    assert smith_normal_form(m).diagonal == dense_smith_diagonal(rows, ncols), label
+    for p in ORACLE_PRIMES:
+        assert rank_mod_p(m, p) == dense_rank_mod_p(rows, ncols, p), (label, p)
+
+
+def test_rank_mod_p_does_its_own_elimination(monkeypatch):
+    # reading rank_p off the Smith diagonal would make the report's
+    # torsion_consistency verdict an identity
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank_mod_p must not use the Smith reduction")
+
+    monkeypatch.setattr(snf, "smith_normal_form", refuse)
+    monkeypatch.setattr(snf, "_smith", refuse)
+    assert rank_mod_p([[2, 4], [6, 8]], 3) == 2
+    assert rank_mod_p([[2, 4], [6, 8]], 2) == 0
+
+
+def test_sparse_engine_matches_dense_on_random_matrices(monkeypatch):
+    """2000 seeded matrices up to 10 x 10 with entries drawn from
+    {0, 0, 0, +-1, +-2, 3, 6}; most leave a block without unit pivots, so
+    the dense leftover reduction and the clearing before it are exercised."""
+    leftover_blocks = []
+
+    def recording_smith(A, m, n):
+        if m:
+            leftover_blocks.append((m, n))
+        return DENSE_SMITH(A, m, n)
+
+    monkeypatch.setattr(snf, "_smith", recording_smith)
+    rng = random.Random(20011)
+    values = (0, 0, 0, 1, -1, 2, -2, 3, 6)
+    reached = 0
+    for _ in range(2000):
+        m, n = rng.randint(1, 10), rng.randint(1, 10)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        before = len(leftover_blocks)
+        assert_engines_agree(IntMatrix(rows), rows)
+        reached += len(leftover_blocks) > before
+    assert reached > 1000
+
+
+def test_sparse_engine_matches_dense_on_cover_matrices():
+    """The tree-contracted d2 of every corpus cover with N <= 7 lines, of
+    nearpencil:20 and of generic:16:1."""
+    texts = [
+        (name, text)
+        for name, text in validation.Corpus().entries
+        if geometry.parse_arrangement(text).n_lines <= 7
+    ]
+    assert len(texts) == 115
+    texts += [(name, presets.preset_text(name)) for name in ("nearpencil:20", "generic:16:1")]
+    for name, text in texts:
+        assert_engines_agree(contracted_d2(pipeline.analyze_text(text).complex), name)
