@@ -9,10 +9,10 @@ All intersection decisions are exact (no floating point anywhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 
 class InputError(ValueError):
@@ -22,28 +22,21 @@ class InputError(ValueError):
 def canonical_triple(coeffs):
     """Scale a rational triple to primitive integers, first nonzero > 0.
 
+    Entries may be ``int`` or ``Fraction``: both carry ``numerator`` and
+    ``denominator``, so integer input never builds a ``Fraction``.
+
     >>> canonical_triple((Fraction(1, 2), Fraction(-3, 2), 0))
     (1, -3, 0)
     >>> canonical_triple((-2, 4, -6))
     (1, -2, 3)
     """
-    fracs = [Fraction(c) for c in coeffs]
-    if all(f == 0 for f in fracs):
+    mult = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (mult // c.denominator) for c in coeffs]
+    lead = next((v for v in ints if v), 0)
+    if not lead:
         raise InputError("zero coefficient triple does not define a line")
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    g = gcd(*ints) if lead > 0 else -gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
@@ -87,11 +80,6 @@ class AffineLine:
             return None
         return Fraction(-a, b)
 
-    def contains(self, xy):
-        a, b, c = self.coeffs
-        x, y = xy
-        return a * x + b * y + c == 0
-
     def __str__(self):
         a, b, c = self.coeffs
         return f"[{a} {b} {c}]"
@@ -128,7 +116,7 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class AffineArrangement:
-    """An ordered affine arrangement, with bookkeeping from decone/shear.
+    """An ordered affine arrangement, with the shear applied, if any.
 
     ``cover_degree`` is one more than the number of affine lines: the
     Milnor fiber of the coned arrangement is that many-fold a cover of
@@ -136,8 +124,7 @@ class AffineArrangement:
     """
 
     lines: tuple
-    transform: tuple = None  # 3x3 rational matrix used by decone, if any
-    shear: Fraction = None  # shear parameter applied, if any
+    shear: int = None  # shear parameter applied, if any
     sweep_ready: bool = False
 
     def __post_init__(self):
@@ -197,22 +184,13 @@ class IncidencePoint:
 
 @dataclass(frozen=True)
 class IncidenceData:
-    """All intersection points of an arrangement, plus a per-line index."""
+    """All intersection points of an arrangement."""
 
     points: tuple
     n_lines: int
-    per_line: tuple = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        per_line = [[] for _ in range(self.n_lines)]
-        for k, pt in enumerate(self.points):
-            for i in pt.incident:
-                per_line[i].append(k)
-        object.__setattr__(self, "per_line", tuple(tuple(ix) for ix in per_line))
-
-    def points_on_line(self, i):
-        return [self.points[k] for k in self.per_line[i]]
 
     def multiplicity_census(self):
         census = {}
@@ -227,6 +205,10 @@ def _cross(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def intersection_points(arr):
@@ -250,63 +232,36 @@ def intersection_points(arr):
         inc = by_point[key]
         pt = IncidencePoint(key, tuple(inc))
         for i in pt.incident:
-            a, b, c = lines[i].coeffs
-            x, y, z = pt.point
-            if affine:
-                if a * x + b * y + c * z != 0:
-                    raise AssertionError("incidence check failed")
-            elif not lines[i].contains(pt.point):
+            if _dot(lines[i].coeffs, pt.point):
                 raise AssertionError("incidence check failed")
         points.append(pt)
     return IncidenceData(tuple(points), len(lines))
 
 
-def _invert3(rows):
-    """Inverse of a 3x3 rational matrix given as row tuples."""
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0:
-        raise ValueError("matrix not invertible")
-    adj = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return tuple(tuple(Fraction(v, 1) / det for v in row) for row in adj)
-
-
 def decone(arr, infinity_index):
     """Send one line of a projective arrangement to infinity.
 
-    A rational projective change of coordinates maps the chosen line to
-    {z = 0}; the remaining lines, in their original order, come back as
-    affine lines.  The change-of-coordinates matrix is recorded on the
-    result.  Points on the chosen line become parallel classes.
+    A projective change of coordinates T maps the chosen line to {z = 0};
+    the remaining lines, in their original order, come back as affine
+    lines.  Points on the chosen line become parallel classes.
     """
     if not isinstance(arr, Arrangement):
         raise TypeError("decone expects a projective arrangement")
     if not 0 <= infinity_index < arr.n_lines:
         raise InputError(f"infinity index {infinity_index} out of range")
     inf_line = arr.lines[infinity_index].coeffs
-    # complete the chosen coefficient row to an invertible matrix with two
-    # standard basis rows, avoiding the position of its first nonzero entry
+    # T has two standard basis rows, avoiding the position of the chosen
+    # row's first nonzero entry, above the chosen row itself
     pivot = next(k for k, v in enumerate(inf_line) if v)
-    units = [k for k in range(3) if k != pivot]
-    T = [None, None, None]
-    T[2] = tuple(Fraction(v) for v in inf_line)
-    T[0] = tuple(Fraction(1) if k == units[0] else Fraction(0) for k in range(3))
-    T[1] = tuple(Fraction(1) if k == units[1] else Fraction(0) for k in range(3))
-    Tinv = _invert3(T)
-    new_lines = []
-    for idx, line in enumerate(arr.lines):
-        if idx == infinity_index:
-            continue
-        L = line.coeffs
-        newc = tuple(sum(L[k] * Tinv[k][j] for k in range(3)) for j in range(3))
-        new_lines.append(AffineLine(canonical_triple(newc)))
-    return AffineArrangement(tuple(new_lines), transform=tuple(T))
+    t0, t1 = (tuple(int(k == u) for k in range(3)) for u in range(3) if u != pivot)
+    # a line L becomes L * T^-1, which up to scale is L * adj(T); the
+    # columns of adj(T) are cross products of T's rows
+    adj_cols = (_cross(t1, inf_line), _cross(inf_line, t0), _cross(t0, t1))
+    return AffineArrangement(tuple(
+        AffineLine(tuple(_dot(line.coeffs, col) for col in adj_cols))
+        for idx, line in enumerate(arr.lines)
+        if idx != infinity_index
+    ))
 
 
 def cone(aff):
@@ -372,9 +327,7 @@ def shear_to_generic(aff):
     for line in aff.lines:
         a, b, c = line.coeffs
         new_lines.append(AffineLine((a, a * t + b, c)))
-    out = AffineArrangement(
-        tuple(new_lines), transform=aff.transform, shear=Fraction(t), sweep_ready=True
-    )
+    out = AffineArrangement(tuple(new_lines), shear=t, sweep_ready=True)
     if not is_sweep_generic(out):
         raise AssertionError("shear failed to reach sweep position")
     return out

@@ -74,7 +74,7 @@ def _is_generic_triangle(incidence):
     return incidence.n_lines == 3 and incidence.multiplicity_census() == {2: 3}
 
 
-def _verdicts(analysis_n, full_degree, hom, report, prediction, complex_, primes):
+def _verdicts(full_degree, hom, report, prediction, complex_, primes):
     v = {}
     v["chain_condition"] = complex_.chain_ok()
     v["connected_cover"] = hom.b0 == 1
@@ -157,7 +157,7 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
                 "and is not used",
             }
         )
-    verdicts = _verdicts(n, full_degree, hom, report, prediction, complex_, primes)
+    verdicts = _verdicts(full_degree, hom, report, prediction, complex_, primes)
     return Analysis(
         mode=mode,
         proj=proj,
@@ -205,7 +205,7 @@ def report_dict(a):
         "n_lines": a.proj.n_lines,
         "cover_degree": a.n,
         "infinity_index": a.infinity_index,
-        "shear_t": int(a.aff.shear) if a.aff.shear is not None else 0,
+        "shear_t": a.aff.shear,
     }
     incidence_block = {
         "points": [

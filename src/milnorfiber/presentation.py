@@ -11,7 +11,6 @@ rightmost unbroken ray.  Words are sequences of nonzero signed integers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import geometry
 from .geometry import InputError

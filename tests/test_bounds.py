@@ -1,10 +1,14 @@
 """Combinatorial bounds and exactness criteria, checked on arrangements
 with known answers and on synthetic incidence data."""
 
+import random
+from math import gcd
+
 import pytest
 
 from milnorfiber import geometry, presets
 from milnorfiber.bounds import (
+    INCIDENCE_LINE_BUDGET,
     SyntheticIncidence,
     cdo_bound,
     corollary_check,
@@ -78,6 +82,59 @@ def test_onehyp_monotone_in_multiplicity():
     six = onehyp_bound(SyntheticIncidence(12, (tuple(range(6)),)), 12, 0)
     seven = onehyp_bound(SyntheticIncidence(12, (tuple(range(7)),)), 12, 0)
     assert (six, seven) == (31, 11)
+
+
+def reference_onehyp_bound(inc, n, line):
+    """Reference: one line's bound from its own scan of every point."""
+    total = n - 1
+    for pt in inc.points:
+        incident = getattr(pt, "incident", pt)
+        if line in incident:
+            m = len(incident)
+            total += (m - 2) * (gcd(m, n) - 1)
+    return total
+
+
+def reference_cdo_bound(inc, n):
+    """Reference: per degree k, the minimum over lines of the excess of the
+    line's points with n | k*m, each line scanning every point."""
+    per_k = {}
+    for k in range(1, n):
+        per_k[k] = min(
+            sum(
+                len(inc_) - 2
+                for inc_ in (getattr(pt, "incident", pt) for pt in inc.points)
+                if h in inc_ and len(inc_) > 2 and (k * len(inc_)) % n == 0
+            )
+            for h in range(n)
+        )
+    return per_k, (n - 1) + sum(per_k.values())
+
+
+def random_synthetic_incidence(rng, n):
+    """Points of random multiplicity, no pair of lines met twice."""
+    used, points = set(), []
+    for _ in range(4 * n):
+        pt = tuple(sorted(rng.sample(range(n), min(n, rng.choice([2, 2, 3, 4, 6])))))
+        pairs = {(a, b) for a in pt for b in pt if a < b}
+        if not pairs & used:
+            used |= pairs
+            points.append(pt)
+    return SyntheticIncidence(n, tuple(points))
+
+
+def test_one_pass_bounds_match_per_line_reference():
+    rng = random.Random(20111004)
+    cases = [proj_incidence(t) for t in (TRIANGLE, BRAID, pencil(6), presets.nearpencil_text(8))]
+    cases += [proj_incidence(presets.parallel_family_text())]
+    cases += [(random_synthetic_incidence(rng, n), n) for n in range(2, 14) for _ in range(10)]
+    for inc, n_lines in cases:
+        # the public functions accept any line count, not only the incidence's own
+        for n in {n_lines, n_lines + 1, max(2, n_lines - 1)}:
+            expected = {h: reference_onehyp_bound(inc, n, h) for h in range(n)}
+            assert onehyp_bounds(inc, n) == (expected, min(expected.values()))
+            assert all(onehyp_bound(inc, n, h) == expected[h] for h in range(n))
+            assert cdo_bound(inc, n) == reference_cdo_bound(inc, n)
 
 
 def test_onehyp_bad_line_index():
@@ -229,6 +286,14 @@ def test_parse_incidence_round_trip():
 def test_parse_incidence_errors(text, fragment):
     with pytest.raises(InputError, match=fragment):
         parse_incidence(text)
+
+
+def test_parse_incidence_line_budget():
+    at_budget = f"incidence N={INCIDENCE_LINE_BUDGET}\nm=2 lines=0,1\n"
+    assert parse_incidence(at_budget).n_lines == INCIDENCE_LINE_BUDGET
+    over = f"incidence N={INCIDENCE_LINE_BUDGET + 1}\nm=2 lines=0,1\n"
+    with pytest.raises(InputError, match=f"line 1: N={INCIDENCE_LINE_BUDGET + 1} exceeds"):
+        parse_incidence(over)
 
 
 def test_synthetic_matches_geometric():

@@ -183,6 +183,18 @@ def test_bounds_command_incidence(tmp_path, capsys):
     assert any("skipped" in n for n in data["notes"])
 
 
+def test_bounds_refuses_incidence_over_line_budget(tmp_path, capsys):
+    # without the budget this two-line file ran past 10 s
+    p = tmp_path / "huge.txt"
+    p.write_text("incidence N=100000000\nm=2 lines=0,1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: N=100000000 exceeds the budget of 300 lines\n"
+
+
 def test_preset_pencil(capsys):
     code, out, _ = run(capsys, "preset", "pencil:5")
     assert code == 0

@@ -4,7 +4,7 @@ and the shear that puts an affine arrangement into sweep position."""
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +109,54 @@ def test_canonicalization_kills_scaling(triple, scale):
     assert canonical_triple(canonical_triple(triple)) == canonical_triple(triple)
 
 
+def reference_canonical_triple(coeffs):
+    """Reference: canonicalization through Fraction, as the package did
+    before it read numerators and denominators directly."""
+    fracs = [Fraction(c) for c in coeffs]
+    if all(f == 0 for f in fracs):
+        raise InputError("zero coefficient triple does not define a line")
+    mult = 1
+    for f in fracs:
+        mult = mult * f.denominator // gcd(mult, f.denominator)
+    ints = [int(f * mult) for f in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    ints = [v // g for v in ints]
+    for v in ints:
+        if v:
+            if v < 0:
+                ints = [-w for w in ints]
+            break
+    return tuple(ints)
+
+
+def canonical_or_error(fn, triple):
+    try:
+        return fn(triple)
+    except InputError:
+        return InputError
+
+
+int_entries = st.integers(min_value=-10**30, max_value=10**30)
+fraction_entries = st.fractions(max_denominator=10**12)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [int_entries, fraction_entries, st.one_of(int_entries, fraction_entries)],
+    ids=["int", "fraction", "mixed"],
+)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_canonical_triple_matches_reference(entries, data):
+    triple = data.draw(st.tuples(entries, entries, entries))
+    got = canonical_or_error(canonical_triple, triple)
+    assert got == canonical_or_error(reference_canonical_triple, triple)
+    if got is not InputError:
+        assert all(type(v) is int for v in got)
+
+
 def test_proportional_lines_compare_equal():
     assert ProjLine((1, 2, 3)) == ProjLine((-2, -4, -6))
     assert AffineLine((Fraction(1, 3), 0, 1)) == AffineLine((1, 0, 3))
@@ -141,14 +189,6 @@ def test_affine_incidence_skips_parallel():
     assert all(pt.multiplicity == 2 for pt in inc.points)
 
 
-def test_points_on_line_index():
-    inc = intersection_points(parse_arrangement(TRIANGLE))
-    for i in range(3):
-        pts = inc.points_on_line(i)
-        assert len(pts) == 2
-        assert all(i in pt.incident for pt in pts)
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -165,7 +205,7 @@ def test_incidence_counting_identities(text):
     n = arr.n_lines
     assert sum(comb(pt.multiplicity, 2) for pt in inc.points) == comb(n, 2)
     for i in range(n):
-        assert sum(pt.multiplicity - 1 for pt in inc.points_on_line(i)) == n - 1
+        assert sum(pt.multiplicity - 1 for pt in inc.points if i in pt.incident) == n - 1
 
 
 # --- decone / cone ----------------------------------------------------------
@@ -177,7 +217,74 @@ def test_decone_triangle():
     assert isinstance(aff, AffineArrangement)
     assert aff.n_lines == 2
     assert aff.cover_degree == 3
-    assert aff.transform is not None
+    assert [l.coeffs for l in aff.lines] == [(1, 0, 0), (0, 1, 0)]
+
+
+def reference_invert3(rows):
+    """Reference: the inverse of a 3x3 rational matrix given as row tuples."""
+    a, b, c = rows[0]
+    d, e, f = rows[1]
+    g, h, i = rows[2]
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    adj = [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+    return tuple(tuple(Fraction(v, 1) / det for v in row) for row in adj)
+
+
+def reference_decone(arr, infinity_index):
+    """Reference: the decone's line coefficients by the rational inverse of
+    the change of coordinates T (two standard basis rows above the chosen
+    line), as the package computed them before it used the adjugate."""
+    inf_line = arr.lines[infinity_index].coeffs
+    pivot = next(k for k, v in enumerate(inf_line) if v)
+    units = [k for k in range(3) if k != pivot]
+    T = (
+        tuple(Fraction(int(k == units[0])) for k in range(3)),
+        tuple(Fraction(int(k == units[1])) for k in range(3)),
+        tuple(Fraction(v) for v in inf_line),
+    )
+    Tinv = reference_invert3(T)
+    return [
+        reference_canonical_triple(
+            tuple(sum(line.coeffs[k] * Tinv[k][j] for k in range(3)) for j in range(3))
+        )
+        for idx, line in enumerate(arr.lines)
+        if idx != infinity_index
+    ]
+
+
+def random_arrangement(rng, n_lines, bound):
+    lines = []
+    while len(lines) < n_lines:
+        cand = tuple(rng.randint(-bound, bound) for _ in range(3))
+        if cand != (0, 0, 0) and ProjLine(cand) not in lines:
+            lines.append(ProjLine(cand))
+    return Arrangement(tuple(lines))
+
+
+def test_decone_matches_reference():
+    rng = random.Random(1110822)
+    for _ in range(200):
+        arr = random_arrangement(rng, rng.randint(2, 7), rng.choice([1, 3, 10**6]))
+        for idx in range(arr.n_lines):
+            assert [l.coeffs for l in decone(arr, idx).lines] == reference_decone(arr, idx)
+
+
+def test_integer_geometry_builds_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction built on integer input")
+
+    monkeypatch.setattr(geometry, "Fraction", refuse)
+    braid = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+    arr = Arrangement(tuple(ProjLine(c) for c in braid))
+    assert intersection_points(arr).multiplicity_census() == {2: 3, 3: 4}
+    for idx in range(arr.n_lines):
+        # each line carries two triple points and one double point
+        assert len(intersection_points(decone(arr, idx)).points) == 4
+    assert cone(decone(arr, 2)).n_lines == 6
 
 
 def test_decone_bad_index():
