@@ -51,9 +51,10 @@ class SyntheticIncidence:
                     seen_pairs[pair] = k
 
 
-# Largest N accepted in an incidence file.  The bound evaluators cost about
-# N^3 on the densest input, the complete double-point incidence: its
-# `bounds` took 1.5 s at 300 lines (3.3 s at 400) with Python 3.11 on
+# Largest N accepted in an incidence file.  Each bound evaluator makes one
+# pass over the points, so the densest input is the complete double-point
+# incidence with N(N-1)/2 points: its `bounds` took 0.3-0.5 s at 300 lines
+# (0.8 s at 400, 1.3 s at 500), mostly parsing, with Python 3.11 on
 # 2 shared vCPUs.
 INCIDENCE_LINE_BUDGET = 300
 
@@ -134,15 +135,11 @@ def corollary_check(inc, n):
     """A line whose points all have multiplicity 2 or multiplicity coprime
     to the number of lines; such a line forces H1 to be free of rank n-1.
     Returns the lowest such line index, or None."""
-    pts = _points_view(inc)
-    for h in range(n):
-        if all(
-            m == 2 or gcd(m, n) == 1
-            for m, incident, _ in pts
-            if h in incident
-        ):
-            return h
-    return None
+    spoiled = set()
+    for m, incident, _ in _points_view(inc):
+        if m != 2 and gcd(m, n) != 1:
+            spoiled.update(incident)
+    return next((h for h in range(n) if h not in spoiled), None)
 
 
 @dataclass(frozen=True)
@@ -164,17 +161,17 @@ class OnePointCheck:
 
 
 def one_point_check(inc, n):
-    pts = _points_view(inc)
+    heavy = {h: [] for h in range(n)}
+    for m, incident, label in _points_view(inc):
+        if m > 2 and gcd(m, n) != 1:
+            for h in incident:
+                if h in heavy:  # n may be below the incidence's own line count
+                    heavy[h].append((label, m))
     blocked = None
-    for h in range(n):
-        heavy = [
-            (m, incident, label)
-            for m, incident, label in pts
-            if h in incident and m > 2 and gcd(m, n) != 1
-        ]
-        if len(heavy) != 1:
+    for h, found in heavy.items():
+        if len(found) != 1:
             continue
-        m, _, label = heavy[0]
+        label, m = found[0]
         if m < n:
             return OnePointCheck(True, (h, label, m), literal_fires=True)
         if blocked is None:

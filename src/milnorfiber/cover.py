@@ -201,8 +201,8 @@ def contracted_d2(complex_):
 
 
 def h1_of_cover(complex_, primes=()):
-    """H1 by one integer Smith reduction, plus Betti numbers over Q and
-    over each requested prime field.
+    """H1 by one integer Smith reduction, plus Betti numbers over Q and,
+    from one modular elimination, over each requested prime field.
 
     Contracting the spanning tree x^0 g_1 .. x^{n-2} g_1 (the first n - 1
     columns of d2) leaves a single vertex, so H1 is the cokernel of d2
@@ -214,7 +214,8 @@ def h1_of_cover(complex_, primes=()):
     tree = complex_.d2.ncols - cols  # edges of the contracted spanning tree
     form = snf.smith_normal_form(contracted)
     b1 = cols - form.rank
-    betti_mod = {p: cols - snf.rank_mod_p(contracted, p) for p in sorted(set(primes))}
+    ranks = snf.ranks_mod_primes(contracted, primes)
+    betti_mod = {p: cols - rank for p, rank in ranks.items()}
     return CoverHomology(
         group=AbelianGroup(b1, tuple(d for d in form.diagonal if d != 1)),
         b0=n - tree,

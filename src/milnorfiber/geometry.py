@@ -153,15 +153,15 @@ class AffineArrangement:
 class IncidencePoint:
     """An intersection point together with the lines through it.
 
-    The point is stored as a primitive integer projective triple
-    (x : y : z); affine points have z != 0.
+    The point is a primitive integer projective triple (x : y : z) as
+    ``canonical_triple`` returns it, which ``intersection_points`` (the
+    only constructor) has already computed; affine points have z != 0.
     """
 
     point: tuple
     incident: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "point", canonical_triple(self.point))
         object.__setattr__(self, "incident", tuple(sorted(self.incident)))
         if len(self.incident) < 2:
             raise ValueError("an intersection point needs at least 2 lines")

@@ -6,8 +6,10 @@ is probabilistic, modular-shortcut based, or floating point.
 
 Matrices use the column-vector convention: an ``m x n`` matrix maps
 column vectors of length ``n`` to column vectors of length ``m``.  They
-are stored sparsely, and both the Smith form and the ranks come from one
-sparse row-echelon routine, ``_echelon``.
+are stored sparsely.  The Smith form starts from a unit-pivot sparse
+echelon over Z, ``_echelon``; the ranks over every requested prime field
+come from one sparse echelon over Z/P, ``ranks_mod_primes``, with P the
+product of the primes.  Both feed their rows sparsest first.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
 (2, 4)
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, prod
 
 
 class IntMatrix:
@@ -270,45 +273,63 @@ def _smith(A, m, n):
     return [A[i][i] for i in range(rank)]
 
 
-def _subtract(row, f, pivot, p=None):
-    """row -= f * pivot on sparse rows, in place (mod p when p is given)."""
+def _subtract(row, f, pivot, modulus=None):
+    """row -= f * pivot on sparse rows, in place (mod ``modulus`` when given).
+
+    Over a composite modulus f * v can vanish at a column the row does not
+    hold, so a zero result pops the column rather than deleting it.
+    """
     for j, v in pivot.items():
         w = row.get(j, 0) - f * v
-        if p is not None:
-            w %= p
+        if modulus is not None:
+            w %= modulus
         if w:
             row[j] = w
         else:
-            del row[j]
+            row.pop(j, None)
 
 
-def _echelon(rows, p=None):
-    """Row echelon form of sparse rows (``{column: value}`` dicts, consumed).
+def _reduce(row, pivots, modulus=None):
+    """Reduce a sparse row in place by the pivot of its leading column until
+    it vanishes or leads in a column without a pivot; return that leading
+    column, or None when the row vanished."""
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            return lead
+        _subtract(row, row[lead], pivot, modulus)
+    return None
 
-    Each row is reduced by the pivot of its leading column until it
-    vanishes or leads in a column without a pivot.  Over F_p (``p`` given,
-    entries taken mod p) the row then becomes that column's pivot, scaled
-    to lead with 1.  Over Z it becomes a pivot only when it leads with
-    +-1 (negated to lead with 1); otherwise it is set aside.  Returns the
-    pivots as ``{column: row}`` and the rows set aside.
+
+def _mod(row, modulus):
+    return {j: v % modulus for j, v in row.items() if v % modulus}
+
+
+def _sparsest_first(entries):
+    """Rows in a stable sort on their nonzero count: fewer nonzeros first
+    keeps the pivots sparse and the fill-in low (Markowitz, Management
+    Sci. 1957).  Neither a Smith form nor a rank depends on row order."""
+    return sorted(entries, key=len)
+
+
+def _echelon(rows):
+    """Unit-pivot row echelon form over Z of sparse rows (``{column: value}``
+    dicts, consumed).
+
+    Each row is reduced until it vanishes or leads in a column without a
+    pivot.  It becomes that column's pivot when it leads with +-1 (negated
+    to lead with 1); otherwise it is set aside.  Returns the pivots as
+    ``{column: row}`` and the rows set aside.
     """
     pivots = {}
     rest = []
     for row in rows:
-        if p is not None:
-            row = {j: v % p for j, v in row.items() if v % p}
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                break
-            _subtract(row, row[lead], pivots[lead], p)
-        if not row:
+        lead = _reduce(row, pivots)
+        if lead is None:
             continue
         a = row[lead]
-        if p is not None:
-            inv = pow(a, -1, p)
-            pivots[lead] = {j: v * inv % p for j, v in row.items()}
-        elif a == 1:
+        if a == 1:
             pivots[lead] = row
         elif a == -1:
             pivots[lead] = {j: -v for j, v in row.items()}
@@ -336,7 +357,7 @@ def smith_normal_form(m, ncols=None):
     ()
     """
     mat = as_matrix(m, ncols=ncols)
-    pivots, rest = _echelon([dict(row) for row in mat.entries])
+    pivots, rest = _echelon([dict(row) for row in _sparsest_first(mat.entries)])
     for row in rest:
         while hit := [j for j in row if j in pivots]:
             c = min(hit)
@@ -353,18 +374,58 @@ def _require_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
+def ranks_mod_primes(m, primes, ncols=None):
+    """Rank of an integer matrix over the field with p elements, for each
+    of the given primes, from one row echelon form over Z/P with P the
+    product of the distinct primes.  Returns ``{p: rank}`` in increasing p.
+
+    A leading entry prime to the modulus is a unit mod every prime that
+    divides the modulus, so by the Chinese remainder theorem one pass is
+    the elimination mod each of them.  When a leading entry a shares the
+    factor g with the modulus M, the state splits: the primes dividing g
+    continue mod g on their own copy of the pivots, the rest mod M/g, and
+    the row is reduced again in both.  The rank mod p is the pivot count
+    of the state whose modulus p divides.  Rows are fed sparsest first.
+
+    >>> ranks_mod_primes([[2, 4], [6, 8]], (5, 3, 2))
+    {2: 0, 3: 2, 5: 2}
+    """
+    primes = sorted(set(primes))
+    for p in primes:
+        _require_prime(p)
+    states = [[prod(primes), {}]] if primes else []  # [modulus, pivots]
+    for entries in _sparsest_first(as_matrix(m, ncols=ncols).entries):
+        todo = [(state, entries) for state in states]
+        while todo:
+            state, row = todo.pop()
+            modulus, pivots = state
+            row = _mod(row, modulus)
+            lead = _reduce(row, pivots, modulus)
+            if lead is None:
+                continue
+            g = gcd(row[lead], modulus)
+            if g == 1:
+                inv = pow(row[lead], -1, modulus)
+                pivots[lead] = {j: v * inv % modulus for j, v in row.items()}
+                continue
+            part = [g, {c: _mod(piv, g) for c, piv in pivots.items()}]
+            rest = modulus // g
+            state[:] = rest, {c: _mod(piv, rest) for c, piv in pivots.items()}
+            states.append(part)
+            todo += [(state, row), (part, row)]
+    return {p: next(len(piv) for mod, piv in states if mod % p == 0) for p in primes}
+
+
 def rank_mod_p(m, p, ncols=None):
     """Rank of an integer matrix over the field with p elements: the
-    number of pivots of its own row echelon form mod p.
+    one-prime call of ``ranks_mod_primes``.
 
     >>> rank_mod_p([[2]], 2)
     0
     >>> rank_mod_p([[2, 4], [6, 8]], 2), rank_mod_p([[2, 4], [6, 8]], 3)
     (0, 2)
     """
-    _require_prime(p)
-    pivots, _ = _echelon(as_matrix(m, ncols=ncols).entries, p)
-    return len(pivots)
+    return ranks_mod_primes(m, (p,), ncols=ncols)[p]
 
 
 def prime_factors(n):

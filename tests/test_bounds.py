@@ -8,6 +8,8 @@ import pytest
 
 from milnorfiber import geometry, presets
 from milnorfiber.bounds import (
+    OnePointCheck,
+    _points_view,
     INCIDENCE_LINE_BUDGET,
     SyntheticIncidence,
     cdo_bound,
@@ -111,6 +113,37 @@ def reference_cdo_bound(inc, n):
     return per_k, (n - 1) + sum(per_k.values())
 
 
+def reference_corollary_check(inc, n):
+    """Reference: the lowest line whose own scan of every point finds only
+    double points or multiplicities coprime to n."""
+    pts = _points_view(inc)
+    for h in range(n):
+        if all(m == 2 or gcd(m, n) == 1 for m, incident, _ in pts if h in incident):
+            return h
+    return None
+
+
+def reference_one_point_check(inc, n):
+    """Reference: each line scans every point for its heavy points."""
+    pts = _points_view(inc)
+    blocked = None
+    for h in range(n):
+        heavy = [
+            (m, label) for m, incident, label in pts
+            if h in incident and m > 2 and gcd(m, n) != 1
+        ]
+        if len(heavy) != 1:
+            continue
+        m, label = heavy[0]
+        if m < n:
+            return OnePointCheck(True, (h, label, m), literal_fires=True)
+        if blocked is None:
+            blocked = (h, label, m)
+    if blocked is not None:
+        return OnePointCheck(False, None, literal_fires=True, guard_blocked=blocked)
+    return OnePointCheck(False)
+
+
 def random_synthetic_incidence(rng, n):
     """Points of random multiplicity, no pair of lines met twice."""
     used, points = set(), []
@@ -128,6 +161,7 @@ def test_one_pass_bounds_match_per_line_reference():
     cases = [proj_incidence(t) for t in (TRIANGLE, BRAID, pencil(6), presets.nearpencil_text(8))]
     cases += [proj_incidence(presets.parallel_family_text())]
     cases += [(random_synthetic_incidence(rng, n), n) for n in range(2, 14) for _ in range(10)]
+    outcomes = {"fires": 0, "guard": 0, "silent": 0, "corollary": 0, "no-corollary": 0}
     for inc, n_lines in cases:
         # the public functions accept any line count, not only the incidence's own
         for n in {n_lines, n_lines + 1, max(2, n_lines - 1)}:
@@ -135,6 +169,14 @@ def test_one_pass_bounds_match_per_line_reference():
             assert onehyp_bounds(inc, n) == (expected, min(expected.values()))
             assert all(onehyp_bound(inc, n, h) == expected[h] for h in range(n))
             assert cdo_bound(inc, n) == reference_cdo_bound(inc, n)
+            opc = one_point_check(inc, n)
+            assert opc == reference_one_point_check(inc, n)
+            outcomes["fires" if opc.fires else "guard" if opc.guard_blocked else "silent"] += 1
+            witness = corollary_check(inc, n)
+            assert witness == reference_corollary_check(inc, n)
+            outcomes["corollary" if witness is not None else "no-corollary"] += 1
+    # every branch of both criteria is reached
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_onehyp_bad_line_index():

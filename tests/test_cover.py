@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorfiber import geometry, pipeline, presets, validation
+from milnorfiber import geometry, pipeline, presets, snf, validation
 from milnorfiber.cover import (
     CELL_BUDGET,
     build_cover_complex,
@@ -254,6 +254,36 @@ def test_h1_betti_mod_detects_torsion():
     assert h.b1 == 0
     assert h.betti_mod == {2: 1, 3: 0}
     assert_full_d2_oracle(c, h)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 7])
+def test_h1_runs_one_modular_elimination(monkeypatch, count):
+    """However many primes are probed, h1_of_cover makes one call of the
+    multi-prime routine, which reduces each row of the contracted d2 once
+    (generic:8:1 meets no leading entry that would split its state)."""
+    c = pipeline.analyze_text(presets.preset_text("generic:8:1")).complex
+    calls = {"multi": 0, "single": 0, "rows": 0}
+    multi, single, reduce_ = snf.ranks_mod_primes, snf.rank_mod_p, snf._reduce
+
+    def counting_multi(*args, **kwargs):
+        calls["multi"] += 1
+        return multi(*args, **kwargs)
+
+    def counting_single(*args, **kwargs):
+        calls["single"] += 1
+        return single(*args, **kwargs)
+
+    def counting_reduce(row, pivots, modulus=None):
+        calls["rows"] += modulus is not None
+        return reduce_(row, pivots, modulus)
+
+    monkeypatch.setattr(snf, "ranks_mod_primes", counting_multi)
+    monkeypatch.setattr(snf, "rank_mod_p", counting_single)
+    monkeypatch.setattr(snf, "_reduce", counting_reduce)
+    primes = (2, 3, 5, 7, 11, 13, 2**31 - 1)[:count]
+    h = h1_of_cover(c, primes=primes)
+    assert sorted(h.betti_mod) == sorted(primes)
+    assert calls == {"multi": 1, "single": 0, "rows": contracted_d2(c).nrows}
 
 
 def test_h1_of_projective_triangle():

@@ -287,6 +287,24 @@ def test_integer_geometry_builds_no_fraction(monkeypatch):
     assert cone(decone(arr, 2)).n_lines == 6
 
 
+def test_intersection_points_canonicalizes_each_pair_once(monkeypatch):
+    # a point's key is canonicalized once, where its pair of lines is met;
+    # the IncidencePoint built from it takes the key as it is
+    calls = []
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return canonical_triple(coeffs)
+
+    braid = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+    arr = Arrangement(tuple(ProjLine(c) for c in braid))
+    monkeypatch.setattr(geometry, "canonical_triple", counting)
+    inc = intersection_points(arr)
+    assert len(calls) == comb(6, 2)
+    assert len(inc.points) == 7
+    assert all(pt.point == canonical_triple(pt.point) for pt in inc.points)
+
+
 def test_decone_bad_index():
     arr = parse_arrangement(TRIANGLE)
     with pytest.raises(InputError):

@@ -13,6 +13,7 @@ from milnorfiber.snf import (
     SmithForm,
     prime_factors,
     rank_mod_p,
+    ranks_mod_primes,
     smith_normal_form,
 )
 
@@ -250,25 +251,61 @@ def dense_rank_mod_p(rows, ncols, p):
     return rank
 
 
-def assert_engines_agree(m, label=""):
-    """Smith diagonal and rank mod each of ORACLE_PRIMES of an IntMatrix,
-    sparse engine against the dense references."""
+# the primes a multi-prime call draws its random subsets from
+MULTI_PRIMES = (2, 3, 5, 7, 11, 13, 2**31 - 1)
+
+
+def assert_engines_agree(m, label="", primes=MULTI_PRIMES):
+    """Smith diagonal, rank mod each of ORACLE_PRIMES, and the ranks of one
+    multi-prime call over ``primes``, of an IntMatrix: sparse engines
+    against the dense references."""
     rows, ncols = m.rows, m.ncols
     assert smith_normal_form(m).diagonal == dense_smith_diagonal(rows, ncols), label
+    dense = {p: dense_rank_mod_p(rows, ncols, p) for p in sorted({*ORACLE_PRIMES, *primes})}
     for p in ORACLE_PRIMES:
-        assert rank_mod_p(m, p) == dense_rank_mod_p(rows, ncols, p), (label, p)
+        assert rank_mod_p(m, p) == dense[p], (label, p)
+    assert ranks_mod_primes(m, primes) == {p: dense[p] for p in sorted(primes)}, (label, primes)
+
+
+def test_ranks_mod_primes():
+    assert ranks_mod_primes([[2, 4], [6, 8]], (5, 3, 2, 3)) == {2: 0, 3: 2, 5: 2}
+    assert ranks_mod_primes([[6, 0], [0, 35]], MULTI_PRIMES) == {
+        2: 1, 3: 1, 5: 1, 7: 1, 11: 2, 13: 2, 2**31 - 1: 2}
+    assert ranks_mod_primes([[1]], ()) == {}
+    with pytest.raises(ValueError, match="6 is not prime"):
+        ranks_mod_primes([[1]], (2, 6))
 
 
 def test_rank_mod_p_does_its_own_elimination(monkeypatch):
-    # reading rank_p off the Smith diagonal would make the report's
-    # torsion_consistency verdict an identity
+    # reading rank_p off the Smith diagonal or the Smith form's unit-pivot
+    # echelon would make the report's torsion_consistency verdict an identity
     def refuse(*args, **kwargs):
-        raise AssertionError("rank_mod_p must not use the Smith reduction")
+        raise AssertionError("the mod-p ranks must not use the Smith reduction")
 
     monkeypatch.setattr(snf, "smith_normal_form", refuse)
     monkeypatch.setattr(snf, "_smith", refuse)
+    monkeypatch.setattr(snf, "_echelon", refuse)
     assert rank_mod_p([[2, 4], [6, 8]], 3) == 2
     assert rank_mod_p([[2, 4], [6, 8]], 2) == 0
+    assert ranks_mod_primes([[2, 4], [6, 8]], (2, 3, 5)) == {2: 0, 3: 2, 5: 2}
+    assert ranks_mod_primes([[6, 10], [15, 6]], MULTI_PRIMES)[2] == 1
+
+
+def count_splits(monkeypatch):
+    """Record every leading entry that shares a factor with the modulus of
+    ranks_mod_primes, i.e. every split of its state."""
+    splits = []
+    gcd = snf.gcd
+
+    def recording_gcd(a, b):
+        g = gcd(a, b)
+        if g != 1:
+            splits.append((a, b))
+        return g
+
+    monkeypatch.setattr(snf, "gcd", recording_gcd)
+    return splits
+
 
 
 def test_sparse_engine_matches_dense_on_random_matrices(monkeypatch):
@@ -289,10 +326,31 @@ def test_sparse_engine_matches_dense_on_random_matrices(monkeypatch):
     for _ in range(2000):
         m, n = rng.randint(1, 10), rng.randint(1, 10)
         rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        primes = rng.sample(MULTI_PRIMES, rng.randint(1, len(MULTI_PRIMES)))
         before = len(leftover_blocks)
-        assert_engines_agree(IntMatrix(rows), rows)
+        assert_engines_agree(IntMatrix(rows), rows, primes)
         reached += len(leftover_blocks) > before
     assert reached > 1000
+
+
+def test_multi_prime_split_path_matches_dense(monkeypatch):
+    """1000 seeded matrices whose entries are units or products of some,
+    never all, of the probe primes, so that a leading entry often shares a
+    factor with the modulus and the elimination splits its state."""
+    splits = count_splits(monkeypatch)
+    rng = random.Random(19571)
+    factors = (2, 3, 5, 7, 6, 10, 14, 15, 21, 35, 22, 26, 33, 39, 30, 42, 70, 105)
+    values = (0, 0, 0, 1, -1) + factors + tuple(-f for f in factors)
+    reached = 0
+    for _ in range(1000):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        primes = rng.sample(MULTI_PRIMES, rng.randint(2, len(MULTI_PRIMES)))
+        before = len(splits)
+        expected = {p: dense_rank_mod_p(rows, n, p) for p in sorted(primes)}
+        assert ranks_mod_primes(rows, primes, ncols=n) == expected, (rows, primes)
+        reached += len(splits) > before
+    assert reached > 500
 
 
 def test_sparse_engine_matches_dense_on_cover_matrices():
@@ -307,3 +365,30 @@ def test_sparse_engine_matches_dense_on_cover_matrices():
     texts += [(name, presets.preset_text(name)) for name in ("nearpencil:20", "generic:16:1")]
     for name, text in texts:
         assert_engines_agree(contracted_d2(pipeline.analyze_text(text).complex), name)
+
+
+B3 = "projective\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 -1 0\n1 0 1\n1 0 -1\n0 1 1\n0 1 -1\n"
+
+
+def test_row_order_does_not_move_smith_form_or_ranks(monkeypatch):
+    """Both eliminations sort their rows by nonzero count, stably, so a row
+    permutation reorders rows of equal count: the Smith diagonal and every
+    mod-p rank of the contracted d2 must not move.  B3 is the one such
+    input whose modular elimination splits."""
+    splits = count_splits(monkeypatch)
+    texts = [
+        text for _, text in validation.Corpus().entries
+        if geometry.parse_arrangement(text).n_lines <= 7
+    ] + [B3]
+    rng = random.Random(1110)
+    for text in texts:
+        analysis = pipeline.analyze_text(text)
+        m = contracted_d2(analysis.complex)
+        primes = analysis.primes + (13, 2**31 - 1)
+        diagonal, ranks = smith_normal_form(m).diagonal, ranks_mod_primes(m, primes)
+        for _ in range(3):
+            order = rng.sample(m.entries, len(m.entries))
+            permuted = IntMatrix.from_entries([dict(row) for row in order], m.ncols)
+            assert smith_normal_form(permuted).diagonal == diagonal, text
+            assert ranks_mod_primes(permuted, primes) == ranks, text
+    assert splits
