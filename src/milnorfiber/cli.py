@@ -30,7 +30,7 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -78,7 +78,7 @@ def cmd_analyze(args, out):
     a = pipeline.analyze_text(
         _read(args.file),
         infinity_index=args.infinity,
-        primes=_parse_primes(args.primes) if args.primes else None,
+        primes=None if args.primes is None else _parse_primes(args.primes),
         modulus=args.modulus,
     )
     if args.json:

@@ -9,11 +9,14 @@ multiplying by x^k rotates a tuple k places to the right:
 
 The cover has n vertices x^i v, n edges x^i g_j per generator (oriented
 from x^i v to x^{i+1} v), and n 2-cells per relator (the x^i-shifts of its
-lift).  The boundary d2 is stored sparsely, one ``{column: value}`` dict
-of nonzeros per 2-cell, with one column per edge: the edges of generator j
-in columns j*n .. j*n + n - 1.  The edge boundary needs no matrix: the
-edges x^0 g_1 .. x^{n-2} g_1 form a spanning tree of the 1-skeleton, and
-contracting it leaves one vertex.
+lift).  The boundary d2 has one column per edge, in one block of n columns
+per generator: g_2, ..., g_G first and g_1 last, the edge x^k g in column
+k of its block.  Each relator is stored once, as the sparse ``{column:
+value}`` seed of its lift, read off its Fox derivatives; the deck
+transformation x moves column k of a block to column k + 1 (mod n), and
+the seed's n shifts are the relator's rows of d2.  The edge boundary needs
+no matrix: the edges x^0 g_1 .. x^{n-2} g_1 form a spanning tree of the
+1-skeleton.
 
 A cover with more than CELL_BUDGET cells (n vertices plus n edges per
 generator plus n 2-cells per relator) is refused before it is built.
@@ -22,10 +25,11 @@ generator plus n 2-cells per relator) is refused before it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import snf
 from .geometry import InputError
-from .snf import AbelianGroup, IntMatrix
+from .snf import AbelianGroup, RowOrbits
 from .presentation import Word
 
 # Largest cover, in cells, that build_cover_complex assembles.  The
@@ -76,11 +80,30 @@ def cyc_unit(n, k=0):
     return tuple(out)
 
 
-def fox_derivative(word, gen, n):
-    """Fox derivative of a word with respect to generator ``gen``, pushed
-    into the group ring of Z/n (every generator maps to x).
+def _fox_seed(word, n, column):
+    """Every Fox derivative of a word in one pass, pushed into the group
+    ring of Z/n (every generator maps to x): ``{column(g, k): c}`` for each
+    nonzero coefficient c of x^k in the derivative with respect to g.
 
     Satisfies d(uv) = du + x^{phi(u)} dv, d(g)/dg = 1, d(g^-1)/dg = -x^-1.
+    """
+    out = {}
+    deg = 0
+    for letter in word:
+        if letter > 0:
+            c = column(letter, deg % n)
+            out[c] = out.get(c, 0) + 1
+            deg += 1
+        else:
+            deg -= 1
+            c = column(-letter, deg % n)
+            out[c] = out.get(c, 0) - 1
+    return {c: v for c, v in out.items() if v}
+
+
+def fox_derivative(word, gen, n):
+    """Fox derivative of a word with respect to generator ``gen``, pushed
+    into the group ring of Z/n: the block of ``gen`` in the word's seed.
 
     >>> fox_derivative(Word([1, 2, -1, -2]), 1, 3)
     (1, -1, 0)
@@ -89,18 +112,8 @@ def fox_derivative(word, gen, n):
     >>> fox_derivative(Word([1]), 2, 3)
     (0, 0, 0)
     """
-    coeffs = [0] * n
-    deg = 0
-    for letter in word:
-        if letter > 0:
-            if letter == gen:
-                coeffs[deg % n] += 1
-            deg += 1
-        else:
-            deg -= 1
-            if -letter == gen:
-                coeffs[deg % n] -= 1
-    return tuple(coeffs)
+    seed = _fox_seed(word, n, lambda g, k: (g, k))
+    return tuple(seed.get((gen, k), 0) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -110,28 +123,46 @@ class CoverComplex:
     n: int
     generator_count: int
     relator_count: int
-    fox_rows: tuple  # one row per relator: tuple of group-ring tuples
-    d2: IntMatrix  # (n * relators) x (n * generators)
+    seeds: tuple  # one {column: value} lift per relator: its Fox derivatives
 
     def chain_ok(self):
         """The boundary of every 2-cell's boundary is zero.
 
         Edge x^i g_j has boundary (x - 1) x^i v, so this holds exactly when
         every relator r satisfies sum_j (dr/dg_j)(x - 1) = 0 in Z[Z/n],
-        i.e. when the sum of r's Fox derivatives is fixed by x.
+        i.e. when the sum of r's Fox derivatives is fixed by x: its seed's
+        coefficients, summed by power of x, give n equal sums.
         """
-        for row in self.fox_rows:
-            total = tuple(sum(t[i] for t in row) for i in range(self.n))
-            if cyc_shift(total, 1) != total:
+        n = self.n
+        for seed in self.seeds:
+            sums = [0] * n
+            for c, v in seed.items():
+                sums[c % n] += v
+            if sums.count(sums[0]) != n:
                 return False
         return True
 
     def euler_characteristic(self):
         return self.n * (1 - self.generator_count + self.relator_count)
 
+    @property
+    def orbits(self):
+        """d2 as the deck-group orbits of the seeds."""
+        n, cols = self.n, self.n * self.generator_count
+        perm = tuple(c - c % n + (c + 1) % n for c in range(cols))
+        return RowOrbits(self.seeds, perm, n, cols)
+
+    @cached_property
+    def d2(self):
+        """The (n * relators) x (n * generators) boundary matrix, every
+        shift of every seed, relator by relator.  Built on first use; the
+        homology does not use it."""
+        return self.orbits.matrix()
+
 
 def build_cover_complex(pres, modulus=None):
-    """Assemble the cover's boundary matrix d2 from a presentation.
+    """Assemble the cover's boundary d2 from a presentation: one seed per
+    relator.
 
     ``modulus`` overrides the presentation's cover degree (for studying
     the auxiliary covers with every generator sent to 1 in Z/m); every
@@ -162,17 +193,12 @@ def build_cover_complex(pres, modulus=None):
                 f"relator {r.word.format()!r} has exponent sum {r.word.exponent_sum()}, "
                 f"not divisible by modulus {n}; no such cover exists"
             )
-    fox_rows = tuple(
-        tuple(fox_derivative(r.word, j + 1, n) for j in range(G)) for r in pres.relators
-    )
-    entries = []
-    for row in fox_rows:
-        # the lift's nonzeros as (generator block, power of x, coefficient)
-        nonzero = [(j * n, k, v) for j, t in enumerate(row) for k, v in enumerate(t) if v]
-        for i in range(n):
-            entries.append({base + (k + i) % n: v for base, k, v in nonzero})
-    d2 = IntMatrix.from_entries(entries, ncols=n * G)
-    return CoverComplex(n, G, len(pres.relators), fox_rows, d2)
+
+    def column(g, k):  # g_2 .. g_G first, g_1 last
+        return (g - 2) % G * n + k
+
+    seeds = tuple(_fox_seed(r.word, n, column) for r in pres.relators)
+    return CoverComplex(n, G, len(pres.relators), seeds)
 
 
 @dataclass(frozen=True)
@@ -190,31 +216,22 @@ class CoverHomology:
         return self.b0 - self.b1 + self.b2 == self.euler
 
 
-def contracted_d2(complex_):
-    """d2 with the spanning-tree columns x^0 g_1 .. x^{n-2} g_1 (the first
-    n - 1, none without generators) deleted."""
-    t = complex_.n - 1 if complex_.generator_count else 0
-    return IntMatrix.from_entries(
-        [{j - t: v for j, v in row.items() if j >= t} for row in complex_.d2.entries],
-        ncols=complex_.d2.ncols - t,
-    )
-
-
 def h1_of_cover(complex_, primes=()):
     """H1 by one integer Smith reduction, plus Betti numbers over Q and,
     from one modular elimination, over each requested prime field.
 
-    Contracting the spanning tree x^0 g_1 .. x^{n-2} g_1 (the first n - 1
-    columns of d2) leaves a single vertex, so H1 is the cokernel of d2
-    with those columns deleted (Fox, Free differential calculus I).
+    Both eliminate the whole of d2, orbit by orbit.  The edges x^0 g_1 ..
+    x^{n-2} g_1 form a spanning tree, so the image of the edge boundary is
+    free of rank n - 1 and coker d2 = H1 + Z^(n-1), over Z and over every
+    prime field (Fox, Free differential calculus I).
     """
     n = complex_.n
-    contracted = contracted_d2(complex_)
-    cols = contracted.ncols
-    tree = complex_.d2.ncols - cols  # edges of the contracted spanning tree
-    form = snf.smith_normal_form(contracted)
+    orbits = complex_.orbits
+    tree = n - 1 if complex_.generator_count else 0  # edges of the spanning tree
+    cols = orbits.ncols - tree
+    form = snf.smith_normal_form(orbits)
     b1 = cols - form.rank
-    ranks = snf.ranks_mod_primes(contracted, primes)
+    ranks = snf.ranks_mod_primes(orbits, primes)
     betti_mod = {p: cols - rank for p, rank in ranks.items()}
     return CoverHomology(
         group=AbelianGroup(b1, tuple(d for d in form.diagonal if d != 1)),

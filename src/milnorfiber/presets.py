@@ -8,6 +8,7 @@ colon-separated parameters: ``pencil:5``, ``nearpencil:6``,
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from . import geometry
 from .geometry import InputError
@@ -55,11 +56,21 @@ def generic_text(n, seed):
             line = geometry.ProjLine(cand)
             if line not in lines:
                 lines.append(line)
-        arr = geometry.Arrangement(tuple(lines))
-        inc = geometry.intersection_points(arr)
-        if all(pt.multiplicity == 2 for pt in inc.points):
-            return geometry.arrangement_text(arr)
+        if _all_points_double(lines):
+            return geometry.arrangement_text(geometry.Arrangement(tuple(lines)))
     raise InputError(f"no generic arrangement of {n} lines found for seed {seed}")
+
+
+def _all_points_double(lines):
+    """No two pairs of lines meet in the same point, i.e. no point has
+    multiplicity 3 or more; stops at the first pair point seen before."""
+    seen = set()
+    for a, b in combinations(lines, 2):
+        point = geometry.canonical_triple(geometry._cross(a.coeffs, b.coeffs))
+        if point in seen:
+            return False
+        seen.add(point)
+    return True
 
 
 def braid_a3_text():

@@ -9,7 +9,9 @@ column vectors of length ``n`` to column vectors of length ``m``.  They
 are stored sparsely.  The Smith form starts from a unit-pivot sparse
 echelon over Z, ``_echelon``; the ranks over every requested prime field
 come from one sparse echelon over Z/P, ``ranks_mod_primes``, with P the
-product of the primes.  Both feed their rows sparsest first.
+product of the primes.  Both take the rows in orbits under a permutation
+of the columns (``RowOrbits``; a plain matrix is one-row orbits), sparsest
+orbit first, and stop each orbit at its first row that reduces to zero.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
 (2, 4)
@@ -106,6 +108,50 @@ def as_matrix(m, ncols=None):
     if isinstance(m, IntMatrix):
         return m
     return IntMatrix(m, ncols=ncols)
+
+
+@dataclass(frozen=True)
+class RowOrbits:
+    """An integer matrix given by the orbits of seed rows under a
+    permutation s of its columns: each ``{column: value}`` seed r stands for
+    the ``order`` rows r, sr, s^2 r, ..., where s moves the entry in column
+    j to column ``perm[j]`` (s^order is the identity).
+
+    >>> m = RowOrbits(({0: 1, 1: -1},), perm=(1, 2, 0), order=3, ncols=3)
+    >>> m.matrix().rows
+    [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
+    """
+
+    seeds: tuple
+    perm: tuple
+    order: int
+    ncols: int
+
+    def shifts(self, seed):
+        """The rows of a seed's orbit, the seed first, as fresh dicts that
+        the caller may consume.  Each row is built when the one before it
+        is handed out, so a caller that stops after k rows pays for k + 1."""
+        perm = self.perm
+        row = dict(seed)
+        for _ in range(self.order - 1):
+            shifted = {perm[j]: v for j, v in row.items()}
+            yield row
+            row = shifted
+        yield row
+
+    def matrix(self):
+        """Every row of every orbit, seed by seed."""
+        return IntMatrix.from_entries(
+            [row for seed in self.seeds for row in self.shifts(seed)], ncols=self.ncols
+        )
+
+
+def _orbits(m, ncols=None):
+    """``m`` as RowOrbits; a matrix or a list of rows gives one-row orbits."""
+    if isinstance(m, RowOrbits):
+        return m
+    mat = as_matrix(m, ncols=ncols)
+    return RowOrbits(tuple(mat.entries), (), 1, mat.ncols)
 
 
 @dataclass(frozen=True)
@@ -306,40 +352,52 @@ def _mod(row, modulus):
     return {j: v % modulus for j, v in row.items() if v % modulus}
 
 
-def _sparsest_first(entries):
-    """Rows in a stable sort on their nonzero count: fewer nonzeros first
-    keeps the pivots sparse and the fill-in low (Markowitz, Management
-    Sci. 1957).  Neither a Smith form nor a rank depends on row order."""
-    return sorted(entries, key=len)
+def _sparsest_first(seeds):
+    """Orbits in a stable sort on their seed's nonzero count (every row of
+    an orbit has the same count): fewer nonzeros first keeps the pivots
+    sparse and the fill-in low (Markowitz, Management Sci. 1957).  Neither
+    a Smith form nor a rank depends on row order."""
+    return sorted(seeds, key=len)
 
 
-def _echelon(rows):
-    """Unit-pivot row echelon form over Z of sparse rows (``{column: value}``
-    dicts, consumed).
+# Both eliminations feed an orbit r, sr, s^2 r, ... only up to its first row
+# that reduces to zero.  The complete orbits fed before span a module S with
+# sS = S, because s permutes columns.  If s^i r reduces to zero, it lies in
+# L = S + <r, ..., s^(i-1) r>; then sL lies in L, so L holds every later
+# s^k r and they add nothing.  This holds over Z and over every Z/M.  A row
+# that is set aside or splits a state has not vanished, so it never stops
+# an orbit.
+
+
+def _echelon(orbits):
+    """Unit-pivot row echelon form over Z of the rows of RowOrbits.
 
     Each row is reduced until it vanishes or leads in a column without a
     pivot.  It becomes that column's pivot when it leads with +-1 (negated
-    to lead with 1); otherwise it is set aside.  Returns the pivots as
-    ``{column: row}`` and the rows set aside.
+    to lead with 1); otherwise it is set aside.  An orbit stops at its
+    first row that vanishes.  Returns the pivots as ``{column: row}`` and
+    the rows set aside.
     """
     pivots = {}
     rest = []
-    for row in rows:
-        lead = _reduce(row, pivots)
-        if lead is None:
-            continue
-        a = row[lead]
-        if a == 1:
-            pivots[lead] = row
-        elif a == -1:
-            pivots[lead] = {j: -v for j, v in row.items()}
-        else:
-            rest.append(row)
+    for seed in _sparsest_first(orbits.seeds):
+        for row in orbits.shifts(seed):
+            lead = _reduce(row, pivots)
+            if lead is None:
+                break
+            a = row[lead]
+            if a == 1:
+                pivots[lead] = row
+            elif a == -1:
+                pivots[lead] = {j: -v for j, v in row.items()}
+            else:
+                rest.append(row)
     return pivots, rest
 
 
 def smith_normal_form(m, ncols=None):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix (an IntMatrix, a list of rows
+    or RowOrbits).
 
     Rows are first reduced to echelon form with pivots only on leading
     entries +-1 (unit pivots, as in Dumas, Saunders & Villard, J. Symbolic
@@ -356,8 +414,7 @@ def smith_normal_form(m, ncols=None):
     >>> smith_normal_form(IntMatrix.zeros(2, 5)).diagonal
     ()
     """
-    mat = as_matrix(m, ncols=ncols)
-    pivots, rest = _echelon([dict(row) for row in _sparsest_first(mat.entries)])
+    pivots, rest = _echelon(_orbits(m, ncols=ncols))
     for row in rest:
         while hit := [j for j in row if j in pivots]:
             c = min(hit)
@@ -375,9 +432,10 @@ def _require_prime(p):
 
 
 def ranks_mod_primes(m, primes, ncols=None):
-    """Rank of an integer matrix over the field with p elements, for each
-    of the given primes, from one row echelon form over Z/P with P the
-    product of the distinct primes.  Returns ``{p: rank}`` in increasing p.
+    """Rank of an integer matrix (an IntMatrix, a list of rows or
+    RowOrbits) over the field with p elements, for each of the given
+    primes, from one row echelon form over Z/P with P the product of the
+    distinct primes.  Returns ``{p: rank}`` in increasing p.
 
     A leading entry prime to the modulus is a unit mod every prime that
     divides the modulus, so by the Chinese remainder theorem one pass is
@@ -385,7 +443,8 @@ def ranks_mod_primes(m, primes, ncols=None):
     factor g with the modulus M, the state splits: the primes dividing g
     continue mod g on their own copy of the pivots, the rest mod M/g, and
     the row is reduced again in both.  The rank mod p is the pivot count
-    of the state whose modulus p divides.  Rows are fed sparsest first.
+    of the state whose modulus p divides.  Orbits are fed sparsest first,
+    and each state stops an orbit at its first row that vanishes there.
 
     >>> ranks_mod_primes([[2, 4], [6, 8]], (5, 3, 2))
     {2: 0, 3: 2, 5: 2}
@@ -393,26 +452,33 @@ def ranks_mod_primes(m, primes, ncols=None):
     primes = sorted(set(primes))
     for p in primes:
         _require_prime(p)
+    orbits = _orbits(m, ncols=ncols)
     states = [[prod(primes), {}]] if primes else []  # [modulus, pivots]
-    for entries in _sparsest_first(as_matrix(m, ncols=ncols).entries):
-        todo = [(state, entries) for state in states]
-        while todo:
-            state, row = todo.pop()
-            modulus, pivots = state
-            row = _mod(row, modulus)
-            lead = _reduce(row, pivots, modulus)
-            if lead is None:
-                continue
-            g = gcd(row[lead], modulus)
-            if g == 1:
-                inv = pow(row[lead], -1, modulus)
-                pivots[lead] = {j: v * inv % modulus for j, v in row.items()}
-                continue
-            part = [g, {c: _mod(piv, g) for c, piv in pivots.items()}]
-            rest = modulus // g
-            state[:] = rest, {c: _mod(piv, rest) for c, piv in pivots.items()}
-            states.append(part)
-            todo += [(state, row), (part, row)]
+    for seed in _sparsest_first(orbits.seeds):
+        active = list(states)  # the states that have not stopped this orbit
+        for entries in orbits.shifts(seed):
+            todo = [(state, entries) for state in active]
+            active = []
+            while todo:
+                state, row = todo.pop()
+                modulus, pivots = state
+                row = _mod(row, modulus)
+                lead = _reduce(row, pivots, modulus)
+                if lead is None:
+                    continue
+                g = gcd(row[lead], modulus)
+                if g == 1:
+                    inv = pow(row[lead], -1, modulus)
+                    pivots[lead] = {j: v * inv % modulus for j, v in row.items()}
+                    active.append(state)
+                    continue
+                part = [g, {c: _mod(piv, g) for c, piv in pivots.items()}]
+                rest = modulus // g
+                state[:] = rest, {c: _mod(piv, rest) for c, piv in pivots.items()}
+                states.append(part)
+                todo += [(state, row), (part, row)]
+            if not active:
+                break
     return {p: next(len(piv) for mod, piv in states if mod % p == 0) for p in primes}
 
 

@@ -1,6 +1,9 @@
 """Command-line behaviour: exit codes, JSON schema and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -143,6 +146,23 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert out == ""
 
 
+def test_analyze_refuses_non_utf8_file(tmp_path, capsys):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"projective\n1 0 0\n\xff 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_analyze_refuses_empty_primes_list(tri_file, capsys):
+    code, out, err = run(capsys, "analyze", tri_file, "--primes", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad --primes list ''\n"
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/path.txt")
     assert code == 2
@@ -213,6 +233,17 @@ def test_preset_generic_seeded(capsys):
     assert first == second
     code, other, _ = run(capsys, "preset", "generic:5", "--seed", "8")
     assert other != first
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "milnorfiber", "preset", "triangle"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, TRIANGLE, "")
 
 
 def test_preset_unknown(capsys):

@@ -14,7 +14,6 @@ from milnorfiber import geometry, pipeline, presets, snf, validation
 from milnorfiber.cover import (
     CELL_BUDGET,
     build_cover_complex,
-    contracted_d2,
     cyc_add,
     cyc_mul,
     cyc_shift,
@@ -30,12 +29,29 @@ from milnorfiber.presentation import (
     arvola_randell,
     projective_presentation,
 )
-from milnorfiber.snf import AbelianGroup, rank_mod_p, smith_normal_form
+from milnorfiber.snf import AbelianGroup, IntMatrix, rank_mod_p, ranks_mod_primes, smith_normal_form
 
 
 def affine_complex(text, modulus=None):
     aff = geometry.shear_to_generic(geometry.parse_arrangement(text))
     return build_cover_complex(arvola_randell(aff), modulus=modulus)
+
+
+def contracted_d2(c):
+    """Reference: d2 with the spanning-tree columns x^0 g_1 .. x^{n-2} g_1
+    deleted, as a plain matrix whose columns are x^{n-1} g_1 and then the
+    blocks of g_2, ..., g_G.  Its cokernel is H1 itself."""
+    n, G = c.n, c.generator_count
+    if not G:
+        return c.d2
+    last = G * n - 1  # x^{n-1} g_1; g_1's block is the last
+    return IntMatrix.from_entries(
+        [
+            {0 if j == last else j + 1: v for j, v in row.items() if j == last or j < last - n + 1}
+            for row in c.d2.entries
+        ],
+        ncols=c.d2.ncols - (n - 1),
+    )
 
 
 # --- group-ring arithmetic -----------------------------------------------
@@ -157,12 +173,29 @@ def test_chain_condition(text):
 def test_chain_condition_detects_perturbed_fox_entry():
     c = affine_complex("affine\n1 0 0\n0 1 0\n1 1 0\n")
     assert c.chain_ok()
-    for r, row in enumerate(c.fox_rows):
-        for j, entry in enumerate(row):
-            for i in range(c.n):
-                bumped = row[:j] + (cyc_add(entry, cyc_unit(c.n, i)),) + row[j + 1 :]
-                fox_rows = c.fox_rows[:r] + (bumped,) + c.fox_rows[r + 1 :]
-                assert not dataclasses.replace(c, fox_rows=fox_rows).chain_ok(), (r, j, i)
+    for r, seed in enumerate(c.seeds):
+        for j in range(c.n * c.generator_count):  # columns the seed lacks too
+            for delta in (1, -1):
+                bumped = dict(seed)
+                bumped[j] = bumped.get(j, 0) + delta
+                if not bumped[j]:
+                    del bumped[j]
+                seeds = c.seeds[:r] + (bumped,) + c.seeds[r + 1 :]
+                assert not dataclasses.replace(c, seeds=seeds).chain_ok(), (r, j, delta)
+
+
+def test_seed_blocks_are_fox_derivatives():
+    """Row 0 of each relator's orbit is its seed: the Fox derivative by g_j
+    in block j - 2 for j >= 2, and by g_1 in the last block."""
+    aff = geometry.shear_to_generic(geometry.parse_arrangement("affine\n1 0 0\n0 1 0\n1 1 0\n"))
+    pres = arvola_randell(aff)
+    c = build_cover_complex(pres)
+    n, G = c.n, c.generator_count
+    for r, relator in enumerate(pres.relators):
+        row = c.d2.rows[r * n]
+        for gen in range(1, G + 1):
+            block = (gen - 2) % G
+            assert tuple(row[block * n : block * n + n]) == fox_derivative(relator.word, gen, n)
 
 
 def test_d2_nonzeros_match_dense_view():
@@ -181,8 +214,9 @@ def test_d2_nonzeros_match_dense_view():
 def test_contracted_d2_drops_tree_columns():
     c = affine_complex("affine\n1 0 0\n0 1 0\n1 1 0\n")
     m = contracted_d2(c)
-    assert m.shape == (c.d2.nrows, c.d2.ncols - (c.n - 1))
-    assert m.rows == [row[c.n - 1 :] for row in c.d2.rows]
+    n, G = c.n, c.generator_count
+    assert m.shape == (c.d2.nrows, c.d2.ncols - (n - 1))
+    assert m.rows == [row[-1:] + row[: (G - 1) * n] for row in c.d2.rows]
 
 
 def test_cell_budget():
@@ -248,7 +282,7 @@ def test_h1_betti_mod_detects_torsion():
     # 2 + 2x, so H1 = Z/2 and only the mod-2 Betti number sees it
     pres = Presentation(1, (Relator(Word([1, 1, 1, 1]), projective=True),), "projective", 4)
     c = build_cover_complex(pres, modulus=2)
-    assert c.fox_rows == (((2, 2),),)
+    assert c.seeds == ({0: 2, 1: 2},)
     h = h1_of_cover(c, primes=(2, 3))
     assert h.group == AbelianGroup(0, (2,))
     assert h.b1 == 0
@@ -259,8 +293,9 @@ def test_h1_betti_mod_detects_torsion():
 @pytest.mark.parametrize("count", [1, 2, 5, 7])
 def test_h1_runs_one_modular_elimination(monkeypatch, count):
     """However many primes are probed, h1_of_cover makes one call of the
-    multi-prime routine, which reduces each row of the contracted d2 once
-    (generic:8:1 meets no leading entry that would split its state)."""
+    multi-prime routine.  On generic:8:1 (21 relators, cover degree 8, no
+    split state) each orbit reduces two independent shifts and stops at
+    its third, which vanishes: 63 of the 168 rows of d2."""
     c = pipeline.analyze_text(presets.preset_text("generic:8:1")).complex
     calls = {"multi": 0, "single": 0, "rows": 0}
     multi, single, reduce_ = snf.ranks_mod_primes, snf.rank_mod_p, snf._reduce
@@ -283,7 +318,8 @@ def test_h1_runs_one_modular_elimination(monkeypatch, count):
     primes = (2, 3, 5, 7, 11, 13, 2**31 - 1)[:count]
     h = h1_of_cover(c, primes=primes)
     assert sorted(h.betti_mod) == sorted(primes)
-    assert calls == {"multi": 1, "single": 0, "rows": contracted_d2(c).nrows}
+    assert calls == {"multi": 1, "single": 0, "rows": 63}
+    assert c.d2.nrows == 168
 
 
 def test_h1_of_projective_triangle():
@@ -324,3 +360,35 @@ def test_full_d2_oracle_on_small_corpus():
             assert_full_d2_oracle(a.complex, a.homology, name)
             checked += 1
     assert checked > 100
+
+
+B3 = "projective\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 -1 0\n1 0 1\n1 0 -1\n0 1 1\n0 1 -1\n"
+# x = i and y = i for 0 <= i < 5, x + y = s for 0 <= s <= 8, x - y = d for
+# -4 <= d <= 4; coning adds the line at infinity: 29 lines
+GRID_29 = "affine\n" + "".join(
+    [f"1 0 {-i}\n" for i in range(5)]
+    + [f"0 1 {-i}\n" for i in range(5)]
+    + [f"1 1 {-s}\n" for s in range(9)]
+    + [f"1 -1 {-d}\n" for d in range(-4, 5)]
+)
+
+
+def test_contracted_reference_matches_h1_of_cover():
+    """H1 from the whole d2 by orbits against the cokernel of the
+    contracted d2 fed as plain rows: torsion, b1 and every mod-p Betti
+    number, on the corpus with N <= 7, B3 and the 29-line grid."""
+    texts = [
+        (name, text)
+        for name, text in validation.Corpus().entries
+        if geometry.parse_arrangement(text).n_lines <= 7
+    ] + [("B3", B3), ("grid-29", GRID_29)]
+    for name, text in texts:
+        a = pipeline.analyze_text(text)
+        m = contracted_d2(a.complex)
+        form = smith_normal_form(m)
+        assert tuple(d for d in form.diagonal if d != 1) == a.homology.group.torsion, name
+        assert m.ncols - form.rank == a.homology.b1, name
+        ranks = ranks_mod_primes(m, a.primes)
+        assert {p: m.ncols - r for p, r in ranks.items()} == a.homology.betti_mod, name
+    # an exactness criterion of the paper fires on the grid: H1 = Z^28
+    assert a.complex.n == 29 and a.h1 == a.prediction.exact == AbelianGroup(28)

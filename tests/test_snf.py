@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milnorfiber import geometry, pipeline, presets, snf, validation
-from milnorfiber.cover import contracted_d2
 from milnorfiber.snf import (
     AbelianGroup,
     IntMatrix,
+    RowOrbits,
     SmithForm,
     prime_factors,
     rank_mod_p,
     ranks_mod_primes,
     smith_normal_form,
 )
+from test_cover import contracted_d2
 
 
 def test_known_forms():
@@ -351,6 +352,59 @@ def test_multi_prime_split_path_matches_dense(monkeypatch):
         assert ranks_mod_primes(rows, primes, ncols=n) == expected, (rows, primes)
         reached += len(splits) > before
     assert reached > 500
+
+
+def test_orbit_engines_match_dense_on_random_shift_closed_matrices(monkeypatch):
+    """2000 seeded matrices closed under a cyclic shift of order n <= 6 in
+    each of G <= 4 column blocks, given as R <= G + 2 seeds, with entries
+    drawn from {0, +-1, +-2, 3, 5, 6}: the orbit-by-orbit eliminations
+    against the dense references on every materialized row.  A seed is
+    periodic in each block with a random period dividing n, so that its
+    orbit often has fewer than n independent rows.  Most cases have
+    torsion, so rows are set aside and states split, and only a row that
+    reduces to zero may stop its orbit."""
+    splits = count_splits(monkeypatch)
+    drawn = [0]  # rows the shifts generator has handed out
+    shifts = RowOrbits.shifts
+
+    def counting_shifts(self, seed):
+        for row in shifts(self, seed):
+            drawn[0] += 1
+            yield row
+
+    monkeypatch.setattr(RowOrbits, "shifts", counting_shifts)
+    rng = random.Random(1953)
+    values = (0, 0, 1, -1, 2, -2, 3, 5, 6)
+    torsion = split = 0
+    stopped = {"smith": 0, "modular": 0}
+    for _ in range(2000):
+        n, G = rng.randint(1, 6), rng.randint(1, 4)
+        R = rng.randint(1, G + 2)
+        cols = n * G
+        seeds = []
+        for _ in range(R):
+            period = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            head = [rng.choice(values) for _ in range(G * period)]
+            seed = {b * n + k: head[b * period + k % period] for b in range(G) for k in range(n)}
+            seeds.append({j: v for j, v in seed.items() if v})
+        perm = tuple(j - j % n + (j + 1) % n for j in range(cols))
+        orbits = RowOrbits(tuple(seeds), perm, n, cols)
+        rows = orbits.matrix().rows
+        primes = rng.sample(MULTI_PRIMES, rng.randint(1, len(MULTI_PRIMES)))
+        before = len(splits)
+        drawn[0] = 0
+        diagonal = smith_normal_form(orbits).diagonal
+        assert diagonal == dense_smith_diagonal(rows, cols), (seeds, n)
+        stopped["smith"] += drawn[0] < len(rows)
+        expected = {p: dense_rank_mod_p(rows, cols, p) for p in sorted(primes)}
+        drawn[0] = 0
+        assert ranks_mod_primes(orbits, primes) == expected, (seeds, n, primes)
+        stopped["modular"] += drawn[0] < len(rows)
+        torsion += any(d > 1 for d in diagonal)
+        split += len(splits) > before
+    assert torsion > 1000
+    assert split > 1000
+    assert stopped["smith"] > 500 and stopped["modular"] > 1000
 
 
 def test_sparse_engine_matches_dense_on_cover_matrices():
