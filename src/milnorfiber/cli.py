@@ -163,8 +163,15 @@ def cmd_selftest(args, out):
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors follow the malformed-input rule: exit 2, one line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="milnorfiber",
         description="First homology of the Milnor fiber of a complexified-real "
         "line arrangement: exact computation plus combinatorial cross-checks.",

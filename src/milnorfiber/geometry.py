@@ -30,13 +30,39 @@ def canonical_triple(coeffs):
     >>> canonical_triple((-2, 4, -6))
     (1, -2, 3)
     """
-    mult = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (mult // c.denominator) for c in coeffs]
-    lead = next((v for v in ints if v), 0)
-    if not lead:
+    a, b, c = coeffs
+    mult = lcm(a.denominator, b.denominator, c.denominator)
+    a = a.numerator * (mult // a.denominator)
+    b = b.numerator * (mult // b.denominator)
+    c = c.numerator * (mult // c.denominator)
+    g = gcd(a, b, c)
+    if not g:
         raise InputError("zero coefficient triple does not define a line")
-    g = gcd(*ints) if lead > 0 else -gcd(*ints)
-    return tuple(v // g for v in ints)
+    if (a or b or c) < 0:
+        g = -g
+    return a // g, b // g, c // g
+
+
+def _ratio(num, den):
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
+def sweep_x(point, t=0):
+    """x - t*y of the affine point (x : y : z) as a reduced pair (num, den)
+    with den > 0, so that equal pairs are equal rationals."""
+    x, y, z = point
+    if not z:
+        raise ValueError(f"point {point} lies at infinity")
+    return _ratio(x - t * y, z)
+
+
+def slope_key(line):
+    """The slope -a/b of a non-vertical affine line, as a sweep_x pair."""
+    a, b, _ = line.coeffs
+    if not b:
+        raise ValueError(f"vertical line {line} has no slope")
+    return _ratio(-a, b)
 
 
 @dataclass(frozen=True)
@@ -73,12 +99,6 @@ class AffineLine:
     @property
     def is_vertical(self):
         return self.coeffs[1] == 0
-
-    def slope(self):
-        a, b, _ = self.coeffs
-        if b == 0:
-            return None
-        return Fraction(-a, b)
 
     def __str__(self):
         a, b, c = self.coeffs
@@ -169,13 +189,6 @@ class IncidencePoint:
     @property
     def multiplicity(self):
         return len(self.incident)
-
-    def xy(self):
-        """Affine coordinates (exact rationals); requires z != 0."""
-        x, y, z = self.point
-        if z == 0:
-            raise ValueError(f"point {self.point} lies at infinity")
-        return Fraction(x, z), Fraction(y, z)
 
     def label(self):
         x, y, z = self.point
@@ -299,8 +312,8 @@ def is_sweep_generic(aff):
     """No vertical line, and no two intersection points share an x value."""
     if any(l.is_vertical for l in aff.lines):
         return False
-    xs = [pt.xy()[0] for pt in aff.incidence.points]
-    return len(xs) == len(set(xs))
+    xs = {sweep_x(pt.point) for pt in aff.incidence.points}
+    return len(xs) == len(aff.incidence.points)
 
 
 def shear_to_generic(aff):
@@ -312,13 +325,13 @@ def shear_to_generic(aff):
     non-negative integer that works, found by trying t = 0, 1, 2, ...
     (only finitely many values fail), so runs are reproducible.
     """
-    xys = [pt.xy() for pt in aff.incidence.points]
+    points = [pt.point for pt in aff.incidence.points]
 
     def works(t):
         # a line's new y-coefficient is a*t + b; a vertex (x, y) moves to x - t*y
         if any(a * t + b == 0 for a, b, _ in (l.coeffs for l in aff.lines)):
             return False
-        return len({x - t * y for x, y in xys}) == len(xys)
+        return len({sweep_x(p, t) for p in points}) == len(points)
 
     t = 0
     while not works(t):

@@ -10,7 +10,8 @@ rightmost unbroken ray.  Words are sequences of nonzero signed integers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cmp_to_key
 
 from . import geometry
 from .geometry import InputError
@@ -51,7 +52,7 @@ class Word:
 
     def conjugated_by(self, c):
         """c^-1 * self * c."""
-        return c.inverse() * self * c
+        return Word(c.inverse().letters + self.letters + c.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -89,14 +90,12 @@ class Word:
 
 
 def commutator(a, b):
-    return a * b * a.inverse() * b.inverse()
+    return Word(a.letters + b.letters + a.inverse().letters + b.inverse().letters)
 
 
 def product(words):
-    out = Word()
-    for w in words:
-        out = out * w
-    return out
+    """One free reduction of the concatenated letters (free reduction is unique)."""
+    return Word([l for w in words for l in w.letters])
 
 
 @dataclass(frozen=True)
@@ -157,15 +156,24 @@ class Presentation:
         return [list(r.word.exponent_vector(self.generator_count)) for r in self.relators]
 
 
-def _slope_ordered(aff, line_indices):
-    """Vertex-local ordering: ascending slope = bottom-to-top just right
-    of the vertex."""
-    return sorted(line_indices, key=lambda i: aff.lines[i].slope())
+def _compare_keys(u, v):
+    """Exact order of (key, item) entries keyed by sweep_x/slope_key pairs."""
+    d = u[0][0] * v[0][1] - v[0][0] * u[0][1]
+    return (d > 0) - (d < 0)
+
+
+_by_key = cmp_to_key(_compare_keys)
+
+
+def _by_slope(aff, descending=False):
+    """Line indices in slope order; parallel lines keep input order."""
+    keyed = [(geometry.slope_key(line), i) for i, line in enumerate(aff.lines)]
+    return [i for _, i in sorted(keyed, key=_by_key, reverse=descending)]
 
 
 def _descending_product(words):
     """W_k W_{k-1} ... W_1 for words listed bottom-up [W_1, ..., W_k]."""
-    return product(list(reversed(words)))
+    return product(reversed(words))
 
 
 def arvola_randell(aff, *, top_down=False):
@@ -192,23 +200,26 @@ def arvola_randell(aff, *, top_down=False):
     """
     if not aff.sweep_ready:
         raise ValueError("arrangement is not in sweep position; apply shear_to_generic first")
-    inc = aff.incidence
-    verts = sorted(inc.points, key=lambda pt: pt.xy()[0], reverse=True)
-    for a, b in zip(verts, verts[1:]):
-        if a.xy()[0] == b.xy()[0]:
+    keyed = [(geometry.sweep_x(pt.point), pt) for pt in aff.incidence.points]
+    keyed.sort(key=_by_key, reverse=True)
+    for (a, _), (b, _) in zip(keyed, keyed[1:]):
+        if a == b:
             raise ValueError("two vertices share an x coordinate; shear first")
+    # lines through one vertex have distinct slopes: their global rank orders them
+    rank = {i: r for r, i in enumerate(_by_slope(aff))}
     words = [Word([i + 1]) for i in range(aff.n_lines)]
     relators = []
-    for pt in verts:
-        order = _slope_ordered(aff, pt.incident)
+    for _, pt in keyed:
+        order = sorted(pt.incident, key=rank.__getitem__)
         if top_down:
             order.reverse()
         W = [words[i] for i in order]
         m = len(W)
+        vertex = pt.label()
         for k in range(1, m):
             upper = _descending_product(W[m - k :])
             lower = _descending_product(W[: m - k])
-            relators.append(Relator(commutator(upper, lower), vertex=pt.label(), index=k))
+            relators.append(Relator(commutator(upper, lower), vertex=vertex, index=k))
         for pos in range(1, m - 1):
             words[order[pos]] = W[pos].conjugated_by(_descending_product(W[:pos]))
     return Presentation(aff.n_lines, tuple(relators), "affine-decone", aff.cover_degree)
@@ -256,8 +267,7 @@ def projective_presentation(arr):
     # all original projective intersection points remain visible, so the
     # sweep saw all of them
     assert len(sweep.relators) == sum(pt.multiplicity - 1 for pt in inc.points)
-    by_slope = sorted(range(aff.n_lines), key=lambda i: aff.lines[i].slope(), reverse=True)
-    delta = product([Word([i + 1]) for i in by_slope])
+    delta = Word([i + 1 for i in _by_slope(aff, descending=True)])
     relators = sweep.relators + (Relator(delta, vertex="infinity", index=0, projective=True),)
     return Presentation(arr.n_lines, relators, "projective", arr.n_lines)
 

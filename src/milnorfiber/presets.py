@@ -14,6 +14,12 @@ from . import geometry
 from .geometry import InputError
 
 PRESET_NAMES = ("triangle", "pencil", "nearpencil", "generic", "braid-a3", "parallel-family")
+PRESET_LINE_BUDGET = 100  # largest n a sized preset builds
+
+
+def _check_budget(n):
+    if n > PRESET_LINE_BUDGET:
+        raise InputError(f"preset size {n} exceeds the budget of {PRESET_LINE_BUDGET} lines")
 
 
 def triangle_text():
@@ -25,6 +31,7 @@ def pencil_text(n):
     """n lines through the single point (0:0:1)."""
     if n < 3:
         raise InputError("pencil needs at least 3 lines")
+    _check_budget(n)
     rows = ["projective", "0 1 0"]
     rows += [f"1 {k} 0" for k in range(n - 1)]
     return "\n".join(rows) + "\n"
@@ -35,6 +42,7 @@ def nearpencil_text(n):
     default decone leaves the concurrent lines affine)."""
     if n < 4:
         raise InputError("near-pencil needs at least 4 lines")
+    _check_budget(n)
     rows = ["projective", "0 1 0"]
     rows += [f"1 {k} 0" for k in range(n - 2)]
     rows.append("0 0 1")
@@ -46,6 +54,7 @@ def generic_text(n, seed):
     found by seeded random search and verified before emitting."""
     if n < 3:
         raise InputError("generic arrangement needs at least 3 lines")
+    _check_budget(n)
     rng = random.Random(seed)
     for _ in range(500):
         lines = []

@@ -246,6 +246,60 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout, done.stderr) == (0, TRIANGLE, "")
 
 
+@pytest.mark.parametrize("name, size", [
+    ("pencil:100000000", 100000000),
+    ("nearpencil:100000000", 100000000),
+    ("generic:8000:1", 8000),
+    ("generic:101:1", 101),
+])
+def test_preset_refuses_size_over_budget(capsys, name, size):
+    # without the budget pencil:100000000 built 10^8 strings until killed,
+    # and generic:8000:1 never ended (fewer than 8000 lines can be drawn)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "preset", name)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: preset size {size} exceeds the budget of 100 lines\n"
+
+
+def test_preset_at_budget_is_built(capsys):
+    code, out, err = run(capsys, "preset", "pencil:100")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 101
+
+
+def run_usage(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("analyze", "f", "--modulus", "x"), "error: argument --modulus: invalid int value: 'x'\n"),
+    (("analyze",), "error: the following arguments are required: file\n"),
+    (("frobnicate",), None),
+    ((), "error: the following arguments are required: command\n"),
+])
+def test_usage_errors_are_one_line(capsys, argv, err):
+    code, out, got = run_usage(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert got.count("\n") == 1
+    if err is None:
+        assert got.startswith("error: argument command: invalid choice: 'frobnicate'")
+    else:
+        assert got == err
+
+
+def test_help_still_exits_zero(capsys):
+    code, out, err = run_usage(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: milnorfiber")
+    assert err == ""
+
+
 def test_preset_unknown(capsys):
     code, _, err = run(capsys, "preset", "dodecagon")
     assert code == 2

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorfiber import geometry
+from milnorfiber import geometry, presentation
 from milnorfiber.geometry import (
     AffineArrangement,
     AffineLine,
@@ -25,6 +25,8 @@ from milnorfiber.geometry import (
     parse_arrangement,
     arrangement_text,
     shear_to_generic,
+    slope_key,
+    sweep_x,
 )
 
 TRIANGLE = "projective\n1 0 0\n0 1 0\n0 0 1\n"
@@ -274,17 +276,29 @@ def test_decone_matches_reference():
 
 
 def test_integer_geometry_builds_no_fraction(monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("Fraction built on integer input")
 
     monkeypatch.setattr(geometry, "Fraction", refuse)
+    # refuse every construction, including one made outside the module
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(refuse))
     braid = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
     arr = Arrangement(tuple(ProjLine(c) for c in braid))
     assert intersection_points(arr).multiplicity_census() == {2: 3, 3: 4}
     for idx in range(arr.n_lines):
         # each line carries two triple points and one double point
-        assert len(intersection_points(decone(arr, idx)).points) == 4
+        aff = decone(arr, idx)
+        assert len(intersection_points(aff).points) == 4
+        sheared = shear_to_generic(aff)
+        assert is_sweep_generic(sheared)
+        assert len(presentation.arvola_randell(sheared).relators) == 2 * 2 + 2
     assert cone(decone(arr, 2)).n_lines == 6
+    # the stacked crossings of x = 0 need a shear
+    assert shear_to_generic(AffineArrangement(
+        (AffineLine((0, 1, 0)), AffineLine((0, 1, -1)), AffineLine((1, 0, 0))))).shear == 1
+    assert len(presentation.projective_presentation(arr).relators) == 3 + 2 * 4 + 1
 
 
 def test_intersection_points_canonicalizes_each_pair_once(monkeypatch):
@@ -366,7 +380,8 @@ def test_concurrent_affine_incidence():
     inc = intersection_points(aff)
     assert len(inc.points) == 1
     assert inc.points[0].multiplicity == 3
-    assert inc.points[0].xy() == (0, 0)
+    assert inc.points[0].point == (0, 0, 1)
+    assert sweep_x(inc.points[0].point) == (0, 1)
 
 
 def test_shear_separates_stacked_points():
@@ -374,7 +389,7 @@ def test_shear_separates_stacked_points():
     aff = parse_arrangement("affine\n0 1 0\n0 1 -1\n1 0 0\n")
     out = shear_to_generic(aff)
     assert is_sweep_generic(out)
-    xs = [pt.xy()[0] for pt in intersection_points(out).points]
+    xs = [sweep_x(pt.point) for pt in intersection_points(out).points]
     assert len(set(xs)) == len(xs) == 2
 
 
@@ -392,7 +407,8 @@ def forbidden_shears(aff):
     turns vertical at t = -b/a; two vertices share x - t*y at
     t = (x1 - x2) / (y1 - y2)."""
     bad = {Fraction(-b, a) for a, b, _ in (l.coeffs for l in aff.lines) if a}
-    pts = sorted({pt.xy() for pt in intersection_points(aff).points})
+    pts = sorted({(Fraction(x, z), Fraction(y, z)) for x, y, z in
+                  (pt.point for pt in intersection_points(aff).points)})
     for k, (x1, y1) in enumerate(pts):
         for x2, y2 in pts[k + 1 :]:
             if y1 != y2:
@@ -436,7 +452,36 @@ def test_incidence_is_computed_once_per_object(monkeypatch):
 
 def test_slope_and_vertical():
     assert AffineLine((1, 0, -2)).is_vertical
-    assert AffineLine((1, 0, -2)).slope() is None
+    with pytest.raises(ValueError, match="no slope"):
+        slope_key(AffineLine((1, 0, -2)))
     # 2x - y + 1 = 0 is y = 2x + 1
-    assert AffineLine((2, -1, 1)).slope() == 2
-    assert AffineLine((0, 1, 7)).slope() == 0
+    assert slope_key(AffineLine((2, -1, 1))) == (2, 1)
+    assert slope_key(AffineLine((0, 1, 7))) == (0, 1)
+    # 4x + 6y + 1 = 0 is primitive, its slope -2/3 is not in lowest terms
+    assert slope_key(AffineLine((4, 6, 1))) == (-2, 3)
+
+
+huge = st.integers(-10**30, 10**30)
+nonzero = huge.filter(bool)
+
+
+@given(huge, huge, nonzero, st.integers(-10**6, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_sweep_x_is_fraction_normal_form(x, y, z, t):
+    q = Fraction(x, z) - t * Fraction(y, z)
+    assert sweep_x((x, y, z), t) == (q.numerator, q.denominator)
+    # a projective point is its own multiples, negative ones included
+    assert sweep_x((-3 * x, -3 * y, -3 * z), t) == sweep_x((x, y, z), t)
+
+
+@given(huge, nonzero, huge)
+@settings(max_examples=300, deadline=None)
+def test_slope_key_is_fraction_normal_form(a, b, c):
+    q = Fraction(-a, b)
+    assert slope_key(AffineLine((a, b, c))) == (q.numerator, q.denominator)
+
+
+def test_sweep_x_refuses_points_at_infinity():
+    with pytest.raises(ValueError, match="infinity"):
+        sweep_x((1, 2, 0))
+

@@ -6,9 +6,14 @@ at each vertex the lines are taken bottom-to-top (ascending slope just right
 of the vertex).
 """
 
-import pytest
+import random
+from fractions import Fraction
 
-from milnorfiber import cover, geometry, presets
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from milnorfiber import cover, geometry, presentation, presets
 from milnorfiber.presentation import (
     Presentation,
     Relator,
@@ -57,6 +62,52 @@ def test_commutator_product():
     a, b = Word([1]), Word([2])
     assert commutator(a, b) == Word([1, 2, -1, -2])
     assert product([a, b, a]) == Word([1, 2, 1])
+
+
+def stepwise(words):
+    """Reference product: reduce every partial product, as the package
+    did before it reduced each concatenation once."""
+    out = Word()
+    for w in words:
+        out = out * w
+    return out
+
+
+words = st.lists(st.integers(-4, 4).filter(bool), max_size=12).map(Word)
+
+
+@given(st.lists(words, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_products_match_stepwise_products(ws):
+    assert product(ws) == stepwise(ws)
+    assert presentation._descending_product(ws) == stepwise(reversed(ws))
+    assert Word(product(ws).letters) == product(ws)  # already reduced
+
+
+@given(words, words)
+@settings(max_examples=300, deadline=None)
+def test_commutator_and_conjugate_match_stepwise_products(a, b):
+    assert commutator(a, b) == a * b * a.inverse() * b.inverse()
+    assert a.conjugated_by(b) == b.inverse() * a * b
+
+
+pairs = st.tuples(
+    st.integers(-10**30, 10**30), st.integers(1, 10**30)
+)
+
+
+@given(st.lists(pairs, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_key_order_is_fraction_order(keys):
+    entries = [(k, pos) for pos, k in enumerate(keys)]
+    for u in entries[:4]:
+        for v in entries:
+            d = Fraction(*u[0]) - Fraction(*v[0])
+            assert presentation._compare_keys(u, v) == (d > 0) - (d < 0)
+    for reverse in (False, True):
+        got = sorted(entries, key=presentation._by_key, reverse=reverse)
+        want = sorted(entries, key=lambda e: Fraction(*e[0]), reverse=reverse)
+        assert got == want  # ties included: both sorts are stable
 
 
 # --- affine sweep ------------------------------------------------------------
@@ -219,3 +270,98 @@ def test_vertex_relator_exponent_sum_validated():
         Relator(Word([1, 2]))
     # fine when flagged as the projective product relator
     Relator(Word([1, 2]), projective=True)
+
+
+# --- reference sweep -------------------------------------------------------------
+
+
+def reference_sweep(aff, top_down=False):
+    """Reference: the sweep as the package ran it with Fraction keys (a
+    vertex at x = Fraction(x, z), a line of slope Fraction(-a, b)) and
+    stepwise products, as (word, vertex, index) triples."""
+
+    def x_of(pt):
+        x, _, z = pt.point
+        return Fraction(x, z)
+
+    def slope(i):
+        a, b, _ = aff.lines[i].coeffs
+        return Fraction(-a, b)
+
+    verts = sorted(aff.incidence.points, key=x_of, reverse=True)
+    assert all(x_of(a) != x_of(b) for a, b in zip(verts, verts[1:]))
+    current = [Word([i + 1]) for i in range(aff.n_lines)]
+    out = []
+    for pt in verts:
+        order = sorted(pt.incident, key=slope)
+        if top_down:
+            order.reverse()
+        W = [current[i] for i in order]
+        m = len(W)
+        for k in range(1, m):
+            upper = stepwise(reversed(W[m - k :]))
+            lower = stepwise(reversed(W[: m - k]))
+            out.append((upper * lower * upper.inverse() * lower.inverse(), pt.label(), k))
+        for pos in range(1, m - 1):
+            c = stepwise(reversed(W[:pos]))
+            current[order[pos]] = c.inverse() * W[pos] * c
+    return out
+
+
+def reference_product_relator(arr):
+    """Reference: the projective product relator, lines in descending
+    Fraction slope on the sweep's sheared picture."""
+    extended = geometry.Arrangement(
+        arr.lines + (presentation._auxiliary_line(arr, arr.incidence),))
+    aff = geometry.shear_to_generic(geometry.decone(extended, extended.n_lines - 1))
+    by_slope = sorted(range(aff.n_lines), reverse=True,
+                      key=lambda i: Fraction(-aff.lines[i].coeffs[0], aff.lines[i].coeffs[1]))
+    return stepwise([Word([i + 1]) for i in by_slope]), reference_sweep(aff)
+
+
+def triples(pres):
+    return [(r.word, r.vertex, r.index) for r in pres.relators]
+
+
+def test_sweep_matches_fraction_reference():
+    rng = random.Random(19920101)
+    checked = 0
+    for n in range(300):
+        k = rng.randint(3, 8)
+        bound = rng.choice([2, 3, 5, 999])
+        lines = []
+        while len(lines) < k:
+            cand = tuple(rng.randint(-bound, bound) for _ in range(3))
+            if cand != (0, 0, 0) and geometry.ProjLine(cand) not in lines:
+                lines.append(geometry.ProjLine(cand))
+        arr = geometry.Arrangement(tuple(lines))
+        for idx in range(arr.n_lines):
+            aff = geometry.shear_to_generic(geometry.decone(arr, idx))
+            for top_down in (False, True):
+                got = triples(arvola_randell(aff, top_down=top_down))
+                assert got == reference_sweep(aff, top_down)
+            checked += 1
+        if n % 10 == 0:
+            delta, sweep_relators = reference_product_relator(arr)
+            pres = projective_presentation(arr)
+            assert triples(pres)[:-1] == sweep_relators
+            assert pres.relators[-1].word == delta
+    assert checked > 1500
+
+
+def test_sweep_matches_fraction_reference_with_vertical_lines():
+    rng = random.Random(1982)
+    sheared = 0
+    for _ in range(100):
+        k = rng.randint(3, 7)
+        lines = []
+        while len(lines) < k:
+            a, c = rng.randint(-4, 4), rng.randint(-4, 4)
+            b = 0 if rng.random() < 0.4 else rng.randint(-4, 4)
+            if (a, b) != (0, 0) and geometry.AffineLine((a, b, c)) not in lines:
+                lines.append(geometry.AffineLine((a, b, c)))
+        aff = geometry.shear_to_generic(geometry.AffineArrangement(tuple(lines)))
+        sheared += aff.shear > 0
+        assert triples(arvola_randell(aff)) == reference_sweep(aff)
+    assert sheared > 40
+
