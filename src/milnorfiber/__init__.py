@@ -6,7 +6,7 @@ derivatives -> integer Smith normal form -> rank and torsion of H1, checked
 against combinatorial bounds and exactness criteria.
 """
 
-from .snf import AbelianGroup, IntMatrix, SmithForm, rank_mod_p, smith_normal_form
+from .snf import AbelianGroup, SmithForm, rank_mod_p, smith_normal_form
 from .geometry import (
     AffineArrangement,
     AffineLine,
@@ -58,7 +58,6 @@ __all__ = [
     "IncidenceData",
     "IncidencePoint",
     "InputError",
-    "IntMatrix",
     "Prediction",
     "Presentation",
     "ProjLine",

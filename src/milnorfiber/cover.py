@@ -14,9 +14,10 @@ per generator: g_2, ..., g_G first and g_1 last, the edge x^k g in column
 k of its block.  Each relator is stored once, as the sparse ``{column:
 value}`` seed of its lift, read off its Fox derivatives; the deck
 transformation x moves column k of a block to column k + 1 (mod n), and
-the seed's n shifts are the relator's rows of d2.  The edge boundary needs
-no matrix: the edges x^0 g_1 .. x^{n-2} g_1 form a spanning tree of the
-1-skeleton.
+the seed's n shifts are the relator's rows of d2.  ``CoverComplex.d2`` is
+that matrix as ``snf.RowOrbits``: the seeds and the deck permutation,
+never the shifts themselves.  The edge boundary needs no matrix: the
+edges x^0 g_1 .. x^{n-2} g_1 form a spanning tree of the 1-skeleton.
 
 A cover with more than CELL_BUDGET cells (n vertices plus n edges per
 generator plus n 2-cells per relator) is refused before it is built.
@@ -25,7 +26,6 @@ generator plus n 2-cells per relator) is refused before it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import snf
 from .geometry import InputError
@@ -146,18 +146,12 @@ class CoverComplex:
         return self.n * (1 - self.generator_count + self.relator_count)
 
     @property
-    def orbits(self):
-        """d2 as the deck-group orbits of the seeds."""
+    def d2(self):
+        """The (n * relators) x (n * generators) boundary matrix, as the
+        deck-group orbits of the seeds."""
         n, cols = self.n, self.n * self.generator_count
         perm = tuple(c - c % n + (c + 1) % n for c in range(cols))
         return RowOrbits(self.seeds, perm, n, cols)
-
-    @cached_property
-    def d2(self):
-        """The (n * relators) x (n * generators) boundary matrix, every
-        shift of every seed, relator by relator.  Built on first use; the
-        homology does not use it."""
-        return self.orbits.matrix()
 
 
 def build_cover_complex(pres, modulus=None):
@@ -226,12 +220,12 @@ def h1_of_cover(complex_, primes=()):
     prime field (Fox, Free differential calculus I).
     """
     n = complex_.n
-    orbits = complex_.orbits
+    d2 = complex_.d2
     tree = n - 1 if complex_.generator_count else 0  # edges of the spanning tree
-    cols = orbits.ncols - tree
-    form = snf.smith_normal_form(orbits)
+    cols = d2.ncols - tree
+    form = snf.smith_normal_form(d2)
     b1 = cols - form.rank
-    ranks = snf.ranks_mod_primes(orbits, primes)
+    ranks = snf.ranks_mod_primes(d2, primes)
     betti_mod = {p: cols - rank for p, rank in ranks.items()}
     return CoverHomology(
         group=AbelianGroup(b1, tuple(d for d in form.diagonal if d != 1)),

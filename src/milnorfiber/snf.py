@@ -10,8 +10,9 @@ are stored sparsely.  The Smith form starts from a unit-pivot sparse
 echelon over Z, ``_echelon``; the ranks over every requested prime field
 come from one sparse echelon over Z/P, ``ranks_mod_primes``, with P the
 product of the primes.  Both take the rows in orbits under a permutation
-of the columns (``RowOrbits``; a plain matrix is one-row orbits), sparsest
-orbit first, and stop each orbit at its first row that reduces to zero.
+of the columns (``RowOrbits``; a list of dense rows is one-row orbits),
+sparsest orbit first, and stop each orbit at its first row that reduces
+to zero.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
 (2, 4)
@@ -24,92 +25,6 @@ from functools import lru_cache
 from math import gcd, prod
 
 
-class IntMatrix:
-    """An integer matrix stored sparsely: one ``{column: value}`` dict of
-    the nonzero entries per row.  ``rows`` is a dense view.
-
-    >>> m = IntMatrix([[1, 0], [3, 4]])
-    >>> m.shape, m.entries
-    ((2, 2), [{0: 1}, {0: 3, 1: 4}])
-    >>> IntMatrix([], ncols=3).shape
-    (0, 3)
-    >>> IntMatrix.from_entries([{1: 4, 0: 3}, {0: 1}], ncols=2).rows
-    [[3, 4], [1, 0]]
-    """
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, rows, ncols=None):
-        rows = [[int(v) for v in row] for row in rows]
-        if ncols is None:
-            if not rows:
-                raise ValueError("need an explicit column count for a matrix with no rows")
-            ncols = len(rows[0])
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows in matrix input")
-        self.entries = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        self.nrows = len(rows)
-        self.ncols = int(ncols)
-
-    @classmethod
-    def from_entries(cls, entries, ncols):
-        """A matrix from one ``{column: value}`` dict of nonzero ``int``
-        entries per row; the dicts are taken over, not copied."""
-        entries = list(entries)
-        for row in entries:
-            for j, v in row.items():
-                if not 0 <= j < ncols or not v:
-                    raise ValueError(f"bad sparse entry {j}: {v} for {ncols} columns")
-        m = cls.__new__(cls)
-        m.entries, m.nrows, m.ncols = entries, len(entries), ncols
-        return m
-
-    @classmethod
-    def identity(cls, n):
-        return cls.from_entries([{i: 1} for i in range(n)], ncols=n)
-
-    @classmethod
-    def zeros(cls, m, n):
-        return cls.from_entries([{} for _ in range(m)], ncols=n)
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    @property
-    def rows(self):
-        out = []
-        for nonzero in self.entries:
-            row = [0] * self.ncols
-            for j, v in nonzero.items():
-                row[j] = v
-            out.append(row)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.shape, tuple(frozenset(r.items()) for r in self.entries)))
-
-    def __repr__(self):
-        if self.nrows <= 6 and self.ncols <= 6:
-            return f"IntMatrix({self.rows!r})"
-        return f"IntMatrix(<{self.nrows} x {self.ncols}>)"
-
-
-def as_matrix(m, ncols=None):
-    """Coerce a list of rows (or an IntMatrix) to an IntMatrix."""
-    if isinstance(m, IntMatrix):
-        return m
-    return IntMatrix(m, ncols=ncols)
-
-
 @dataclass(frozen=True)
 class RowOrbits:
     """An integer matrix given by the orbits of seed rows under a
@@ -118,8 +33,8 @@ class RowOrbits:
     j to column ``perm[j]`` (s^order is the identity).
 
     >>> m = RowOrbits(({0: 1, 1: -1},), perm=(1, 2, 0), order=3, ncols=3)
-    >>> m.matrix().rows
-    [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
+    >>> m.shape, m.rows
+    ((3, 3), [[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
     """
 
     seeds: tuple
@@ -139,19 +54,36 @@ class RowOrbits:
             row = shifted
         yield row
 
-    def matrix(self):
-        """Every row of every orbit, seed by seed."""
-        return IntMatrix.from_entries(
-            [row for seed in self.seeds for row in self.shifts(seed)], ncols=self.ncols
-        )
+    @property
+    def shape(self):
+        return (len(self.seeds) * self.order, self.ncols)
+
+    @property
+    def rows(self):
+        """A dense view of every row of every orbit, seed by seed."""
+        out = []
+        for seed in self.seeds:
+            for shifted in self.shifts(seed):
+                row = [0] * self.ncols
+                for j, v in shifted.items():
+                    row[j] = v
+                out.append(row)
+        return out
 
 
 def _orbits(m, ncols=None):
-    """``m`` as RowOrbits; a matrix or a list of rows gives one-row orbits."""
+    """``m`` as RowOrbits; a list of dense rows gives one-row orbits."""
     if isinstance(m, RowOrbits):
         return m
-    mat = as_matrix(m, ncols=ncols)
-    return RowOrbits(tuple(mat.entries), (), 1, mat.ncols)
+    rows = [[int(v) for v in row] for row in m]
+    if ncols is None:
+        if not rows:
+            raise ValueError("need an explicit column count for a matrix with no rows")
+        ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows in matrix input")
+    seeds = tuple({j: v for j, v in enumerate(row) if v} for row in rows)
+    return RowOrbits(seeds, (), 1, int(ncols))
 
 
 @dataclass(frozen=True)
@@ -206,14 +138,6 @@ class AbelianGroup:
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion invariant factors must form a divisibility chain")
-
-    @property
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
-    @property
-    def is_free(self):
-        return not self.torsion
 
     def __str__(self):
         parts = []
@@ -396,8 +320,8 @@ def _echelon(orbits):
 
 
 def smith_normal_form(m, ncols=None):
-    """Smith normal form of an integer matrix (an IntMatrix, a list of rows
-    or RowOrbits).
+    """Smith normal form of an integer matrix (a list of dense rows or
+    RowOrbits).
 
     Rows are first reduced to echelon form with pivots only on leading
     entries +-1 (unit pivots, as in Dumas, Saunders & Villard, J. Symbolic
@@ -409,9 +333,9 @@ def smith_normal_form(m, ncols=None):
 
     >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
     (2, 4)
-    >>> smith_normal_form(IntMatrix.identity(3)).diagonal
+    >>> smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).diagonal
     (1, 1, 1)
-    >>> smith_normal_form(IntMatrix.zeros(2, 5)).diagonal
+    >>> smith_normal_form([[0] * 5] * 2).diagonal
     ()
     """
     pivots, rest = _echelon(_orbits(m, ncols=ncols))
@@ -432,10 +356,10 @@ def _require_prime(p):
 
 
 def ranks_mod_primes(m, primes, ncols=None):
-    """Rank of an integer matrix (an IntMatrix, a list of rows or
-    RowOrbits) over the field with p elements, for each of the given
-    primes, from one row echelon form over Z/P with P the product of the
-    distinct primes.  Returns ``{p: rank}`` in increasing p.
+    """Rank of an integer matrix (a list of dense rows or RowOrbits) over
+    the field with p elements, for each of the given primes, from one row
+    echelon form over Z/P with P the product of the distinct primes.
+    Returns ``{p: rank}`` in increasing p.
 
     A leading entry prime to the modulus is a unit mod every prime that
     divides the modulus, so by the Chinese remainder theorem one pass is

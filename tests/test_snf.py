@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from milnorfiber import geometry, pipeline, presets, snf, validation
 from milnorfiber.snf import (
     AbelianGroup,
-    IntMatrix,
     RowOrbits,
     SmithForm,
     prime_factors,
@@ -32,7 +31,7 @@ def test_known_forms():
 
 def test_non_square():
     assert smith_normal_form([[3, 0, 0], [0, 5, 0]]).diagonal == (1, 15)
-    assert smith_normal_form(IntMatrix.zeros(2, 5)).diagonal == ()
+    assert smith_normal_form([[0] * 5] * 2).diagonal == ()
     assert smith_normal_form([[4], [6]]).diagonal == (2,)
 
 
@@ -59,7 +58,7 @@ def test_rank_mod_p():
     assert rank_mod_p([[2, 4], [6, 8]], 2) == 0
     assert rank_mod_p([[2, 4], [6, 8]], 3) == 2
     assert rank_mod_p([[2, 4], [6, 8]], 5) == 2
-    assert rank_mod_p(IntMatrix.zeros(3, 3), 7) == 0
+    assert rank_mod_p([[0] * 3] * 3, 7) == 0
     with pytest.raises(ValueError):
         rank_mod_p([[1]], 6)
     assert rank_mod_p([[1, 1]], 2**31 - 1) == 1
@@ -71,45 +70,23 @@ def test_rank_mod_p_refuses_non_prime(p):
         rank_mod_p([[1]], p)
 
 
-# --- IntMatrix ---------------------------------------------------------------
-
-
-def test_intmatrix_dense_view():
-    m = IntMatrix([[0, 2, 0], [-1, 0, 3]])
-    assert m.entries == [{1: 2}, {0: -1, 2: 3}]
-    assert m.rows == [[0, 2, 0], [-1, 0, 3]]
-    assert IntMatrix.from_entries([{2: 3, 0: -1}, {}], ncols=3).rows == [[-1, 0, 3], [0, 0, 0]]
-    assert repr(m) == "IntMatrix([[0, 2, 0], [-1, 0, 3]])"
-
-
-def test_intmatrix_equality_ignores_dict_order():
-    dense = IntMatrix([[0, 2, 0], [-1, 0, 3]])
-    sparse = IntMatrix.from_entries([{1: 2}, {2: 3, 0: -1}], ncols=3)
-    assert list(sparse.entries[1]) != list(dense.entries[1])
-    assert dense == sparse
-    assert hash(dense) == hash(sparse)
-    assert dense != IntMatrix([[0, 2, 0], [-1, 0, 4]])
-    assert dense != IntMatrix.from_entries([{1: 2}, {2: 3, 0: -1}], ncols=4)
-
-
-def test_intmatrix_zeros_and_identity():
-    assert IntMatrix.zeros(2, 3).rows == [[0, 0, 0], [0, 0, 0]]
-    assert IntMatrix.zeros(2, 3) == IntMatrix([[0] * 3] * 2)
-    assert IntMatrix.identity(3) == IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert IntMatrix.zeros(0, 4).shape == (0, 4)
-
-
-def test_intmatrix_input_errors():
-    with pytest.raises(ValueError, match="ragged"):
-        IntMatrix([[1, 2], [3]])
-    with pytest.raises(ValueError, match="ragged"):
-        IntMatrix([[1, 2]], ncols=3)
-    with pytest.raises(ValueError, match="explicit column count"):
-        IntMatrix([])
-    with pytest.raises(ValueError, match="bad sparse entry"):
-        IntMatrix.from_entries([{3: 1}], ncols=3)
-    with pytest.raises(ValueError, match="bad sparse entry"):
-        IntMatrix.from_entries([{0: 0}], ncols=3)
+def test_matrix_input_errors():
+    # a list of dense rows must be rectangular, and an empty one needs ncols
+    engines = (
+        smith_normal_form,
+        lambda rows, ncols=None: ranks_mod_primes(rows, (2, 3), ncols=ncols),
+        lambda rows, ncols=None: rank_mod_p(rows, 5, ncols=ncols),
+    )
+    for engine in engines:
+        with pytest.raises(ValueError, match="ragged"):
+            engine([[1, 2], [3]])
+        with pytest.raises(ValueError, match="ragged"):
+            engine([[1, 2]], ncols=3)
+        with pytest.raises(ValueError, match="explicit column count"):
+            engine([])
+    assert smith_normal_form([], ncols=3).diagonal == ()
+    assert ranks_mod_primes([], (2, 3), ncols=3) == {2: 0, 3: 0}
+    assert rank_mod_p([], 5, ncols=3) == 0
 
 
 def test_prime_factors():
@@ -256,16 +233,20 @@ def dense_rank_mod_p(rows, ncols, p):
 MULTI_PRIMES = (2, 3, 5, 7, 11, 13, 2**31 - 1)
 
 
-def assert_engines_agree(m, label="", primes=MULTI_PRIMES):
+def assert_engines_agree(m, label="", primes=MULTI_PRIMES, ncols=None):
     """Smith diagonal, rank mod each of ORACLE_PRIMES, and the ranks of one
-    multi-prime call over ``primes``, of an IntMatrix: sparse engines
-    against the dense references."""
-    rows, ncols = m.rows, m.ncols
-    assert smith_normal_form(m).diagonal == dense_smith_diagonal(rows, ncols), label
+    multi-prime call over ``primes``, of RowOrbits or a list of dense rows
+    with ``ncols`` columns: sparse engines against the dense references."""
+    if isinstance(m, RowOrbits):
+        rows, ncols = m.rows, m.ncols
+    else:
+        rows = m
+    assert smith_normal_form(m, ncols=ncols).diagonal == dense_smith_diagonal(rows, ncols), label
     dense = {p: dense_rank_mod_p(rows, ncols, p) for p in sorted({*ORACLE_PRIMES, *primes})}
     for p in ORACLE_PRIMES:
-        assert rank_mod_p(m, p) == dense[p], (label, p)
-    assert ranks_mod_primes(m, primes) == {p: dense[p] for p in sorted(primes)}, (label, primes)
+        assert rank_mod_p(m, p, ncols=ncols) == dense[p], (label, p)
+    assert ranks_mod_primes(m, primes, ncols=ncols) == {p: dense[p] for p in sorted(primes)}, (
+        label, primes)
 
 
 def test_ranks_mod_primes():
@@ -329,7 +310,7 @@ def test_sparse_engine_matches_dense_on_random_matrices(monkeypatch):
         rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
         primes = rng.sample(MULTI_PRIMES, rng.randint(1, len(MULTI_PRIMES)))
         before = len(leftover_blocks)
-        assert_engines_agree(IntMatrix(rows), rows, primes)
+        assert_engines_agree(rows, rows, primes, ncols=n)
         reached += len(leftover_blocks) > before
     assert reached > 1000
 
@@ -389,7 +370,7 @@ def test_orbit_engines_match_dense_on_random_shift_closed_matrices(monkeypatch):
             seeds.append({j: v for j, v in seed.items() if v})
         perm = tuple(j - j % n + (j + 1) % n for j in range(cols))
         orbits = RowOrbits(tuple(seeds), perm, n, cols)
-        rows = orbits.matrix().rows
+        rows = orbits.rows
         primes = rng.sample(MULTI_PRIMES, rng.randint(1, len(MULTI_PRIMES)))
         before = len(splits)
         drawn[0] = 0
@@ -441,8 +422,8 @@ def test_row_order_does_not_move_smith_form_or_ranks(monkeypatch):
         primes = analysis.primes + (13, 2**31 - 1)
         diagonal, ranks = smith_normal_form(m).diagonal, ranks_mod_primes(m, primes)
         for _ in range(3):
-            order = rng.sample(m.entries, len(m.entries))
-            permuted = IntMatrix.from_entries([dict(row) for row in order], m.ncols)
+            order = rng.sample(m.seeds, len(m.seeds))
+            permuted = RowOrbits(tuple(dict(row) for row in order), (), 1, m.ncols)
             assert smith_normal_form(permuted).diagonal == diagonal, text
             assert ranks_mod_primes(permuted, primes) == ranks, text
     assert splits
