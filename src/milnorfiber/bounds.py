@@ -103,12 +103,16 @@ def parse_incidence(text):
 
 
 def _points_view(inc):
-    """Uniform view: list of (multiplicity, line indices, label)."""
+    """Uniform view: list of (multiplicity, line indices)."""
     if isinstance(inc, geometry.IncidenceData):
-        return [(p.multiplicity, p.incident, p.label()) for p in inc.points]
+        return [(len(p.incident), p.incident) for p in inc.points]
     if isinstance(inc, SyntheticIncidence):
-        return [(len(p), p, f"pt{k}") for k, p in enumerate(inc.points)]
+        return [(len(p), p) for p in inc.points]
     raise TypeError(f"cannot read incidence from {type(inc).__name__}")
+
+
+def _label(inc, k):
+    return inc.points[k].label() if isinstance(inc, geometry.IncidenceData) else f"pt{k}"
 
 
 def onehyp_bound(inc, n, line):
@@ -123,7 +127,7 @@ def onehyp_bound(inc, n, line):
 def onehyp_bounds(inc, n):
     """All per-line bounds and their minimum, in one pass over the points."""
     per_line = dict.fromkeys(range(n), n - 1)
-    for m, incident, _ in _points_view(inc):
+    for m, incident in _points_view(inc):
         excess = (m - 2) * (gcd(m, n) - 1)
         for h in incident:
             if h in per_line:  # n may be below the incidence's own line count
@@ -136,7 +140,7 @@ def corollary_check(inc, n):
     to the number of lines; such a line forces H1 to be free of rank n-1.
     Returns the lowest such line index, or None."""
     spoiled = set()
-    for m, incident, _ in _points_view(inc):
+    for m, incident in _points_view(inc):
         if m != 2 and gcd(m, n) != 1:
             spoiled.update(incident)
     return next((h for h in range(n) if h not in spoiled), None)
@@ -162,20 +166,20 @@ class OnePointCheck:
 
 def one_point_check(inc, n):
     heavy = {h: [] for h in range(n)}
-    for m, incident, label in _points_view(inc):
+    for k, (m, incident) in enumerate(_points_view(inc)):
         if m > 2 and gcd(m, n) != 1:
             for h in incident:
                 if h in heavy:  # n may be below the incidence's own line count
-                    heavy[h].append((label, m))
+                    heavy[h].append((k, m))
     blocked = None
     for h, found in heavy.items():
         if len(found) != 1:
             continue
-        label, m = found[0]
+        k, m = found[0]
         if m < n:
-            return OnePointCheck(True, (h, label, m), literal_fires=True)
+            return OnePointCheck(True, (h, _label(inc, k), m), literal_fires=True)
         if blocked is None:
-            blocked = (h, label, m)
+            blocked = (h, _label(inc, k), m)
     if blocked is not None:
         return OnePointCheck(False, None, literal_fires=True, guard_blocked=blocked)
     return OnePointCheck(False)
@@ -201,40 +205,30 @@ def oka_sakamoto_check(aff):
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            a1, b1, _ = aff.lines[i].coeffs
-            a2, b2, _ = aff.lines[j].coeffs
-            if a1 * b2 - a2 * b1 == 0:
-                union(i, j)
+    # one group per parallel class (primitive direction) and per point of
+    # multiplicity >= 3; each group's lines join one component
+    classes = {}
+    for i, line in enumerate(aff.lines):
+        a, b, _ = line.coeffs
+        classes.setdefault(geometry.primitive_triple(a, b, 0), []).append(i)
     inc = aff.incidence
-    for pt in inc.points:
-        if pt.multiplicity >= 3:
-            first = pt.incident[0]
-            for other in pt.incident[1:]:
-                union(first, other)
+    heavy = [pt.incident for pt in inc.points if pt.multiplicity >= 3]
+    for group in list(classes.values()) + heavy:
+        for other in group[1:]:
+            parent[find(other)] = find(group[0])
     root0 = find(0)
     side_a = tuple(i for i in range(k) if find(i) == root0)
     side_b = tuple(i for i in range(k) if find(i) != root0)
     if not side_b:
         return None
     # re-verify the witness: every cross pair meets transversally in a
-    # double point
-    point_of = {}
-    for pt in inc.points:
-        for x in range(len(pt.incident)):
-            for y in range(x + 1, len(pt.incident)):
-                point_of[(pt.incident[x], pt.incident[y])] = pt
-    for i in side_a:
-        for j in side_b:
-            pair = (min(i, j), max(i, j))
-            if pair not in point_of or point_of[pair].multiplicity != 2:
-                raise AssertionError("transverse-split witness failed re-verification")
+    # double point.  Two lines meet at most once, so the double points with
+    # one line on each side are distinct cross pairs: all |A|*|B| of them.
+    on_a = set(side_a)
+    split = sum(pt.multiplicity == 2 and (pt.incident[0] in on_a) != (pt.incident[1] in on_a)
+                for pt in inc.points)
+    if split != len(side_a) * len(side_b):
+        raise AssertionError("transverse-split witness failed re-verification")
     return side_a, side_b
 
 
@@ -246,7 +240,7 @@ def cdo_bound(inc, n):
 
     Returns (per_k dict, total).
     """
-    heavy = [(m, incident) for m, incident, _ in _points_view(inc) if m > 2]
+    heavy = [(m, incident) for m, incident in _points_view(inc) if m > 2]
     per_k = {}
     for k in range(1, n):
         excess = dict.fromkeys(range(n), 0)

@@ -21,8 +21,6 @@ from . import bounds as bounds_mod
 from . import geometry
 from . import pipeline
 from . import presentation as presentation_mod
-from . import presets
-from . import validation
 from .geometry import InputError
 
 
@@ -137,11 +135,13 @@ def cmd_bounds(args, out):
 
 
 def cmd_preset(args, out):
+    from . import presets
     out.write(presets.preset_text(args.name, seed=args.seed))
     return 0
 
 
 def cmd_selftest(args, out):
+    from . import validation
     results = validation.run_all(seed=args.seed if args.seed is not None else validation.DEFAULT_SEED)
     if args.json:
         _emit_json(

@@ -32,9 +32,11 @@ def canonical_triple(coeffs):
     """
     a, b, c = coeffs
     mult = lcm(a.denominator, b.denominator, c.denominator)
-    a = a.numerator * (mult // a.denominator)
-    b = b.numerator * (mult // b.denominator)
-    c = c.numerator * (mult // c.denominator)
+    return primitive_triple(*(v.numerator * (mult // v.denominator) for v in (a, b, c)))
+
+
+def primitive_triple(a, b, c):
+    """Divide an integer triple by its gcd, first nonzero entry > 0."""
     g = gcd(a, b, c)
     if not g:
         raise InputError("zero coefficient triple does not define a line")
@@ -173,16 +175,15 @@ class AffineArrangement:
 class IncidencePoint:
     """An intersection point together with the lines through it.
 
-    The point is a primitive integer projective triple (x : y : z) as
-    ``canonical_triple`` returns it, which ``intersection_points`` (the
-    only constructor) has already computed; affine points have z != 0.
+    The point is a primitive integer projective triple (x : y : z) and
+    ``incident`` the ascending line indices, as ``intersection_points``
+    (the only constructor) computes them; affine points have z != 0.
     """
 
     point: tuple
     incident: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "incident", tuple(sorted(self.incident)))
         if len(self.incident) < 2:
             raise ValueError("an intersection point needs at least 2 lines")
 
@@ -201,9 +202,6 @@ class IncidenceData:
 
     points: tuple
     n_lines: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
 
     def multiplicity_census(self):
         census = {}
@@ -230,24 +228,28 @@ def intersection_points(arr):
     For affine arrangements parallel pairs meet at infinity and are not
     reported as points.
     """
-    lines = arr.lines
+    lines = [l.coeffs for l in arr.lines]
     affine = isinstance(arr, AffineArrangement)
     by_point = {}
-    for i in range(len(lines)):
+    for i, (a1, b1, c1) in enumerate(lines):
         for j in range(i + 1, len(lines)):
-            pt = _cross(lines[i].coeffs, lines[j].coeffs)
-            if affine and pt[2] == 0:
+            a2, b2, c2 = lines[j]
+            z = a1 * b2 - b1 * a2
+            if affine and not z:
                 continue  # parallel affine pair
-            key = canonical_triple(pt)
-            by_point.setdefault(key, set()).update((i, j))
+            key = primitive_triple(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, z)
+            inc = by_point.get(key)
+            if inc is None:
+                by_point[key] = [i, j]
+            elif inc[0] == i:  # pairs come in order: the lowest line meets the rest first
+                inc.append(j)
     points = []
     for key in sorted(by_point):
         inc = by_point[key]
-        pt = IncidencePoint(key, tuple(inc))
-        for i in pt.incident:
-            if _dot(lines[i].coeffs, pt.point):
+        for i in inc:
+            if _dot(lines[i], key):
                 raise AssertionError("incidence check failed")
-        points.append(pt)
+        points.append(IncidencePoint(key, tuple(inc)))
     return IncidenceData(tuple(points), len(lines))
 
 
@@ -308,11 +310,13 @@ def affine_picture(arr, infinity_index=None):
     return arr, decone(arr, infinity_index), infinity_index
 
 
-def is_sweep_generic(aff):
-    """No vertical line, and no two intersection points share an x value."""
-    if any(l.is_vertical for l in aff.lines):
+def is_sweep_generic(aff, t=0):
+    """No vertical line, and no two intersection points share an x value,
+    after the shear (x, y) -> (x - t*y, y)."""
+    # a line's new y-coefficient is a*t + b; a vertex (x, y) moves to x - t*y
+    if any(a * t + b == 0 for a, b, _ in (l.coeffs for l in aff.lines)):
         return False
-    xs = {sweep_x(pt.point) for pt in aff.incidence.points}
+    xs = {sweep_x(pt.point, t) for pt in aff.incidence.points}
     return len(xs) == len(aff.incidence.points)
 
 
@@ -325,22 +329,11 @@ def shear_to_generic(aff):
     non-negative integer that works, found by trying t = 0, 1, 2, ...
     (only finitely many values fail), so runs are reproducible.
     """
-    points = [pt.point for pt in aff.incidence.points]
-
-    def works(t):
-        # a line's new y-coefficient is a*t + b; a vertex (x, y) moves to x - t*y
-        if any(a * t + b == 0 for a, b, _ in (l.coeffs for l in aff.lines)):
-            return False
-        return len({sweep_x(p, t) for p in points}) == len(points)
-
     t = 0
-    while not works(t):
+    while not is_sweep_generic(aff, t):
         t += 1
-    new_lines = []
-    for line in aff.lines:
-        a, b, c = line.coeffs
-        new_lines.append(AffineLine((a, a * t + b, c)))
-    out = AffineArrangement(tuple(new_lines), shear=t, sweep_ready=True)
+    new_lines = tuple(AffineLine((a, a * t + b, c)) for a, b, c in (l.coeffs for l in aff.lines))
+    out = AffineArrangement(new_lines, shear=t, sweep_ready=True)
     if not is_sweep_generic(out):
         raise AssertionError("shear failed to reach sweep position")
     return out

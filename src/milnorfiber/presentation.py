@@ -11,7 +11,6 @@ rightmost unbroken ray.  Words are sequences of nonzero signed integers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from . import geometry
 from .geometry import InputError
@@ -31,28 +30,20 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        reduced = []
-        for raw in letters:
-            l = int(raw)
-            if l == 0:
-                raise ValueError("generator indices are nonzero")
-            if reduced and reduced[-1] == -l:
-                reduced.pop()
-            else:
-                reduced.append(l)
-        self.letters = tuple(reduced)
+        letters = [int(l) for l in letters]
+        if 0 in letters:
+            raise ValueError("generator indices are nonzero")
+        self.letters = _word(letters).letters
 
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def inverse(self):
-        w = Word.__new__(Word)
-        w.letters = tuple(-l for l in reversed(self.letters))
-        return w
+        return _word(_inverse(self.letters))
 
     def conjugated_by(self, c):
         """c^-1 * self * c."""
-        return Word(c.inverse().letters + self.letters + c.letters)
+        return _word(_inverse(c.letters) + self.letters + c.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -89,13 +80,36 @@ class Word:
         return " ".join(f"g{l}" if l > 0 else f"g{-l}^-1" for l in self.letters)
 
 
+def _inverse(letters):
+    return tuple(-l for l in reversed(letters))
+
+
+def _word(letters):
+    """The Word of letters taken from other Words: freely reduced once,
+    with no letter validated again."""
+    out = []
+    for l in letters:
+        if out and out[-1] == -l:
+            out.pop()
+        else:
+            out.append(l)
+    w = Word.__new__(Word)
+    w.letters = tuple(out)
+    return w
+
+
 def commutator(a, b):
-    return Word(a.letters + b.letters + a.inverse().letters + b.inverse().letters)
+    return _commutator(a.letters, b.letters)
+
+
+def _commutator(u, l):
+    """U L U^-1 L^-1 from one free reduction (free reduction is unique)."""
+    return _word(u + l + _inverse(u) + _inverse(l))
 
 
 def product(words):
     """One free reduction of the concatenated letters (free reduction is unique)."""
-    return Word([l for w in words for l in w.letters])
+    return _word([l for w in words for l in w.letters])
 
 
 @dataclass(frozen=True)
@@ -138,10 +152,9 @@ class Presentation:
             raise ValueError("projective presentation needs exactly one product relator")
         if self.kind == "affine-decone" and n_proj:
             raise ValueError("affine presentation cannot contain a product relator")
-        for r in self.relators:
-            for l in r.word:
-                if not 1 <= abs(l) <= self.generator_count:
-                    raise ValueError(f"letter {l} outside generator range")
+        bad = [l for r in self.relators for l in r.word.letters if not 1 <= abs(l) <= self.generator_count]
+        if bad:
+            raise ValueError(f"letter {bad[0]} outside generator range")
 
     def text(self):
         out = [f"gens: {self.generator_count}"]
@@ -156,24 +169,14 @@ class Presentation:
         return [list(r.word.exponent_vector(self.generator_count)) for r in self.relators]
 
 
-def _compare_keys(u, v):
-    """Exact order of (key, item) entries keyed by sweep_x/slope_key pairs."""
-    d = u[0][0] * v[0][1] - v[0][0] * u[0][1]
-    return (d > 0) - (d < 0)
-
-
-_by_key = cmp_to_key(_compare_keys)
-
-
-def _by_slope(aff, descending=False):
-    """Line indices in slope order; parallel lines keep input order."""
-    keyed = [(geometry.slope_key(line), i) for i, line in enumerate(aff.lines)]
-    return [i for _, i in sorted(keyed, key=_by_key, reverse=descending)]
-
-
-def _descending_product(words):
-    """W_k W_{k-1} ... W_1 for words listed bottom-up [W_1, ..., W_k]."""
-    return product(reversed(words))
+def _order_keys(pairs):
+    """Integer keys ordered as the rationals num/den of (num, den) pairs
+    with den > 0 (sweep_x, slope_key): floor(num * q^2 / den), q the
+    largest den.  Exact: two distinct rationals with denominators <= q
+    differ by >= 1/q^2, so their keys differ by >= 1; equal rationals tie,
+    and a stable sort keeps them in input order."""
+    q2 = max((den for _, den in pairs), default=1) ** 2
+    return [num * q2 // den for num, den in pairs]
 
 
 def arvola_randell(aff, *, top_down=False):
@@ -189,6 +192,7 @@ def arvola_randell(aff, *, top_down=False):
 
     then lets the outermost lines (positions 1 and m) continue unchanged
     while each middle line i picks up a conjugation by W_{i-1} ... W_1.
+    Words are letter tuples; each relator and conjugate is reduced once.
 
     With top_down=True the vertex-local ordering is reversed (descending
     slope).  The two conventions give different words but isomorphic
@@ -200,28 +204,32 @@ def arvola_randell(aff, *, top_down=False):
     """
     if not aff.sweep_ready:
         raise ValueError("arrangement is not in sweep position; apply shear_to_generic first")
-    keyed = [(geometry.sweep_x(pt.point), pt) for pt in aff.incidence.points]
-    keyed.sort(key=_by_key, reverse=True)
-    for (a, _), (b, _) in zip(keyed, keyed[1:]):
-        if a == b:
-            raise ValueError("two vertices share an x coordinate; shear first")
-    # lines through one vertex have distinct slopes: their global rank orders them
-    rank = {i: r for r, i in enumerate(_by_slope(aff))}
-    words = [Word([i + 1]) for i in range(aff.n_lines)]
+    points = aff.incidence.points
+    x = _order_keys([geometry.sweep_x(pt.point) for pt in points])
+    if len(set(x)) != len(x):
+        raise ValueError("two vertices share an x coordinate; shear first")
+    sweep = sorted(range(len(points)), key=x.__getitem__, reverse=True)
+    # lines through one vertex have distinct slopes, so their keys order them
+    slope = _order_keys([geometry.slope_key(line) for line in aff.lines])
+    words = [(i + 1,) for i in range(aff.n_lines)]
     relators = []
-    for _, pt in keyed:
-        order = sorted(pt.incident, key=rank.__getitem__)
+    for pt in map(points.__getitem__, sweep):
+        order = sorted(pt.incident, key=slope.__getitem__)
         if top_down:
             order.reverse()
         W = [words[i] for i in order]
         m = len(W)
+        lower = [()]  # lower[j] = W_j ... W_1, unreduced
+        for w in W[:-1]:
+            lower.append(w + lower[-1])
         vertex = pt.label()
+        upper = ()
         for k in range(1, m):
-            upper = _descending_product(W[m - k :])
-            lower = _descending_product(W[: m - k])
-            relators.append(Relator(commutator(upper, lower), vertex=vertex, index=k))
+            upper += W[m - k]
+            relators.append(Relator(_commutator(upper, lower[m - k]), vertex=vertex, index=k))
         for pos in range(1, m - 1):
-            words[order[pos]] = W[pos].conjugated_by(_descending_product(W[:pos]))
+            c = lower[pos]
+            words[order[pos]] = _word(_inverse(c) + W[pos] + c).letters
     return Presentation(aff.n_lines, tuple(relators), "affine-decone", aff.cover_degree)
 
 
@@ -266,8 +274,11 @@ def projective_presentation(arr):
     sweep = arvola_randell(aff)
     # all original projective intersection points remain visible, so the
     # sweep saw all of them
-    assert len(sweep.relators) == sum(pt.multiplicity - 1 for pt in inc.points)
-    delta = Word([i + 1 for i in _by_slope(aff, descending=True)])
+    if len(sweep.relators) != sum(pt.multiplicity - 1 for pt in inc.points):
+        raise AssertionError("the sweep missed an intersection point")
+    # descending slope; parallel lines keep input order
+    slope = _order_keys([geometry.slope_key(line) for line in aff.lines])
+    delta = Word([i + 1 for i in sorted(range(aff.n_lines), key=slope.__getitem__, reverse=True)])
     relators = sweep.relators + (Relator(delta, vertex="infinity", index=0, projective=True),)
     return Presentation(arr.n_lines, relators, "projective", arr.n_lines)
 

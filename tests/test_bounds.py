@@ -9,7 +9,6 @@ import pytest
 from milnorfiber import geometry, presets
 from milnorfiber.bounds import (
     OnePointCheck,
-    _points_view,
     INCIDENCE_LINE_BUDGET,
     SyntheticIncidence,
     cdo_bound,
@@ -37,6 +36,14 @@ BRAID = "projective\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n0 1 1\n1 1 1\n"
 
 def pencil(n):
     return presets.pencil_text(n)
+
+
+def labelled_points(inc):
+    """Reference view: (multiplicity, line indices, label) of every point,
+    labelled by coordinates, or as ``pt<k>`` for synthetic incidence."""
+    if isinstance(inc, SyntheticIncidence):
+        return [(len(p), p, f"pt{k}") for k, p in enumerate(inc.points)]
+    return [(p.multiplicity, p.incident, p.label()) for p in inc.points]
 
 
 # --- per-line bound ---------------------------------------------------------
@@ -116,7 +123,7 @@ def reference_cdo_bound(inc, n):
 def reference_corollary_check(inc, n):
     """Reference: the lowest line whose own scan of every point finds only
     double points or multiplicities coprime to n."""
-    pts = _points_view(inc)
+    pts = labelled_points(inc)
     for h in range(n):
         if all(m == 2 or gcd(m, n) == 1 for m, incident, _ in pts if h in incident):
             return h
@@ -125,7 +132,7 @@ def reference_corollary_check(inc, n):
 
 def reference_one_point_check(inc, n):
     """Reference: each line scans every point for its heavy points."""
-    pts = _points_view(inc)
+    pts = labelled_points(inc)
     blocked = None
     for h in range(n):
         heavy = [
@@ -251,6 +258,62 @@ def test_split_two_parallel_pairs():
     aff = geometry.parse_arrangement("affine\n0 1 0\n0 1 -1\n1 0 0\n1 0 -1\n")
     split = oka_sakamoto_check(aff)
     assert split == ((0, 1), (2, 3))
+
+
+def reference_split(aff):
+    """Reference: components of the conflict graph built pair by pair
+    (parallel, or sharing a point of multiplicity >= 3), and the witness
+    checked pair by pair."""
+    k = aff.n_lines
+    mult = {}
+    for pt in aff.incidence.points:
+        for i in pt.incident:
+            for j in pt.incident:
+                mult[(i, j)] = pt.multiplicity
+    conflict = {
+        (i, j) for i in range(k) for j in range(k) if i != j and mult.get((i, j), 3) >= 3
+    }
+    side = {0}
+    while True:
+        grown = side | {j for i in side for j in range(k) if (i, j) in conflict}
+        if grown == side:
+            break
+        side = grown
+    if len(side) == k:
+        return None
+    a, b = tuple(sorted(side)), tuple(i for i in range(k) if i not in side)
+    assert all(mult.get((i, j)) == 2 for i in a for j in b)
+    return a, b
+
+
+def random_affine(rng, k, bound):
+    lines = []
+    while len(lines) < k:
+        a, b, c = (rng.randint(-bound, bound) for _ in range(3))
+        if (a, b) != (0, 0) and geometry.AffineLine((a, b, c)) not in lines:
+            lines.append(geometry.AffineLine((a, b, c)))
+    return geometry.AffineArrangement(tuple(lines))
+
+
+def test_split_matches_pairwise_reference():
+    rng = random.Random(20111005)
+    outcomes = {"split": 0, "none": 0}
+    for _ in range(300):
+        aff = random_affine(rng, rng.randint(1, 8), rng.choice([1, 2, 3]))
+        split = oka_sakamoto_check(aff)
+        assert split == reference_split(aff)
+        outcomes["split" if split else "none"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_split_witness_is_reverified():
+    # drop one double point from the incidence: the components still split
+    # the lines, but one cross pair no longer meets, and the check says so
+    aff = geometry.parse_arrangement("affine\n0 1 0\n1 -1 -1\n1 1 -3\n")
+    inc = aff.incidence
+    object.__setattr__(aff, "incidence", geometry.IncidenceData(inc.points[1:], inc.n_lines))
+    with pytest.raises(AssertionError, match="re-verification"):
+        oka_sakamoto_check(aff)
 
 
 def test_split_requires_affine():

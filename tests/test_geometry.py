@@ -18,6 +18,7 @@ from milnorfiber.geometry import (
     InputError,
     ProjLine,
     canonical_triple,
+    primitive_triple,
     cone,
     decone,
     intersection_points,
@@ -302,21 +303,26 @@ def test_integer_geometry_builds_no_fraction(monkeypatch):
 
 
 def test_intersection_points_canonicalizes_each_pair_once(monkeypatch):
-    # a point's key is canonicalized once, where its pair of lines is met;
+    # a point's key is made primitive once, where its pair of lines is met;
     # the IncidencePoint built from it takes the key as it is
     calls = []
 
-    def counting(coeffs):
-        calls.append(coeffs)
-        return canonical_triple(coeffs)
+    def counting(a, b, c):
+        calls.append((a, b, c))
+        return primitive_triple(a, b, c)
 
     braid = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
     arr = Arrangement(tuple(ProjLine(c) for c in braid))
-    monkeypatch.setattr(geometry, "canonical_triple", counting)
+    monkeypatch.setattr(geometry, "primitive_triple", counting)
     inc = intersection_points(arr)
     assert len(calls) == comb(6, 2)
     assert len(inc.points) == 7
     assert all(pt.point == canonical_triple(pt.point) for pt in inc.points)
+    # the lines of each point come sorted, and every pair of them meets there
+    for pt in inc.points:
+        assert list(pt.incident) == sorted(set(pt.incident))
+        assert all(arr.lines[i].contains(pt.point) for i in pt.incident)
+    assert sum(comb(pt.multiplicity, 2) for pt in inc.points) == comb(6, 2)
 
 
 def test_decone_bad_index():

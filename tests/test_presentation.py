@@ -6,11 +6,14 @@ at each vertex the lines are taken bottom-to-top (ascending slope just right
 of the vertex).
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milnorfiber import cover, geometry, presentation, presets
@@ -47,6 +50,14 @@ def test_word_inverse_and_conjugate():
     assert w.conjugated_by(c) == Word([-2, 1, 2, -3, 2])  # c^-1 w c
 
 
+def test_word_validates_letters():
+    assert Word(["2", 3.0, -1]).letters == (2, 3, -1)
+    with pytest.raises(ValueError):
+        Word([1, 0])
+    with pytest.raises(ValueError):
+        Word(["g1"])
+
+
 def test_word_formatting():
     assert Word([2, 1, -2, -1]).format() == "g2 g1 g2^-1 g1^-1"
     assert Word().format() == "1"
@@ -80,7 +91,9 @@ words = st.lists(st.integers(-4, 4).filter(bool), max_size=12).map(Word)
 @settings(max_examples=300, deadline=None)
 def test_products_match_stepwise_products(ws):
     assert product(ws) == stepwise(ws)
-    assert presentation._descending_product(ws) == stepwise(reversed(ws))
+    # the sweep reduces W_k ... W_1 once, over the concatenated letters
+    descending = [l for w in reversed(ws) for l in w.letters]
+    assert presentation._word(descending) == stepwise(reversed(ws))
     assert Word(product(ws).letters) == product(ws)  # already reduced
 
 
@@ -97,16 +110,19 @@ pairs = st.tuples(
 
 
 @given(st.lists(pairs, max_size=20))
+@example([(1, 2), (-3, 1), (2, 4), (-6, 2), (1, 2), (0, 7), (0, 1)])  # ties
 @settings(max_examples=300, deadline=None)
 def test_key_order_is_fraction_order(keys):
-    entries = [(k, pos) for pos, k in enumerate(keys)]
-    for u in entries[:4]:
-        for v in entries:
-            d = Fraction(*u[0]) - Fraction(*v[0])
-            assert presentation._compare_keys(u, v) == (d > 0) - (d < 0)
+    ints = presentation._order_keys(keys)
+    assert all(type(k) is int for k in ints)
+    for u in range(len(keys)):
+        for v in range(len(keys)):
+            d = Fraction(*keys[u]) - Fraction(*keys[v])
+            assert (ints[u] > ints[v]) - (ints[u] < ints[v]) == (d > 0) - (d < 0)
+    entries = list(range(len(keys)))
     for reverse in (False, True):
-        got = sorted(entries, key=presentation._by_key, reverse=reverse)
-        want = sorted(entries, key=lambda e: Fraction(*e[0]), reverse=reverse)
+        got = sorted(entries, key=ints.__getitem__, reverse=reverse)
+        want = sorted(entries, key=lambda e: Fraction(*keys[e]), reverse=reverse)
         assert got == want  # ties included: both sorts are stable
 
 
@@ -183,6 +199,16 @@ def test_sweep_requires_sweep_position():
         arvola_randell(aff)
 
 
+def test_sweep_refuses_shared_x():
+    # y = 0 and y = x meet at (0, 0), y = 1 and y = x + 1 at (0, 1): a
+    # picture flagged sweep-ready with two vertices on x = 0 is refused
+    lines = [geometry.AffineLine(c) for c in ((0, 1, 0), (1, -1, 0), (0, 1, -1), (1, -1, 1))]
+    aff = geometry.AffineArrangement(tuple(lines), shear=0, sweep_ready=True)
+    assert not geometry.is_sweep_generic(aff)
+    with pytest.raises(ValueError, match="share an x coordinate"):
+        arvola_randell(aff)
+
+
 def test_sweep_deterministic():
     text = "affine\n1 0 0\n0 1 0\n1 1 0\n1 -1 -2\n"
     a = sweep(text)
@@ -248,6 +274,36 @@ def test_projective_abelianization():
 def test_projective_rejects_affine_input():
     with pytest.raises(TypeError):
         projective_presentation(geometry.parse_arrangement("affine\n1 0 0\n0 1 0\n"))
+
+
+DROP_ONE_RELATOR = """
+from milnorfiber import geometry, presentation
+
+sweep = presentation.arvola_randell
+
+def dropping(aff):
+    p = sweep(aff)
+    return presentation.Presentation(p.generator_count, p.relators[:-1], p.kind, p.phi_modulus)
+
+presentation.arvola_randell = dropping
+arr = geometry.parse_arrangement("projective\\n1 0 0\\n0 1 0\\n0 0 1\\n1 1 1\\n")
+try:
+    presentation.projective_presentation(arr)
+except AssertionError as exc:
+    print(f"debug={__debug__}: {exc}")
+"""
+
+
+def test_relator_count_check_survives_dash_o():
+    # an explicit raise, not an assert statement, so that ``python -O``
+    # keeps it: a sweep that drops a relator is still caught
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", DROP_ONE_RELATOR],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "debug=False: the sweep missed an intersection point\n"
 
 
 # --- relator cleanup -----------------------------------------------------------
@@ -347,6 +403,38 @@ def test_sweep_matches_fraction_reference():
             assert triples(pres)[:-1] == sweep_relators
             assert pres.relators[-1].word == delta
     assert checked > 1500
+    # larger pictures with wide coefficients and planted points of
+    # multiplicity 5-8: nested conjugations and large denominators
+    heavy = 0
+    for _ in range(20):
+        arr = planted_arrangement(rng, rng.randint(20, 40), [rng.randint(5, 8) for _ in range(2)])
+        aff = geometry.shear_to_generic(geometry.decone(arr, rng.randrange(arr.n_lines)))
+        heavy += max(pt.multiplicity for pt in aff.incidence.points) >= 5
+        for top_down in (False, True):
+            assert triples(arvola_randell(aff, top_down=top_down)) == reference_sweep(aff, top_down)
+    assert heavy >= 15
+
+
+def planted_arrangement(rng, n, mults):
+    """n lines with coefficients in [-999, 999]: one group of lines through
+    a small integer point per entry of ``mults``, the rest random."""
+    lines = []
+    for m in mults:
+        x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+        group = 0
+        while group < m:
+            a, b = rng.randint(-999, 999), rng.randint(-999, 999)
+            if (a, b) == (0, 0):
+                continue
+            line = geometry.ProjLine((a, b, -(a * x + b * y)))
+            if max(map(abs, line.coeffs)) <= 999 and line not in lines:
+                lines.append(line)
+                group += 1
+    while len(lines) < n:
+        cand = tuple(rng.randint(-999, 999) for _ in range(3))
+        if cand != (0, 0, 0) and geometry.ProjLine(cand) not in lines:
+            lines.append(geometry.ProjLine(cand))
+    return geometry.Arrangement(tuple(lines))
 
 
 def test_sweep_matches_fraction_reference_with_vertical_lines():

@@ -10,6 +10,8 @@ new code and say why in the change log.
 The inputs cover a shear of 1 (braid-a3, nearpencil-8), of 4 (an affine
 input with two vertical lines) and of 5 (parallel-family), no shear
 (generic-8-1), and a non-default line at infinity (nearpencil-8-inf0).
+wide-14 has coefficients in [-999, 999], a planted triple point and a
+parallel pair, so its vertices carry large denominators.
 Two more ``analyze --json`` reports of braid-a3 pin the ``betti.mod``
 block: one of the auxiliary cover of degree 2, one with explicit probe
 primes.
@@ -31,6 +33,7 @@ CASES = {
     "generic-8-1": ("generic-8-1", []),
     "affine-vertical": ("affine-vertical", []),
     "nearpencil-8-inf0": ("nearpencil-8", ["--infinity", "0"]),
+    "wide-14": ("wide-14", []),
 }
 COMMANDS = {
     "analyze-json": ["analyze", "--json"],
