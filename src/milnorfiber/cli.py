@@ -14,8 +14,10 @@ fails, 2 on malformed input.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import bounds as bounds_mod
 from . import geometry
@@ -41,7 +43,47 @@ def _parse_primes(text):
 
 
 def _emit_json(obj, out):
-    out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write json.dumps(obj, indent=2, sort_keys=True) and a newline, byte
+    for byte, without the pure-Python encoder that indent selects.
+
+    Takes dicts with str keys, lists, str, int, finite floats, bool and
+    None; any other value raises before a byte is written."""
+    parts = []
+    _json_parts(obj, "\n", parts.append)
+    parts.append("\n")
+    out.write("".join(parts))
+
+
+def _json_parts(obj, newline, put):
+    kind = type(obj)
+    if kind is str:
+        put(_quote(obj))
+    elif kind is int:
+        put(int.__repr__(obj))
+    elif kind is dict and obj:
+        sep, inner = "{", newline + "  "
+        for key in sorted(obj):
+            put(sep + inner + _quote(key) + ": ")  # _quote refuses a key that is not a str
+            _json_parts(obj[key], inner, put)
+            sep = ","
+        put(newline + "}")
+    elif kind is list and obj:
+        sep, inner = "[", newline + "  "
+        for item in obj:
+            put(sep + inner)
+            _json_parts(item, inner, put)
+            sep = ","
+        put(newline + "]")
+    elif kind is dict or kind is list:
+        put("{}" if kind is dict else "[]")
+    elif obj is None or kind is bool:
+        put("null" if obj is None else "true" if obj else "false")
+    elif kind is float and math.isfinite(obj):
+        put(float.__repr__(obj))
+    elif kind is float:
+        raise ValueError(f"float {obj!r} has no JSON form")
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
 
 
 def _print_analysis(a, out):
@@ -214,9 +256,12 @@ def build_parser():
     return parser
 
 
+# one parser per process, built on first use (parse_args keeps no state in it)
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
     except InputError as exc:

@@ -9,6 +9,7 @@ All intersection decisions are exact (no floating point anywhere).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -171,21 +172,25 @@ class AffineArrangement:
         return intersection_points(self)
 
 
-@dataclass(frozen=True)
-class IncidencePoint:
+class IncidencePoint(namedtuple("IncidencePoint", "point incident")):
     """An intersection point together with the lines through it.
 
     The point is a primitive integer projective triple (x : y : z) and
     ``incident`` the ascending line indices, as ``intersection_points``
     (the only constructor) computes them; affine points have z != 0.
+    An immutable tuple of its two fields.
     """
 
-    point: tuple
-    incident: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.incident) < 2:
+    def __new__(cls, point, incident):
+        if len(incident) < 2:
             raise ValueError("an intersection point needs at least 2 lines")
+        return tuple.__new__(cls, (point, incident))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def multiplicity(self):
@@ -245,9 +250,11 @@ def intersection_points(arr):
                 inc.append(j)
     points = []
     for key in sorted(by_point):
+        x, y, z = key
         inc = by_point[key]
         for i in inc:
-            if _dot(lines[i], key):
+            a, b, c = lines[i]
+            if a * x + b * y + c * z:
                 raise AssertionError("incidence check failed")
         points.append(IncidencePoint(key, tuple(inc)))
     return IncidenceData(tuple(points), len(lines))

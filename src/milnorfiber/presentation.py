@@ -10,6 +10,7 @@ rightmost unbroken ray.  Words are sequences of nonzero signed integers:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import geometry
@@ -65,7 +66,7 @@ class Word:
         return not self.letters
 
     def exponent_sum(self):
-        return sum(1 if l > 0 else -1 for l in self.letters)
+        return sum([1 if l > 0 else -1 for l in self.letters])
 
     def exponent_vector(self, n_generators):
         vec = [0] * n_generators
@@ -77,7 +78,7 @@ class Word:
         """Stable text form, e.g. 'g1 g2 g1^-1 g2^-1' ('1' for the identity)."""
         if not self.letters:
             return "1"
-        return " ".join(f"g{l}" if l > 0 else f"g{-l}^-1" for l in self.letters)
+        return " ".join([f"g{l}" if l > 0 else f"g{-l}^-1" for l in self.letters])
 
 
 def _inverse(letters):
@@ -112,20 +113,21 @@ def product(words):
     return _word([l for w in words for l in w.letters])
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(namedtuple("Relator", "word vertex index projective")):
     """A relator with its provenance: the vertex that produced it and its
     index k among that vertex's relators.  The single product relator of a
-    projective presentation is flagged."""
+    projective presentation is flagged.  An immutable tuple of its fields."""
 
-    word: Word
-    vertex: str = ""
-    index: int = 0
-    projective: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.projective and self.word.exponent_sum() != 0:
+    def __new__(cls, word, vertex="", index=0, projective=False):
+        if not projective and word.exponent_sum() != 0:
             raise ValueError("vertex relators must have exponent sum 0")
+        return tuple.__new__(cls, (word, vertex, index, projective))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -302,5 +304,5 @@ def free_reduce_and_strip(pres):
             letters = letters[1:-1]
         if not letters:
             continue
-        kept.append(Relator(Word(letters), vertex=r.vertex, index=r.index, projective=r.projective))
+        kept.append(Relator(_word(letters), vertex=r.vertex, index=r.index, projective=r.projective))
     return Presentation(pres.generator_count, tuple(kept), pres.kind, pres.phi_modulus)

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, JSON schema and determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorfiber import cli, validation
 from milnorfiber.validation import CriterionResult
@@ -298,6 +301,74 @@ def test_help_still_exits_zero(capsys):
     assert code == 0
     assert out.startswith("usage: milnorfiber")
     assert err == ""
+
+
+def run_any(capsys, *argv):
+    """(exit code, stdout, stderr) of one call, usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_carries_no_state_between_calls(tri_file, capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    calls = [
+        ("analyze", tri_file, "--modulus", "x"),
+        ("--help",),
+        ("analyze", tri_file, "--json"),
+        ("bounds", tri_file, "--infinity", "0"),
+        ("presentation", tri_file, "--json"),
+        ("analyze", tri_file, "--modulus", "x"),
+    ]
+    cached = [run_any(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_any(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0, 2]
+    assert cached[0][2] == "error: argument --modulus: invalid int value: 'x'\n"
+
+
+# --- the --json writer -------------------------------------------------------
+
+json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600') | st.characters(),
+                    max_size=8)
+json_scalars = (st.none() | st.booleans() | st.integers(-10**100, 10**100)
+                | st.floats(allow_nan=False, allow_infinity=False) | json_text)
+
+
+def json_values(depth):
+    if not depth:
+        return json_scalars
+    kids = json_values(depth - 1)
+    return (json_scalars | st.lists(kids, max_size=4)
+            | st.dictionaries(json_text, kids, max_size=4))
+
+
+@given(json_values(4))
+@settings(max_examples=300, deadline=None)
+def test_emit_json_writes_json_dumps_bytes(obj):
+    out = io.StringIO()
+    cli._emit_json(obj, out)
+    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj, error", [
+    ((1, 2), TypeError),
+    ({1, 2}, TypeError),
+    ({"a": [1, (2,)]}, TypeError),
+    ({1: "int key"}, TypeError),
+    (float("nan"), ValueError),
+    ([0.5, float("inf")], ValueError),
+])
+def test_emit_json_refuses_values_it_cannot_write_exactly(obj, error):
+    out = io.StringIO()
+    with pytest.raises(error):
+        cli._emit_json(obj, out)
+    assert out.getvalue() == ""
 
 
 def test_preset_unknown(capsys):

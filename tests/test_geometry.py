@@ -15,6 +15,7 @@ from milnorfiber.geometry import (
     AffineArrangement,
     AffineLine,
     Arrangement,
+    IncidencePoint,
     InputError,
     ProjLine,
     canonical_triple,
@@ -323,6 +324,21 @@ def test_intersection_points_canonicalizes_each_pair_once(monkeypatch):
         assert list(pt.incident) == sorted(set(pt.incident))
         assert all(arr.lines[i].contains(pt.point) for i in pt.incident)
     assert sum(comb(pt.multiplicity, 2) for pt in inc.points) == comb(6, 2)
+
+
+def test_incidence_point_is_an_immutable_value():
+    with pytest.raises(ValueError, match="an intersection point needs at least 2 lines"):
+        IncidencePoint((0, 0, 1), (3,))
+    pt = IncidencePoint((0, 0, 1), (0, 2))
+    for field in ("point", "incident"):
+        with pytest.raises(AttributeError):
+            setattr(pt, field, getattr(pt, field))
+    twin = IncidencePoint((0, 0, 1), (0, 2))
+    assert pt == twin and hash(pt) == hash(twin)
+    assert pt != IncidencePoint((0, 0, 1), (0, 3))
+    assert (pt.multiplicity, pt.label()) == (2, "(0:0:1)")
+    with pytest.raises(ValueError, match="at least 2 lines"):
+        pt._replace(incident=(0,))
 
 
 def test_decone_bad_index():

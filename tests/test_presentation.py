@@ -322,10 +322,33 @@ def test_strip_drops_empty_relators():
 
 
 def test_vertex_relator_exponent_sum_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex relators must have exponent sum 0"):
         Relator(Word([1, 2]))
     # fine when flagged as the projective product relator
     Relator(Word([1, 2]), projective=True)
+
+
+def test_relator_is_an_immutable_value():
+    r = Relator(Word([1, 2, -1, -2]), vertex="(0:0:1)", index=1)
+    for field in ("word", "vertex", "index", "projective"):
+        with pytest.raises(AttributeError):
+            setattr(r, field, getattr(r, field))
+    twin = Relator(Word([1, 2, -1, -2]), vertex="(0:0:1)", index=1)
+    assert r == twin and hash(r) == hash(twin)
+    assert r != Relator(Word([1, 2, -1, -2]), vertex="(0:0:1)", index=2)
+    with pytest.raises(ValueError, match="exponent sum 0"):
+        r._replace(word=Word([1, 2]))
+
+
+@pytest.mark.parametrize("kind, relators, message", [
+    ("affine-decone", (Relator(Word([1, 3, -1, -3])),), "letter 3 outside generator range"),
+    ("projective", (Relator(Word([1, 3]), projective=True),), "letter 3 outside generator range"),
+    ("projective", (Relator(Word([1, 2, -1, -2])),), "exactly one product relator"),
+    ("projective", (Relator(Word([1, 2]), projective=True),) * 2, "exactly one product relator"),
+])
+def test_presentation_refusals(kind, relators, message):
+    with pytest.raises(ValueError, match=message):
+        Presentation(2, relators, kind, 3)
 
 
 # --- reference sweep -------------------------------------------------------------
