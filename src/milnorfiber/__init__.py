@@ -6,7 +6,7 @@ derivatives -> integer Smith normal form -> rank and torsion of H1, checked
 against combinatorial bounds and exactness criteria.
 """
 
-from .snf import AbelianGroup, SmithForm, rank_mod_p, smith_normal_form
+from .snf import AbelianGroup, SmithForm, smith_normal_form
 from .geometry import (
     AffineArrangement,
     AffineLine,
@@ -39,7 +39,6 @@ from .bounds import (
     corollary_check,
     oka_sakamoto_check,
     one_point_check,
-    onehyp_bound,
     onehyp_bounds,
     parse_incidence,
     predict,
@@ -78,14 +77,12 @@ __all__ = [
     "intersection_points",
     "oka_sakamoto_check",
     "one_point_check",
-    "onehyp_bound",
     "onehyp_bounds",
     "parse_arrangement",
     "parse_incidence",
     "phi_degree",
     "predict",
     "projective_presentation",
-    "rank_mod_p",
     "shear_to_generic",
     "smith_normal_form",
 ]

@@ -115,15 +115,6 @@ def _label(inc, k):
     return inc.points[k].label() if isinstance(inc, geometry.IncidenceData) else f"pt{k}"
 
 
-def onehyp_bound(inc, n, line):
-    """Per-line upper bound for b1 of the Milnor fiber (valid over any
-    coefficient field): (n-1) + sum over the line's points of
-    (m-2) * (gcd(m, n) - 1)."""
-    if not 0 <= line < n:
-        raise InputError(f"line index {line} out of range")
-    return onehyp_bounds(inc, n)[0][line]
-
-
 def onehyp_bounds(inc, n):
     """All per-line bounds and their minimum, in one pass over the points."""
     per_line = dict.fromkeys(range(n), n - 1)

@@ -4,7 +4,7 @@ The covering map sends every generator to 1 in Z/n.  Group-ring elements
 over Z/n are integer tuples of length n (entry i = coefficient of x^i);
 multiplying by x^k rotates a tuple k places to the right:
 
->>> cyc_shift((1, 2, 3, 0), 2)
+>>> cyc_mul((1, 2, 3, 0), cyc_unit(4, 2))
 (3, 0, 1, 2)
 
 The cover has n vertices x^i v, n edges x^i g_j per generator (oriented
@@ -46,15 +46,6 @@ def phi_degree(word, n):
     2
     """
     return word.exponent_sum() % n
-
-
-def cyc_shift(t, k):
-    """Rotate a tuple: the action of x^k on Z[x]/(x^n - 1)."""
-    n = len(t)
-    k %= n
-    if k == 0:
-        return tuple(t)
-    return tuple(t[(i - k) % n] for i in range(n))
 
 
 def cyc_add(a, b):
@@ -178,8 +169,8 @@ def build_cover_complex(pres, modulus=None):
     cells = n * (1 + G + len(pres.relators))
     if cells > CELL_BUDGET:
         raise InputError(
-            f"the degree-{n} cover would have {cells} cells, over the budget of "
-            f"{CELL_BUDGET}; choose a smaller --modulus"
+            f"the degree-{n} cover would have {cells} cells, over the budget of {CELL_BUDGET}"
+            + ("" if modulus is None else "; choose a smaller --modulus")
         )
     for r in pres.relators:
         if phi_degree(r.word, n) != 0:

@@ -99,10 +99,6 @@ class AffineLine:
         if a == 0 and b == 0:
             raise InputError("affine line needs a nonzero linear part")
 
-    @property
-    def is_vertical(self):
-        return self.coeffs[1] == 0
-
     def __str__(self):
         a, b, c = self.coeffs
         return f"[{a} {b} {c}]"
@@ -126,11 +122,6 @@ class Arrangement:
     def n_lines(self):
         return len(self.lines)
 
-    @property
-    def cover_degree(self):
-        """Degree of the Milnor-fiber cover: the number of lines."""
-        return len(self.lines)
-
     @cached_property
     def incidence(self):
         """Intersection points, computed once per arrangement object."""
@@ -139,7 +130,9 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class AffineArrangement:
-    """An ordered affine arrangement, with the shear applied, if any.
+    """An ordered affine arrangement.  ``shear`` is the t of the shear that
+    put it in sweep position (``shear_to_generic``); the sweep refuses an
+    arrangement whose ``shear`` is None.
 
     ``cover_degree`` is one more than the number of affine lines: the
     Milnor fiber of the coned arrangement is that many-fold a cover of
@@ -147,8 +140,7 @@ class AffineArrangement:
     """
 
     lines: tuple
-    shear: int = None  # shear parameter applied, if any
-    sweep_ready: bool = False
+    shear: int = None
 
     def __post_init__(self):
         lines = tuple(self.lines)
@@ -340,7 +332,7 @@ def shear_to_generic(aff):
     while not is_sweep_generic(aff, t):
         t += 1
     new_lines = tuple(AffineLine((a, a * t + b, c)) for a, b, c in (l.coeffs for l in aff.lines))
-    out = AffineArrangement(new_lines, shear=t, sweep_ready=True)
+    out = AffineArrangement(new_lines, shear=t)
     if not is_sweep_generic(out):
         raise AssertionError("shear failed to reach sweep position")
     return out

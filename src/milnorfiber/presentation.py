@@ -24,8 +24,6 @@ class Word:
     Word([1, 3])
     >>> Word([1, 2]) * Word([-2, -1])
     Word([])
-    >>> (Word([1, 2]).inverse()).letters
-    (-2, -1)
     """
 
     __slots__ = ("letters",)
@@ -38,13 +36,6 @@ class Word:
 
     def __mul__(self, other):
         return _word(self.letters + other.letters)
-
-    def inverse(self):
-        return _word(_inverse(self.letters))
-
-    def conjugated_by(self, c):
-        """c^-1 * self * c."""
-        return _word(_inverse(c.letters) + self.letters + c.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -61,18 +52,8 @@ class Word:
     def __repr__(self):
         return f"Word({list(self.letters)!r})"
 
-    @property
-    def is_identity(self):
-        return not self.letters
-
     def exponent_sum(self):
         return sum([1 if l > 0 else -1 for l in self.letters])
-
-    def exponent_vector(self, n_generators):
-        vec = [0] * n_generators
-        for l in self.letters:
-            vec[abs(l) - 1] += 1 if l > 0 else -1
-        return tuple(vec)
 
     def format(self):
         """Stable text form, e.g. 'g1 g2 g1^-1 g2^-1' ('1' for the identity)."""
@@ -99,18 +80,9 @@ def _word(letters):
     return w
 
 
-def commutator(a, b):
-    return _commutator(a.letters, b.letters)
-
-
 def _commutator(u, l):
     """U L U^-1 L^-1 from one free reduction (free reduction is unique)."""
     return _word(u + l + _inverse(u) + _inverse(l))
-
-
-def product(words):
-    """One free reduction of the concatenated letters (free reduction is unique)."""
-    return _word([l for w in words for l in w.letters])
 
 
 class Relator(namedtuple("Relator", "word vertex index projective")):
@@ -166,10 +138,6 @@ class Presentation:
     def total_relator_length(self):
         return sum(len(r.word) for r in self.relators)
 
-    def abelianized_rows(self):
-        """Exponent-sum vectors of the relators (one row per relator)."""
-        return [list(r.word.exponent_vector(self.generator_count)) for r in self.relators]
-
 
 def _order_keys(pairs):
     """Integer keys ordered as the rationals num/den of (num, den) pairs
@@ -204,7 +172,7 @@ def arvola_randell(aff, *, top_down=False):
     >>> [r.word.format() for r in arvola_randell(aff).relators]
     ['g2 g1 g2^-1 g1^-1']
     """
-    if not aff.sweep_ready:
+    if aff.shear is None:
         raise ValueError("arrangement is not in sweep position; apply shear_to_generic first")
     points = aff.incidence.points
     x = _order_keys([geometry.sweep_x(pt.point) for pt in points])
@@ -299,10 +267,11 @@ def free_reduce_and_strip(pres):
     """
     kept = []
     for r in pres.relators:
-        letters = list(r.word.letters)  # already freely reduced
-        while len(letters) >= 2 and letters[0] == -letters[-1]:
-            letters = letters[1:-1]
-        if not letters:
+        letters = r.word.letters  # already freely reduced
+        n, k = len(letters), 0  # k = the wrapper's length, found in one scan
+        while n - 2 * k >= 2 and letters[k] == -letters[n - 1 - k]:
+            k += 1
+        if n == 2 * k:
             continue
-        kept.append(Relator(_word(letters), vertex=r.vertex, index=r.index, projective=r.projective))
+        kept.append(Relator(_word(letters[k:n - k]), r.vertex, r.index, r.projective))
     return Presentation(pres.generator_count, tuple(kept), pres.kind, pres.phi_modulus)

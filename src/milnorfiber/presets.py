@@ -147,7 +147,3 @@ def preset_text(name, seed=None):
         want(0)
         return parallel_family_text()
     raise InputError(f"unknown preset {base!r} (choose from {', '.join(PRESET_NAMES)})")
-
-
-def preset_arrangement(name, seed=None):
-    return geometry.parse_arrangement(preset_text(name, seed=seed))

@@ -406,18 +406,6 @@ def ranks_mod_primes(m, primes, ncols=None):
     return {p: next(len(piv) for mod, piv in states if mod % p == 0) for p in primes}
 
 
-def rank_mod_p(m, p, ncols=None):
-    """Rank of an integer matrix over the field with p elements: the
-    one-prime call of ``ranks_mod_primes``.
-
-    >>> rank_mod_p([[2]], 2)
-    0
-    >>> rank_mod_p([[2, 4], [6, 8]], 2), rank_mod_p([[2, 4], [6, 8]], 3)
-    (0, 2)
-    """
-    return ranks_mod_primes(m, (p,), ncols=ncols)[p]
-
-
 def prime_factors(n):
     """Sorted distinct prime factors of |n| (empty for n in {-1, 0, 1}).
 

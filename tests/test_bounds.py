@@ -15,7 +15,6 @@ from milnorfiber.bounds import (
     corollary_check,
     oka_sakamoto_check,
     one_point_check,
-    onehyp_bound,
     onehyp_bounds,
     parse_incidence,
     bound_report,
@@ -82,14 +81,14 @@ def test_onehyp_monotone_in_multiplicity():
 
     for n in range(3, 13):
         for m in range(2, n):
-            before = onehyp_bound(SyntheticIncidence(n, (tuple(range(m)),)), n, 0)
-            after = onehyp_bound(SyntheticIncidence(n, (tuple(range(m + 1)),)), n, 0)
+            before = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m)),)), n)[0][0]
+            after = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m + 1)),)), n)[0][0]
             if gcd(m + 1, n) >= gcd(m, n):
                 assert after >= before
     # when the gcd does drop the bound can fall: a 6-fold point among 12
     # lines contributes 4 * 5 = 20, a 7-fold point nothing
-    six = onehyp_bound(SyntheticIncidence(12, (tuple(range(6)),)), 12, 0)
-    seven = onehyp_bound(SyntheticIncidence(12, (tuple(range(7)),)), 12, 0)
+    six = onehyp_bounds(SyntheticIncidence(12, (tuple(range(6)),)), 12)[0][0]
+    seven = onehyp_bounds(SyntheticIncidence(12, (tuple(range(7)),)), 12)[0][0]
     assert (six, seven) == (31, 11)
 
 
@@ -174,7 +173,6 @@ def test_one_pass_bounds_match_per_line_reference():
         for n in {n_lines, n_lines + 1, max(2, n_lines - 1)}:
             expected = {h: reference_onehyp_bound(inc, n, h) for h in range(n)}
             assert onehyp_bounds(inc, n) == (expected, min(expected.values()))
-            assert all(onehyp_bound(inc, n, h) == expected[h] for h in range(n))
             assert cdo_bound(inc, n) == reference_cdo_bound(inc, n)
             opc = one_point_check(inc, n)
             assert opc == reference_one_point_check(inc, n)
@@ -184,12 +182,6 @@ def test_one_pass_bounds_match_per_line_reference():
             outcomes["corollary" if witness is not None else "no-corollary"] += 1
     # every branch of both criteria is reached
     assert min(outcomes.values()) >= 20, outcomes
-
-
-def test_onehyp_bad_line_index():
-    inc, n = proj_incidence(TRIANGLE)
-    with pytest.raises(InputError):
-        onehyp_bound(inc, n, 3)
 
 
 # --- coprime-or-double line ---------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -138,6 +139,17 @@ def test_analyze_refuses_cover_over_cell_budget(tri_file, capsys):
         "error: the degree-1000000 cover would have 4000000 cells, over the budget "
         "of 250000; choose a smaller --modulus\n"
     )
+
+
+def test_cover_budget_refusal_names_no_flag_that_was_not_passed(tmp_path, capsys):
+    # 80 generic lines: the Milnor cover has 80 * (1 + 79 + C(79, 2)) cells
+    rng = random.Random(80)
+    lines = [" ".join(str(rng.randint(-999, 999)) for _ in range(3)) for _ in range(80)]
+    p = tmp_path / "random80.txt"
+    p.write_text("projective\n" + "\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: the degree-80 cover would have 252880 cells, over the budget of 250000\n"
 
 
 def test_analyze_parse_error(tmp_path, capsys):

@@ -1,0 +1,89 @@
+"""Every function, class and method of the package has a reader in the
+package's own code.
+
+A name counts as read when it appears as an ``ast.Name`` load, an
+``ast.Attribute`` or a keyword argument in any module of the package.
+Docstrings are not code, so a doctest is not a caller, and neither is a
+test.  Dunders are called by the interpreter and are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "milnorfiber"
+
+# Read only from outside the package's code, each for the reason given.
+ALLOWED = {
+    "cli._Parser.error": "argparse calls it on a usage error",
+    "geometry.IncidencePoint._make": "namedtuple's _replace calls it",
+    "presentation.Relator._make": "namedtuple's _replace calls it",
+    "snf.RowOrbits.shape": "perfbench's d2 counters, which CI requires non-null, read it",
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(module, tree):
+    """``{qualified name: name}`` of the module-level and class-level
+    functions, classes and methods, dunders left out."""
+    out = {}
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        out[f"{module}.{node.name}"] = node.name
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, DEFINITIONS):
+                    out[f"{module}.{node.name}.{child.name}"] = child.name
+    return {q: name for q, name in out.items() if not (name.startswith("__") and name.endswith("__"))}
+
+
+def references(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+    return names
+
+
+def uncalled(sources):
+    """Qualified names defined in ``{module: source}`` (``__init__``
+    excluded) that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(references, trees.values()))
+    defined = {}
+    for module, tree in trees.items():
+        if module != "__init__":
+            defined.update(definitions(module, tree))
+    return {q for q, name in defined.items() if name not in read}
+
+
+def test_uncalled_names_are_collected():
+    sources = {
+        "__init__": "from .a import dead\n",
+        "a": (
+            "class Box:\n"
+            "    def __init__(self): self.size = 1\n"
+            "    def unused(self):\n"
+            "        '''>>> Box().unused()'''\n"
+            "    def read(self): return self.size\n"
+            "def dead(): pass\n"
+            "def used(x, *, read=None): return Box()\n"
+        ),
+        "b": "from .a import used\nused(1, read=2)\n",
+    }
+    assert uncalled(sources) == {"a.Box.unused", "a.dead"}
+
+
+def test_every_name_has_a_reader_in_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert len(sources) > 5
+    found = uncalled(sources)
+    unread = sorted(found - ALLOWED.keys())
+    assert not unread, f"no reader in the package, delete or call: {unread}"
+    stale = sorted(ALLOWED.keys() - found)
+    assert not stale, f"allowlisted but gone or read in the package: {stale}"

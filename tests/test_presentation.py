@@ -22,9 +22,7 @@ from milnorfiber.presentation import (
     Relator,
     Word,
     arvola_randell,
-    commutator,
     free_reduce_and_strip,
-    product,
     projective_presentation,
 )
 
@@ -33,21 +31,41 @@ def sweep(text):
     return arvola_randell(geometry.shear_to_generic(geometry.parse_arrangement(text)))
 
 
+def inverse(w):
+    """Reference inverse, letter by letter."""
+    return Word([-l for l in reversed(w.letters)])
+
+
+def commutator(a, b):
+    """Reference commutator a b a^-1 b^-1, as a product of Words."""
+    return a * b * inverse(a) * inverse(b)
+
+
+def exponent_vector(w, n_generators):
+    """Reference abelianization: the exponent sum of each generator."""
+    vec = [0] * n_generators
+    for l in w.letters:
+        vec[abs(l) - 1] += 1 if l > 0 else -1
+    return vec
+
+
 # --- words -------------------------------------------------------------------
 
 
 def test_word_free_reduction():
-    assert Word([1, -1]).is_identity
+    assert Word([1, -1]) == Word()
     assert Word([1, 2, -2, -1, 3]) == Word([3])
     assert (Word([1, 2]) * Word([-2, 1])) == Word([1, 1])
 
 
 def test_word_inverse_and_conjugate():
+    # the sweep inverts and conjugates letter tuples with _inverse and _word
     w = Word([1, 2, -3])
-    assert w.inverse() == Word([3, -2, -1])
-    assert (w * w.inverse()).is_identity
+    assert presentation._inverse(w.letters) == (3, -2, -1)
+    assert w * presentation._word(presentation._inverse(w.letters)) == Word()
     c = Word([2])
-    assert w.conjugated_by(c) == Word([-2, 1, 2, -3, 2])  # c^-1 w c
+    conjugate = presentation._word(presentation._inverse(c.letters) + w.letters + c.letters)
+    assert conjugate == Word([-2, 1, 2, -3, 2])  # c^-1 w c
 
 
 def test_word_validates_letters():
@@ -64,15 +82,15 @@ def test_word_formatting():
 
 
 def test_exponent_vector():
+    # the reference the abelianization tests read, and its sum
     w = Word([1, 1, -2, 3, -1])
-    assert w.exponent_vector(4) == (1, -1, 1, 0)
+    assert exponent_vector(w, 4) == [1, -1, 1, 0]
     assert w.exponent_sum() == 1
 
 
 def test_commutator_product():
-    a, b = Word([1]), Word([2])
-    assert commutator(a, b) == Word([1, 2, -1, -2])
-    assert product([a, b, a]) == Word([1, 2, 1])
+    assert presentation._commutator((1,), (2,)) == Word([1, 2, -1, -2])
+    assert presentation._word((1, 2, -2, 1)) == Word([1, 1])
 
 
 def stepwise(words):
@@ -90,18 +108,20 @@ words = st.lists(st.integers(-4, 4).filter(bool), max_size=12).map(Word)
 @given(st.lists(words, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_products_match_stepwise_products(ws):
-    assert product(ws) == stepwise(ws)
+    product = presentation._word([l for w in ws for l in w.letters])
+    assert product == stepwise(ws)
     # the sweep reduces W_k ... W_1 once, over the concatenated letters
     descending = [l for w in reversed(ws) for l in w.letters]
     assert presentation._word(descending) == stepwise(reversed(ws))
-    assert Word(product(ws).letters) == product(ws)  # already reduced
+    assert Word(product.letters) == product  # already reduced
 
 
 @given(words, words)
 @settings(max_examples=300, deadline=None)
 def test_commutator_and_conjugate_match_stepwise_products(a, b):
-    assert commutator(a, b) == a * b * a.inverse() * b.inverse()
-    assert a.conjugated_by(b) == b.inverse() * a * b
+    assert presentation._commutator(a.letters, b.letters) == commutator(a, b)
+    conjugate = presentation._word(presentation._inverse(b.letters) + a.letters + b.letters)
+    assert conjugate == inverse(b) * a * b
 
 
 pairs = st.tuples(
@@ -164,8 +184,8 @@ def test_generic_triple_all_plain_commutators():
     assert pres.generator_count == 3
     assert len(pres.relators) == 3
     assert all(len(r.word) == 4 for r in pres.relators)
-    for row in pres.abelianized_rows():
-        assert all(v == 0 for v in row)
+    for r in pres.relators:
+        assert not any(exponent_vector(r.word, pres.generator_count))
 
 
 def test_conjugation_propagates_left():
@@ -175,8 +195,8 @@ def test_conjugation_propagates_left():
     # so its later crossing with y = 10x yields a length-8 commutator.
     pres = sweep("affine\n1 -1 -2\n0 1 0\n1 1 -2\n10 -1 0\n")
     assert len(pres.relators) == 2 + 3  # one triple + three doubles
-    for row in pres.abelianized_rows():
-        assert all(v == 0 for v in row)
+    for r in pres.relators:
+        assert not any(exponent_vector(r.word, pres.generator_count))
     assert max(len(r.word) for r in pres.relators) == 8
 
 
@@ -201,9 +221,9 @@ def test_sweep_requires_sweep_position():
 
 def test_sweep_refuses_shared_x():
     # y = 0 and y = x meet at (0, 0), y = 1 and y = x + 1 at (0, 1): a
-    # picture flagged sweep-ready with two vertices on x = 0 is refused
+    # picture with a shear set and two vertices on x = 0 is refused
     lines = [geometry.AffineLine(c) for c in ((0, 1, 0), (1, -1, 0), (0, 1, -1), (1, -1, 1))]
-    aff = geometry.AffineArrangement(tuple(lines), shear=0, sweep_ready=True)
+    aff = geometry.AffineArrangement(tuple(lines), shear=0)
     assert not geometry.is_sweep_generic(aff)
     with pytest.raises(ValueError, match="share an x coordinate"):
         arvola_randell(aff)
@@ -226,7 +246,7 @@ def test_vertex_order_convention_is_cosmetic():
         )
     ]
     for name in ("braid-a3", "nearpencil:5", "parallel-family", "generic:5"):
-        arr = presets.preset_arrangement(name, seed=11)
+        arr = geometry.parse_arrangement(presets.preset_text(name, seed=11))
         affines.append(geometry.shear_to_generic(geometry.decone(arr, 0)))
     for aff in affines:
         bottom_up = arvola_randell(aff)
@@ -250,7 +270,7 @@ def test_projective_triangle():
     assert len(pres.relators) == 4
     prods = [r for r in pres.relators if r.projective]
     assert len(prods) == 1
-    assert prods[0].word.exponent_vector(3) == (1, 1, 1)
+    assert exponent_vector(prods[0].word, 3) == [1, 1, 1]
 
 
 def test_projective_abelianization():
@@ -260,7 +280,7 @@ def test_projective_abelianization():
         "projective\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n0 1 1\n1 1 1\n"
     )
     pres = projective_presentation(arr)
-    rows = pres.abelianized_rows()
+    rows = [exponent_vector(r.word, 6) for r in pres.relators]
     ones = [r for r in rows if any(r)]
     assert ones == [[1] * 6]
 
@@ -319,6 +339,34 @@ def test_strip_drops_empty_relators():
     # conjugate of the identity collapses to nothing
     p = Presentation(2, (Relator(Word([1, 2, -2, -1])),), "affine-decone", 3)
     assert free_reduce_and_strip(p).relators == ()
+
+
+def reference_strip(letters):
+    """Reference: the wrapper strip as the package ran it, one letter pair
+    at a time."""
+    letters = list(letters)
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    return letters
+
+
+wrappers = st.lists(st.integers(-4, 4).filter(bool), max_size=80).map(Word)
+
+
+@given(st.lists(st.tuples(wrappers, words, words), max_size=6))
+@example([(Word([1, 2, 3, 4] * 100), Word([1]), Word([2])), (Word([3] * 300), Word([1, 2]), Word([1]))])
+@settings(max_examples=300, deadline=None)
+def test_strip_matches_pairwise_reference(parts):
+    # w [a, b] w^-1: exponent sum 0; [a, a] leaves an empty relator
+    relators = [Relator(w * commutator(a, b) * inverse(w), vertex=f"v{k}", index=k)
+                for k, (w, a, b) in enumerate(parts)]
+    expected = []
+    for r in relators:
+        letters = reference_strip(r.word.letters)
+        if letters:
+            expected.append(r._replace(word=Word(letters)))
+    pres = Presentation(4, tuple(relators), "affine-decone", 5)
+    assert free_reduce_and_strip(pres).relators == tuple(expected)
 
 
 def test_vertex_relator_exponent_sum_validated():
@@ -380,10 +428,10 @@ def reference_sweep(aff, top_down=False):
         for k in range(1, m):
             upper = stepwise(reversed(W[m - k :]))
             lower = stepwise(reversed(W[: m - k]))
-            out.append((upper * lower * upper.inverse() * lower.inverse(), pt.label(), k))
+            out.append((commutator(upper, lower), pt.label(), k))
         for pos in range(1, m - 1):
             c = stepwise(reversed(W[:pos]))
-            current[order[pos]] = c.inverse() * W[pos] * c
+            current[order[pos]] = inverse(c) * W[pos] * c
     return out
 
 

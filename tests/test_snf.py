@@ -11,11 +11,15 @@ from milnorfiber.snf import (
     RowOrbits,
     SmithForm,
     prime_factors,
-    rank_mod_p,
     ranks_mod_primes,
     smith_normal_form,
 )
 from test_cover import contracted_d2
+
+
+def rank_mod_p(m, p, ncols=None):
+    """The rank over the field with p elements: a one-prime call."""
+    return ranks_mod_primes(m, (p,), ncols=ncols)[p]
 
 
 def test_known_forms():
