@@ -137,6 +137,11 @@ class CoverComplex:
         return self.n * (1 - self.generator_count + self.relator_count)
 
     @property
+    def tree_edges(self):
+        """Edge count of the spanning tree x^0 g_1 .. x^{n-2} g_1."""
+        return self.n - 1 if self.generator_count else 0
+
+    @property
     def d2(self):
         """The (n * relators) x (n * generators) boundary matrix, as the
         deck-group orbits of the seeds."""
@@ -202,27 +207,40 @@ class CoverHomology:
 
 
 def h1_of_cover(complex_, primes=()):
-    """H1 by one integer Smith reduction, plus Betti numbers over Q and,
-    from one modular elimination, over each requested prime field.
+    """H1 by one integer Smith reduction, plus Betti numbers over Q and
+    over each requested prime field, all read off its diagonal.
 
-    Both eliminate the whole of d2, orbit by orbit.  The edges x^0 g_1 ..
-    x^{n-2} g_1 form a spanning tree, so the image of the edge boundary is
-    free of rank n - 1 and coker d2 = H1 + Z^(n-1), over Z and over every
-    prime field (Fox, Free differential calculus I).
+    The edges x^0 g_1 .. x^{n-2} g_1 form a spanning tree, so the image of
+    the edge boundary is free of rank n - 1 and coker d2 = H1 + Z^(n-1),
+    over Z and over every prime field (Fox, Free differential calculus I).
+    Over F_p the rank of d2 is the number of diagonal entries prime to p,
+    so H1 over F_p has dimension b1 plus the number of invariant factors
+    that p divides.
     """
+    primes = sorted(set(primes))
+    for p in primes:
+        snf._require_prime(p)
     n = complex_.n
     d2 = complex_.d2
-    tree = n - 1 if complex_.generator_count else 0  # edges of the spanning tree
+    tree = complex_.tree_edges
     cols = d2.ncols - tree
     form = snf.smith_normal_form(d2)
     b1 = cols - form.rank
-    ranks = snf.ranks_mod_primes(d2, primes)
-    betti_mod = {p: cols - rank for p, rank in ranks.items()}
+    torsion = tuple(d for d in form.diagonal if d != 1)
     return CoverHomology(
-        group=AbelianGroup(b1, tuple(d for d in form.diagonal if d != 1)),
+        group=AbelianGroup(b1, torsion),
         b0=n - tree,
         b1=b1,
         b2=n * complex_.relator_count - form.rank,
-        betti_mod=betti_mod,
+        betti_mod={p: b1 + sum(t % p == 0 for t in torsion) for p in primes},
         euler=complex_.euler_characteristic(),
     )
+
+
+def modular_betti(complex_, primes):
+    """dim H1 over F_p for each prime by a second elimination of d2, over
+    Z/P (``snf.ranks_mod_primes``): an oracle independent of the Smith
+    form, for the Betti numbers h1_of_cover reads off it."""
+    d2 = complex_.d2
+    cols = d2.ncols - complex_.tree_edges
+    return {p: cols - rank for p, rank in snf.ranks_mod_primes(d2, primes).items()}

@@ -75,7 +75,17 @@ def _is_generic_triangle(incidence):
 
 
 def _verdicts(full_degree, hom, report, prediction, complex_, primes):
+    """The verdicts, and a note for each mod-p Betti number that the
+    modular oracle disputes.
+
+    torsion_consistency holds each mod-p Betti number to b1 plus the count
+    of invariant factors divisible by p.  Where the bound report's upper
+    bound is N - 1, that and the bound verdicts pin it to N - 1.  Elsewhere
+    it is also held against a second elimination of d2, over Z/P, that
+    shares nothing with the Smith form it is read from.
+    """
     v = {}
+    notes = []
     v["chain_condition"] = complex_.chain_ok()
     v["connected_cover"] = hom.b0 == 1
     v["euler_identity"] = hom.euler_ok()
@@ -84,13 +94,25 @@ def _verdicts(full_degree, hom, report, prediction, complex_, primes):
         v["rank_lower_bound"] = hom.b1 >= full_degree - 1
         v["rank_upper_bound"] = hom.b1 <= upper
         v["modular_upper_bound"] = all(hom.betti_mod[p] <= upper for p in primes)
-        v["torsion_consistency"] = all(
-            (any(t % p == 0 for t in hom.group.torsion)) == (hom.betti_mod[p] > hom.b1)
+        consistent = all(
+            hom.betti_mod[p] == hom.b1 + sum(t % p == 0 for t in hom.group.torsion)
             for p in primes
         )
+        if upper > full_degree - 1:
+            oracle = cover_mod.modular_betti(complex_, primes)
+            disputed = [p for p in primes if hom.betti_mod[p] != oracle[p]]
+            if disputed:
+                consistent = False
+                text = "; ".join(
+                    f"dim H1 over F_{p} is {hom.betti_mod[p]} by the Smith form "
+                    f"but {oracle[p]} by the modular elimination"
+                    for p in disputed
+                )
+                notes.append({"id": "modular-oracle-disagrees", "text": text})
+        v["torsion_consistency"] = consistent
         if prediction is not None and prediction.exact is not None:
             v["exact_prediction"] = hom.group == prediction.exact
-    return v
+    return v, notes
 
 
 def analyze(arr, infinity_index=None, primes=None, modulus=None):
@@ -157,7 +179,8 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
                 "and is not used",
             }
         )
-    verdicts = _verdicts(full_degree, hom, report, prediction, complex_, primes)
+    verdicts, oracle_notes = _verdicts(full_degree, hom, report, prediction, complex_, primes)
+    notes.extend(oracle_notes)
     return Analysis(
         mode=mode,
         proj=proj,

@@ -273,5 +273,7 @@ def free_reduce_and_strip(pres):
             k += 1
         if n == 2 * k:
             continue
-        kept.append(Relator(_word(letters[k:n - k]), r.vertex, r.index, r.projective))
+        if k:
+            r = Relator(_word(letters[k:n - k]), r.vertex, r.index, r.projective)
+        kept.append(r)
     return Presentation(pres.generator_count, tuple(kept), pres.kind, pres.phi_modulus)

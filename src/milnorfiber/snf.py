@@ -7,12 +7,13 @@ is probabilistic, modular-shortcut based, or floating point.
 Matrices use the column-vector convention: an ``m x n`` matrix maps
 column vectors of length ``n`` to column vectors of length ``m``.  They
 are stored sparsely.  The Smith form starts from a unit-pivot sparse
-echelon over Z, ``_echelon``; the ranks over every requested prime field
-come from one sparse echelon over Z/P, ``ranks_mod_primes``, with P the
-product of the primes.  Both take the rows in orbits under a permutation
-of the columns (``RowOrbits``; a list of dense rows is one-row orbits),
-sparsest orbit first, and stop each orbit at its first row that reduces
-to zero.
+echelon over Z, ``_echelon``.  The rank over F_p is the number of Smith
+diagonal entries prime to p, so the homology reads its mod-p Betti
+numbers there.  ``ranks_mod_primes`` finds the ranks over every requested
+prime field by a separate sparse echelon over Z/P, with P the product of
+the primes: an independent check of that reading.  Both take the rows in orbits under a permutation of the columns
+(``RowOrbits``; a list of dense rows is one-row orbits), sparsest orbit
+first, and stop each orbit at its first row that reduces to zero.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
 (2, 4)

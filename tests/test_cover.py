@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorfiber import geometry, pipeline, presets, snf, validation
+from milnorfiber import cover, geometry, pipeline, presets, snf, validation
 from milnorfiber.cover import (
     CELL_BUDGET,
     build_cover_complex,
@@ -304,11 +304,12 @@ def test_h1_betti_mod_detects_torsion():
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 7])
-def test_h1_runs_one_modular_elimination(monkeypatch, count):
-    """However many primes are probed, h1_of_cover makes one call of the
-    multi-prime routine.  On generic:8:1 (21 relators, cover degree 8, no
-    split state) each orbit reduces two independent shifts and stops at
-    its third, which vanishes: 63 of the 168 rows of d2."""
+def test_h1_reads_betti_mod_off_the_smith_form(monkeypatch, count):
+    """However many primes are probed, h1_of_cover runs no modular
+    elimination: its mod-p Betti numbers come off the Smith diagonal.  Run
+    on its own on generic:8:1 (21 relators, cover degree 8, no split
+    state), the multi-prime routine reduces two independent shifts of each
+    orbit and stops at its third, which vanishes: 63 of the 168 rows of d2."""
     c = pipeline.analyze_text(presets.preset_text("generic:8:1")).complex
     calls = {"multi": 0, "rows": 0}
     multi, reduce_ = snf.ranks_mod_primes, snf._reduce
@@ -326,8 +327,42 @@ def test_h1_runs_one_modular_elimination(monkeypatch, count):
     primes = (2, 3, 5, 7, 11, 13, 2**31 - 1)[:count]
     h = h1_of_cover(c, primes=primes)
     assert sorted(h.betti_mod) == sorted(primes)
+    assert calls == {"multi": 0, "rows": 0}
+    ranks = snf.ranks_mod_primes(c.d2, primes)
+    assert ranks == {p: c.d2.ncols - c.tree_edges - h.betti_mod[p] for p in primes}
     assert calls == {"multi": 1, "rows": 63}
     assert c.d2.shape[0] == 168
+
+
+@pytest.mark.parametrize(
+    "name, calls", [("braid-a3", 1), ("pencil:10", 1), ("generic:8:1", 0), ("nearpencil:10", 0)]
+)
+def test_analyze_runs_the_modular_oracle_where_the_bounds_leave_it_open(monkeypatch, name, calls):
+    """One modular elimination per analyze where the bound report's upper
+    bound exceeds N - 1 (braid-a3: 9 > 5, pencil:10: 81 > 9), none where
+    it is N - 1 and the bound verdicts pin every mod-p Betti number, and
+    none under a modulus override, where no verdict reads them."""
+    seen = []
+    multi = snf.ranks_mod_primes
+    monkeypatch.setattr(snf, "ranks_mod_primes", lambda *a, **k: seen.append(a) or multi(*a, **k))
+    a = pipeline.analyze_text(presets.preset_text(name))
+    assert (a.bound_report.upper_bound > a.n - 1) == bool(calls)
+    assert len(seen) == calls and a.all_verdicts_pass
+    seen.clear()
+    a = pipeline.analyze_text(presets.preset_text(name), modulus=2)
+    assert not seen and a.bound_report is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    modulus=st.integers(1, 24),
+    primes=st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1),
+)
+def test_smith_read_betti_mod_matches_modular_elimination_on_braid_covers(modulus, primes):
+    """On the braid-a3 cover of any degree, the mod-p Betti numbers read
+    off the Smith form equal those of the separate elimination over Z/P."""
+    c = pipeline.analyze_text(presets.preset_text("braid-a3"), modulus=modulus).complex
+    assert h1_of_cover(c, primes=primes).betti_mod == cover.modular_betti(c, primes)
 
 
 def test_h1_of_projective_triangle():

@@ -1,10 +1,11 @@
 """End-to-end analyses of the built-in arrangements, plus preset sanity."""
 
+import dataclasses
 import time
 
 import pytest
 
-from milnorfiber import bounds, geometry, pipeline, presets
+from milnorfiber import bounds, cover, geometry, pipeline, presets, snf
 from milnorfiber.geometry import InputError
 from milnorfiber.snf import AbelianGroup
 
@@ -128,6 +129,63 @@ def test_analyze_accepts_prime_below_ceiling():
     assert a.homology.betti_mod == {2**31 - 1: 2}
 
 
+def shifted_betti_mod(monkeypatch, delta):
+    """Make h1_of_cover report every mod-p Betti number off by ``delta``."""
+    real = cover.h1_of_cover
+
+    def wrong(complex_, primes=()):
+        h = real(complex_, primes)
+        return dataclasses.replace(h, betti_mod={p: b + delta for p, b in h.betti_mod.items()})
+
+    monkeypatch.setattr(cover, "h1_of_cover", wrong)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_betti_mod_off_by_one_fails_torsion_consistency_on_braid(monkeypatch, delta):
+    """braid-a3's upper bound (9) leaves b1 = 7 open, so the modular oracle
+    runs; a note names both numbers for every probe prime."""
+    shifted_betti_mod(monkeypatch, delta)
+    a = analyze("braid-a3")
+    assert a.bound_report.upper_bound == 9
+    failed = {k for k, ok in a.verdicts.items() if not ok}
+    assert failed == {"torsion_consistency"}
+    (note,) = [n["text"] for n in a.notes if n["id"] == "modular-oracle-disagrees"]
+    for p in a.primes:
+        assert f"dim H1 over F_{p} is {7 + delta} by the Smith form but 7 by the modular" in note
+
+
+@pytest.mark.parametrize(
+    "delta, failed",
+    [(1, {"modular_upper_bound", "torsion_consistency"}), (-1, {"torsion_consistency"})],
+)
+def test_betti_mod_off_by_one_fails_the_bounds_on_generic(monkeypatch, delta, failed):
+    """generic:8:1's upper bound is N - 1 = 7, so no oracle runs: the bound
+    verdicts and the count of torsion catch the wrong number."""
+    shifted_betti_mod(monkeypatch, delta)
+    a = analyze("generic:8:1")
+    assert a.bound_report.upper_bound == 7
+    assert {k for k, ok in a.verdicts.items() if not ok} == failed
+    assert not any(n["id"] == "modular-oracle-disagrees" for n in a.notes)
+
+
+def test_oracle_catches_a_wrong_smith_form(monkeypatch):
+    """A Smith form with a spurious Z/2 keeps b1 and the mod-p Betti
+    numbers read off it consistent with each other; only the modular
+    elimination can tell, and on braid-a3 it does."""
+    real = snf.smith_normal_form
+
+    def wrong(m, ncols=None):
+        diag = real(m, ncols).diagonal
+        return snf.SmithForm(diag[:-1] + (2,))
+
+    monkeypatch.setattr(snf, "smith_normal_form", wrong)
+    a = analyze("braid-a3")
+    assert a.h1 == AbelianGroup(7, (2,)) and a.homology.betti_mod[2] == 8
+    assert {k for k, ok in a.verdicts.items() if not ok} == {"torsion_consistency"}
+    (note,) = [n["text"] for n in a.notes if n["id"] == "modular-oracle-disagrees"]
+    assert note == "dim H1 over F_2 is 8 by the Smith form but 7 by the modular elimination"
+
+
 def count_incidence_calls(monkeypatch):
     calls = []
     real = geometry.intersection_points
@@ -171,6 +229,12 @@ def test_preset_generic_all_double():
         arr = geometry.parse_arrangement(presets.preset_text(f"generic:{n}:{seed}"))
         inc = geometry.intersection_points(arr)
         assert inc.multiplicity_census() == {2: n * (n - 1) // 2}
+
+
+def test_generic_50_lines():
+    a = analyze("generic:50:1")
+    assert a.h1 == AbelianGroup(49)
+    assert a.all_verdicts_pass and len(a.verdicts) == 8
 
 
 def test_preset_errors():

@@ -341,6 +341,15 @@ def test_strip_drops_empty_relators():
     assert free_reduce_and_strip(p).relators == ()
 
 
+def test_strip_keeps_unwrapped_relators_as_they_are():
+    # nothing to strip: the relator itself comes back, not a rebuilt copy
+    kept = Relator(Word([1, 2, -1, -2]), vertex="v0")
+    wrapped = Relator(Word([3, 1, 2, -1, -2, -3]), vertex="v1", index=1)
+    out = free_reduce_and_strip(Presentation(3, (kept, wrapped), "affine-decone", 4)).relators
+    assert out[0] is kept
+    assert out[1] == wrapped._replace(word=Word([1, 2, -1, -2]))
+
+
 def reference_strip(letters):
     """Reference: the wrapper strip as the package ran it, one letter pair
     at a time."""

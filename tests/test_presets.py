@@ -46,3 +46,10 @@ def test_generic_text_is_pinned(n):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (n, seed)
         census = geometry.parse_arrangement(text).incidence.multiplicity_census()
         assert census == {2: n * (n - 1) // 2}, (n, seed)
+
+
+@pytest.mark.parametrize("n", [26, 30, 40, 50])
+def test_generic_text_above_25_lines(n):
+    # past 25 lines the search draws from a wider coefficient range
+    census = geometry.parse_arrangement(presets.generic_text(n, 1)).incidence.multiplicity_census()
+    assert census == {2: n * (n - 1) // 2}

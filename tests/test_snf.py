@@ -2,7 +2,7 @@ import random
 import unittest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from milnorfiber import geometry, pipeline, presets, snf, validation
@@ -235,6 +235,32 @@ def dense_rank_mod_p(rows, ncols, p):
 
 # the primes a multi-prime call draws its random subsets from
 MULTI_PRIMES = (2, 3, 5, 7, 11, 13, 2**31 - 1)
+
+
+@st.composite
+def shift_closed_orbits(draw):
+    """Seeds in G column blocks of n, closed under the cyclic shift of
+    each block, with entries in [-6, 6]."""
+    n, G = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    cols = n * G
+    seed = st.dictionaries(st.integers(0, cols - 1), st.integers(-6, 6).filter(bool), max_size=cols)
+    seeds = draw(st.lists(seed, min_size=1, max_size=G + 2))
+    perm = tuple(j - j % n + (j + 1) % n for j in range(cols))
+    return RowOrbits(tuple(seeds), perm, n, cols)
+
+
+@given(shift_closed_orbits(), st.sets(st.sampled_from(MULTI_PRIMES), min_size=1))
+@settings(max_examples=100, deadline=None)
+def test_smith_read_rank_mod_p_matches_modular_elimination(orbits, primes):
+    """The rank over F_p read off the Smith diagonal, as h1_of_cover reads
+    it (the entries prime to p), equals the separate elimination over Z/P,
+    on orbit matrices whose unit-pivot echelon sets rows aside, so that the
+    Smith form reduces a nonempty leftover block and often finds torsion.
+    test_rank_consistency_property checks the same on dense matrices."""
+    assume(snf._echelon(orbits)[1])
+    diag = smith_normal_form(orbits).diagonal
+    read = {p: sum(d % p != 0 for d in diag) for p in sorted(primes)}
+    assert read == ranks_mod_primes(orbits, primes)
 
 
 def assert_engines_agree(m, label="", primes=MULTI_PRIMES, ncols=None):
