@@ -238,9 +238,10 @@ def h1_of_cover(complex_, primes=()):
 
 
 def modular_betti(complex_, primes):
-    """dim H1 over F_p for each prime by a second elimination of d2, over
-    Z/P (``snf.ranks_mod_primes``): an oracle independent of the Smith
-    form, for the Betti numbers h1_of_cover reads off it."""
+    """dim H1 over F_p for each prime by a second elimination of d2, one
+    over F_p per probe prime (``snf.ranks_mod_primes``): an oracle
+    independent of the Smith form, for the Betti numbers h1_of_cover reads
+    off it."""
     d2 = complex_.d2
     cols = d2.ncols - complex_.tree_edges
     return {p: cols - rank for p, rank in snf.ranks_mod_primes(d2, primes).items()}

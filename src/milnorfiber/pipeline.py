@@ -81,8 +81,8 @@ def _verdicts(full_degree, hom, report, prediction, complex_, primes):
     torsion_consistency holds each mod-p Betti number to b1 plus the count
     of invariant factors divisible by p.  Where the bound report's upper
     bound is N - 1, that and the bound verdicts pin it to N - 1.  Elsewhere
-    it is also held against a second elimination of d2, over Z/P, that
-    shares nothing with the Smith form it is read from.
+    it is also held against a second elimination of d2, one over F_p per
+    probe prime, that shares nothing with the Smith form it is read from.
     """
     v = {}
     notes = []

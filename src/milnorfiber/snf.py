@@ -9,11 +9,12 @@ column vectors of length ``n`` to column vectors of length ``m``.  They
 are stored sparsely.  The Smith form starts from a unit-pivot sparse
 echelon over Z, ``_echelon``.  The rank over F_p is the number of Smith
 diagonal entries prime to p, so the homology reads its mod-p Betti
-numbers there.  ``ranks_mod_primes`` finds the ranks over every requested
-prime field by a separate sparse echelon over Z/P, with P the product of
-the primes: an independent check of that reading.  Both take the rows in orbits under a permutation of the columns
-(``RowOrbits``; a list of dense rows is one-row orbits), sparsest orbit
-first, and stop each orbit at its first row that reduces to zero.
+numbers there.  ``ranks_mod_primes`` finds the rank over each requested
+prime field by one elimination over F_p per probe prime: an independent
+check of that reading.  Both take the rows in orbits under a permutation
+of the columns (``RowOrbits``; a list of dense rows is one-row orbits),
+sparsest orbit first, and stop each orbit at its first row that reduces
+to zero.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
 (2, 4)
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -172,84 +173,41 @@ def _min_abs_pivot(A, t, m, n):
     return best
 
 
-def _clear_at(A, t, m, n):
-    """Clear row t and column t outside the pivot at (t, t)."""
-    while True:
-        piv = A[t][t]
-        restart = False
-        for i in range(t + 1, m):
-            if A[i][t]:
-                q = A[i][t] // piv
-                if q:
-                    At = A[t]
-                    A[i] = [a - q * b for a, b in zip(A[i], At)]
-                if A[i][t]:  # positive remainder < piv: smaller pivot found
-                    A[t], A[i] = A[i], A[t]
-                    restart = True
-                    break
-        if restart:
-            continue
-        for j in range(t + 1, n):
-            if A[t][j]:
-                q = A[t][j] // piv
-                if q:
-                    for row in A:
-                        row[j] -= q * row[t]
-                if A[t][j]:
-                    for row in A:
-                        row[t], row[j] = row[j], row[t]
-                    restart = True
-                    break
-        if restart:
-            continue
-        return
-
-
 def _smith(A, m, n):
-    """In-place Smith reduction; returns the list of diagonal entries."""
+    """In-place Smith reduction; returns the list of diagonal entries.
+
+    The entry of least absolute value clears its row and column by division
+    with remainder.  A nonzero remainder is smaller, so it becomes the next
+    pivot at the same place.  The diagonal then goes into divisibility order
+    by diag(a, b) ~ diag(gcd, lcm) (Newman, Integral Matrices, 1972, ch. II).
+    """
     t = 0
-    while True:
-        found = _min_abs_pivot(A, t, m, n)
-        if found is None:
-            break
+    while found := _min_abs_pivot(A, t, m, n):
         _, pi, pj = found
-        if pi != t:
-            A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-        if A[t][t] < 0:
-            A[t] = [-v for v in A[t]]
-        _clear_at(A, t, m, n)
-        t += 1
-    rank = t
-    # Divisibility fix-up: repair the chain, re-clearing locally each time.
-    while True:
-        ok = True
-        for i in range(rank - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a:
-                ok = False
-                # fold column i+1 into column i, then re-reduce the block
-                for row in A:
-                    row[i] += row[i + 1]
-                if A[i][i] < 0:
-                    A[i] = [-v for v in A[i]]
-                _clear_at(A, i, m, n)
-        if ok:
-            break
-    for i in range(rank):
-        if A[i][i] < 0:
-            A[i] = [-v for v in A[i]]
-    return [A[i][i] for i in range(rank)]
+        A[t], A[pi] = A[pi], A[t]
+        for row in A[t:]:
+            row[t], row[pj] = row[pj], row[t]
+        top = A[t]
+        piv = top[t]
+        for i in range(t + 1, m):
+            if q := A[i][t] // piv:
+                A[i] = [a - q * b for a, b in zip(A[i], top)]
+        for j in range(t + 1, n):
+            if q := top[j] // piv:
+                for row in A[t:]:
+                    row[j] -= q * row[t]
+        if not any(top[t + 1:]) and not any(A[i][t] for i in range(t + 1, m)):
+            t += 1
+    d = [abs(A[i][i]) for i in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def _subtract(row, f, pivot, modulus=None):
-    """row -= f * pivot on sparse rows, in place (mod ``modulus`` when given).
-
-    Over a composite modulus f * v can vanish at a column the row does not
-    hold, so a zero result pops the column rather than deleting it.
-    """
+    """row -= f * pivot on sparse rows, in place (mod ``modulus`` when given)."""
     for j, v in pivot.items():
         w = row.get(j, 0) - f * v
         if modulus is not None:
@@ -289,9 +247,8 @@ def _sparsest_first(seeds):
 # that reduces to zero.  The complete orbits fed before span a module S with
 # sS = S, because s permutes columns.  If s^i r reduces to zero, it lies in
 # L = S + <r, ..., s^(i-1) r>; then sL lies in L, so L holds every later
-# s^k r and they add nothing.  This holds over Z and over every Z/M.  A row
-# that is set aside or splits a state has not vanished, so it never stops
-# an orbit.
+# s^k r and they add nothing.  This holds over Z and over every F_p.  A row
+# that is set aside has not vanished, so it never stops an orbit.
 
 
 def _echelon(orbits):
@@ -358,18 +315,13 @@ def _require_prime(p):
 
 def ranks_mod_primes(m, primes, ncols=None):
     """Rank of an integer matrix (a list of dense rows or RowOrbits) over
-    the field with p elements, for each of the given primes, from one row
-    echelon form over Z/P with P the product of the distinct primes.
-    Returns ``{p: rank}`` in increasing p.
+    the field with p elements, for each of the given primes, from one
+    sparse row echelon form over F_p per prime.  Returns ``{p: rank}`` in
+    increasing p.
 
-    A leading entry prime to the modulus is a unit mod every prime that
-    divides the modulus, so by the Chinese remainder theorem one pass is
-    the elimination mod each of them.  When a leading entry a shares the
-    factor g with the modulus M, the state splits: the primes dividing g
-    continue mod g on their own copy of the pivots, the rest mod M/g, and
-    the row is reduced again in both.  The rank mod p is the pivot count
-    of the state whose modulus p divides.  Orbits are fed sparsest first,
-    and each state stops an orbit at its first row that vanishes there.
+    Every nonzero leading entry is a unit mod p, so each row that does not
+    vanish is scaled to lead with 1 and becomes a pivot.  Orbits are fed
+    sparsest first, and each stops at its first row that vanishes.
 
     >>> ranks_mod_primes([[2, 4], [6, 8]], (5, 3, 2))
     {2: 0, 3: 2, 5: 2}
@@ -378,33 +330,20 @@ def ranks_mod_primes(m, primes, ncols=None):
     for p in primes:
         _require_prime(p)
     orbits = _orbits(m, ncols=ncols)
-    states = [[prod(primes), {}]] if primes else []  # [modulus, pivots]
-    for seed in _sparsest_first(orbits.seeds):
-        active = list(states)  # the states that have not stopped this orbit
-        for entries in orbits.shifts(seed):
-            todo = [(state, entries) for state in active]
-            active = []
-            while todo:
-                state, row = todo.pop()
-                modulus, pivots = state
-                row = _mod(row, modulus)
-                lead = _reduce(row, pivots, modulus)
+    seeds = _sparsest_first(orbits.seeds)
+    ranks = {}
+    for p in primes:
+        pivots = {}
+        for seed in seeds:
+            for row in orbits.shifts(seed):
+                row = _mod(row, p)
+                lead = _reduce(row, pivots, p)
                 if lead is None:
-                    continue
-                g = gcd(row[lead], modulus)
-                if g == 1:
-                    inv = pow(row[lead], -1, modulus)
-                    pivots[lead] = {j: v * inv % modulus for j, v in row.items()}
-                    active.append(state)
-                    continue
-                part = [g, {c: _mod(piv, g) for c, piv in pivots.items()}]
-                rest = modulus // g
-                state[:] = rest, {c: _mod(piv, rest) for c, piv in pivots.items()}
-                states.append(part)
-                todo += [(state, row), (part, row)]
-            if not active:
-                break
-    return {p: next(len(piv) for mod, piv in states if mod % p == 0) for p in primes}
+                    break
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
+        ranks[p] = len(pivots)
+    return ranks
 
 
 def prime_factors(n):

@@ -307,9 +307,10 @@ def test_h1_betti_mod_detects_torsion():
 def test_h1_reads_betti_mod_off_the_smith_form(monkeypatch, count):
     """However many primes are probed, h1_of_cover runs no modular
     elimination: its mod-p Betti numbers come off the Smith diagonal.  Run
-    on its own on generic:8:1 (21 relators, cover degree 8, no split
-    state), the multi-prime routine reduces two independent shifts of each
-    orbit and stops at its third, which vanishes: 63 of the 168 rows of d2."""
+    on its own on generic:8:1 (21 relators, cover degree 8), the modular
+    elimination over each prime reduces two independent shifts of each
+    orbit and stops at its third, which vanishes: 63 of the 168 rows of d2
+    per prime."""
     c = pipeline.analyze_text(presets.preset_text("generic:8:1")).complex
     calls = {"multi": 0, "rows": 0}
     multi, reduce_ = snf.ranks_mod_primes, snf._reduce
@@ -330,7 +331,7 @@ def test_h1_reads_betti_mod_off_the_smith_form(monkeypatch, count):
     assert calls == {"multi": 0, "rows": 0}
     ranks = snf.ranks_mod_primes(c.d2, primes)
     assert ranks == {p: c.d2.ncols - c.tree_edges - h.betti_mod[p] for p in primes}
-    assert calls == {"multi": 1, "rows": 63}
+    assert calls == {"multi": 1, "rows": 63 * count}
     assert c.d2.shape[0] == 168
 
 
@@ -360,7 +361,7 @@ def test_analyze_runs_the_modular_oracle_where_the_bounds_leave_it_open(monkeypa
 )
 def test_smith_read_betti_mod_matches_modular_elimination_on_braid_covers(modulus, primes):
     """On the braid-a3 cover of any degree, the mod-p Betti numbers read
-    off the Smith form equal those of the separate elimination over Z/P."""
+    off the Smith form equal those of the separate elimination over each F_p."""
     c = pipeline.analyze_text(presets.preset_text("braid-a3"), modulus=modulus).complex
     assert h1_of_cover(c, primes=primes).betti_mod == cover.modular_betti(c, primes)
 

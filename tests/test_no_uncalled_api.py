@@ -5,6 +5,11 @@ A name counts as read when it appears as an ``ast.Name`` load, an
 ``ast.Attribute`` or a keyword argument in any module of the package.
 Docstrings are not code, so a doctest is not a caller, and neither is a
 test.  Dunders are called by the interpreter and are not checked.
+
+A read is matched by bare name, so it counts for every class that defines
+a method of that name.  A method name defined in two or more package
+classes must therefore be listed in ``SHARED``, with the reason the
+classes share it.
 """
 
 import ast
@@ -18,6 +23,13 @@ ALLOWED = {
     "geometry.IncidencePoint._make": "namedtuple's _replace calls it",
     "presentation.Relator._make": "namedtuple's _replace calls it",
     "snf.RowOrbits.shape": "perfbench's d2 counters, which CI requires non-null, read it",
+}
+
+# Method names defined in two or more package classes, each for the reason given.
+SHARED = {
+    "n_lines": "geometry.Arrangement and AffineArrangement: callers take either picture",
+    "incidence": "geometry.Arrangement and AffineArrangement: callers take either picture",
+    "_make": "IncidencePoint and Relator both override namedtuple's constructor hook",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -50,16 +62,33 @@ def references(tree):
     return names
 
 
+def defined_names(trees):
+    """``{qualified name: name}`` over ``{module: tree}``, ``__init__``
+    excluded."""
+    defined = {}
+    for module, tree in trees.items():
+        if module != "__init__":
+            defined.update(definitions(module, tree))
+    return defined
+
+
 def uncalled(sources):
     """Qualified names defined in ``{module: source}`` (``__init__``
     excluded) that no module reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set().union(*map(references, trees.values()))
-    defined = {}
-    for module, tree in trees.items():
-        if module != "__init__":
-            defined.update(definitions(module, tree))
-    return {q for q, name in defined.items() if name not in read}
+    return {q for q, name in defined_names(trees).items() if name not in read}
+
+
+def shared_methods(sources):
+    """``{name: sorted qualified names}`` of the method names that two or
+    more classes in ``{module: source}`` (``__init__`` excluded) define."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    owners = {}
+    for q, name in defined_names(trees).items():
+        if q.count(".") == 2:  # module.Class.method
+            owners.setdefault(name, []).append(q)
+    return {name: sorted(qs) for name, qs in owners.items() if len(qs) > 1}
 
 
 def test_uncalled_names_are_collected():
@@ -79,6 +108,29 @@ def test_uncalled_names_are_collected():
     assert uncalled(sources) == {"a.Box.unused", "a.dead"}
 
 
+def test_shared_method_names_are_collected():
+    # one attribute read covers Box.size, Bag.size and the function size;
+    # only the two methods are a shared method name
+    sources = {
+        "a": (
+            "class Box:\n"
+            "    def __init__(self): pass\n"
+            "    def size(self): return 1\n"
+            "    def lid(self): return 0\n"
+            "def size(): return 2\n"
+        ),
+        "b": (
+            "from .a import Box\n"
+            "class Bag:\n"
+            "    def __init__(self): pass\n"
+            "    def size(self): return 3\n"
+            "print(Box().size(), Bag())\n"
+        ),
+    }
+    assert uncalled(sources) == {"a.Box.lid"}
+    assert shared_methods(sources) == {"size": ["a.Box.size", "b.Bag.size"]}
+
+
 def test_every_name_has_a_reader_in_the_package():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
     assert len(sources) > 5
@@ -87,3 +139,12 @@ def test_every_name_has_a_reader_in_the_package():
     assert not unread, f"no reader in the package, delete or call: {unread}"
     stale = sorted(ALLOWED.keys() - found)
     assert not stale, f"allowlisted but gone or read in the package: {stale}"
+
+
+def test_shared_method_names_are_listed():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    shared = shared_methods(sources)
+    unlisted = {name: qs for name, qs in shared.items() if name not in SHARED}
+    assert not unlisted, f"one name, several classes: a read of one hides the others: {unlisted}"
+    stale = sorted(SHARED.keys() - shared.keys())
+    assert not stale, f"listed as shared but defined in at most one class: {stale}"

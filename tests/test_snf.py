@@ -31,6 +31,11 @@ def test_known_forms():
     assert smith_normal_form([[6, 0], [0, 2]]).diagonal == (2, 6)
     # a matrix whose entries have gcd 1 but no unit entry
     assert smith_normal_form([[2, 3], [3, 2]]).diagonal == (1, 5)
+    # diagonal but not a divisibility chain: diag(a, b) ~ diag(gcd, lcm)
+    assert smith_normal_form([[4, 0], [0, 6]]).diagonal == (2, 12)
+    assert smith_normal_form([[-4, 0], [0, 6]]).diagonal == (2, 12)
+    assert smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 5]]).diagonal == (1, 1, 30)
+    assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]).diagonal == (1, 30, 30)
 
 
 def test_non_square():
@@ -204,11 +209,101 @@ def test_unimodular_moves_preserve_form(rows):
 #
 # The two references below are the dense engines the package used before
 # its sparse echelon: the least-absolute-value Smith reduction run on the
-# whole matrix, and Gauss-Jordan elimination mod p.  They are kept here only
-# as oracles.
+# whole matrix, with its pivot restarts and its repair of the divisibility
+# chain, and Gauss-Jordan elimination mod p.  They are kept here only as
+# oracles, frozen: the package's own _smith is the code under test.
 
 ORACLE_PRIMES = (2, 3, 5, 7, 2**31 - 1)
-DENSE_SMITH = snf._smith
+
+
+def _min_abs_pivot(A, t, m, n):
+    best = None
+    for i in range(t, m):
+        row = A[i]
+        for j in range(t, n):
+            v = row[j]
+            if v:
+                a = -v if v < 0 else v
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        return best
+    return best
+
+
+def _clear_at(A, t, m, n):
+    """Clear row t and column t outside the pivot at (t, t)."""
+    while True:
+        piv = A[t][t]
+        restart = False
+        for i in range(t + 1, m):
+            if A[i][t]:
+                q = A[i][t] // piv
+                if q:
+                    At = A[t]
+                    A[i] = [a - q * b for a, b in zip(A[i], At)]
+                if A[i][t]:  # positive remainder < piv: smaller pivot found
+                    A[t], A[i] = A[i], A[t]
+                    restart = True
+                    break
+        if restart:
+            continue
+        for j in range(t + 1, n):
+            if A[t][j]:
+                q = A[t][j] // piv
+                if q:
+                    for row in A:
+                        row[j] -= q * row[t]
+                if A[t][j]:
+                    for row in A:
+                        row[t], row[j] = row[j], row[t]
+                    restart = True
+                    break
+        if restart:
+            continue
+        return
+
+
+def _smith(A, m, n):
+    """In-place Smith reduction; returns the list of diagonal entries."""
+    t = 0
+    while True:
+        found = _min_abs_pivot(A, t, m, n)
+        if found is None:
+            break
+        _, pi, pj = found
+        if pi != t:
+            A[t], A[pi] = A[pi], A[t]
+        if pj != t:
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
+        if A[t][t] < 0:
+            A[t] = [-v for v in A[t]]
+        _clear_at(A, t, m, n)
+        t += 1
+    rank = t
+    # Divisibility fix-up: repair the chain, re-clearing locally each time.
+    while True:
+        ok = True
+        for i in range(rank - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if b % a:
+                ok = False
+                # fold column i+1 into column i, then re-reduce the block
+                for row in A:
+                    row[i] += row[i + 1]
+                if A[i][i] < 0:
+                    A[i] = [-v for v in A[i]]
+                _clear_at(A, i, m, n)
+        if ok:
+            break
+    for i in range(rank):
+        if A[i][i] < 0:
+            A[i] = [-v for v in A[i]]
+    return [A[i][i] for i in range(rank)]
+
+
+DENSE_SMITH = _smith
 
 
 def dense_smith_diagonal(rows, ncols):
@@ -253,7 +348,7 @@ def shift_closed_orbits(draw):
 @settings(max_examples=100, deadline=None)
 def test_smith_read_rank_mod_p_matches_modular_elimination(orbits, primes):
     """The rank over F_p read off the Smith diagonal, as h1_of_cover reads
-    it (the entries prime to p), equals the separate elimination over Z/P,
+    it (the entries prime to p), equals the separate elimination over F_p,
     on orbit matrices whose unit-pivot echelon sets rows aside, so that the
     Smith form reduces a nonempty leftover block and often finds torsion.
     test_rank_consistency_property checks the same on dense matrices."""
@@ -303,33 +398,34 @@ def test_rank_mod_p_does_its_own_elimination(monkeypatch):
     assert ranks_mod_primes([[6, 10], [15, 6]], MULTI_PRIMES)[2] == 1
 
 
-def count_splits(monkeypatch):
-    """Record every leading entry that shares a factor with the modulus of
-    ranks_mod_primes, i.e. every split of its state."""
-    splits = []
-    gcd = snf.gcd
-
-    def recording_gcd(a, b):
-        g = gcd(a, b)
-        if g != 1:
-            splits.append((a, b))
-        return g
-
-    monkeypatch.setattr(snf, "gcd", recording_gcd)
-    return splits
-
+def test_dense_smith_matches_frozen_reference():
+    """3000 seeded dense blocks up to 9 x 9 with no unit entry, like the
+    leftover blocks the unit-pivot echelon hands on: the package's one-loop
+    reduction against the frozen reference, diagonal for diagonal."""
+    rng = random.Random(1972)
+    values = (0, 0, 0, 2, -2, 3, -3, 4, 6, -6, 9, 10, 15, -15)
+    for _ in range(3000):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        expected = DENSE_SMITH([list(row) for row in rows], m, n)
+        assert snf._smith([list(row) for row in rows], m, n) == expected, rows
 
 
 def test_sparse_engine_matches_dense_on_random_matrices(monkeypatch):
     """2000 seeded matrices up to 10 x 10 with entries drawn from
     {0, 0, 0, +-1, +-2, 3, 6}; most leave a block without unit pivots, so
-    the dense leftover reduction and the clearing before it are exercised."""
+    the dense leftover reduction and the clearing before it are exercised,
+    and each leftover block is also held against the frozen reference."""
     leftover_blocks = []
+    smith = snf._smith
 
     def recording_smith(A, m, n):
         if m:
             leftover_blocks.append((m, n))
-        return DENSE_SMITH(A, m, n)
+        expected = DENSE_SMITH([list(row) for row in A], m, n)
+        diagonal = smith(A, m, n)
+        assert diagonal == expected, A
+        return diagonal
 
     monkeypatch.setattr(snf, "_smith", recording_smith)
     rng = random.Random(20011)
@@ -345,24 +441,19 @@ def test_sparse_engine_matches_dense_on_random_matrices(monkeypatch):
     assert reached > 1000
 
 
-def test_multi_prime_split_path_matches_dense(monkeypatch):
+def test_multi_prime_shared_factor_entries_match_dense():
     """1000 seeded matrices whose entries are units or products of some,
-    never all, of the probe primes, so that a leading entry often shares a
-    factor with the modulus and the elimination splits its state."""
-    splits = count_splits(monkeypatch)
+    never all, of the probe primes, so that a leading entry often vanishes
+    mod some probe primes and not others."""
     rng = random.Random(19571)
     factors = (2, 3, 5, 7, 6, 10, 14, 15, 21, 35, 22, 26, 33, 39, 30, 42, 70, 105)
     values = (0, 0, 0, 1, -1) + factors + tuple(-f for f in factors)
-    reached = 0
     for _ in range(1000):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
         primes = rng.sample(MULTI_PRIMES, rng.randint(2, len(MULTI_PRIMES)))
-        before = len(splits)
         expected = {p: dense_rank_mod_p(rows, n, p) for p in sorted(primes)}
         assert ranks_mod_primes(rows, primes, ncols=n) == expected, (rows, primes)
-        reached += len(splits) > before
-    assert reached > 500
 
 
 def test_orbit_engines_match_dense_on_random_shift_closed_matrices(monkeypatch):
@@ -372,9 +463,8 @@ def test_orbit_engines_match_dense_on_random_shift_closed_matrices(monkeypatch):
     against the dense references on every materialized row.  A seed is
     periodic in each block with a random period dividing n, so that its
     orbit often has fewer than n independent rows.  Most cases have
-    torsion, so rows are set aside and states split, and only a row that
-    reduces to zero may stop its orbit."""
-    splits = count_splits(monkeypatch)
+    torsion, so rows are set aside, and only a row that reduces to zero
+    may stop its orbit."""
     drawn = [0]  # rows the shifts generator has handed out
     shifts = RowOrbits.shifts
 
@@ -386,7 +476,7 @@ def test_orbit_engines_match_dense_on_random_shift_closed_matrices(monkeypatch):
     monkeypatch.setattr(RowOrbits, "shifts", counting_shifts)
     rng = random.Random(1953)
     values = (0, 0, 1, -1, 2, -2, 3, 5, 6)
-    torsion = split = 0
+    torsion = 0
     stopped = {"smith": 0, "modular": 0}
     for _ in range(2000):
         n, G = rng.randint(1, 6), rng.randint(1, 4)
@@ -402,7 +492,6 @@ def test_orbit_engines_match_dense_on_random_shift_closed_matrices(monkeypatch):
         orbits = RowOrbits(tuple(seeds), perm, n, cols)
         rows = orbits.rows
         primes = rng.sample(MULTI_PRIMES, rng.randint(1, len(MULTI_PRIMES)))
-        before = len(splits)
         drawn[0] = 0
         diagonal = smith_normal_form(orbits).diagonal
         assert diagonal == dense_smith_diagonal(rows, cols), (seeds, n)
@@ -410,11 +499,9 @@ def test_orbit_engines_match_dense_on_random_shift_closed_matrices(monkeypatch):
         expected = {p: dense_rank_mod_p(rows, cols, p) for p in sorted(primes)}
         drawn[0] = 0
         assert ranks_mod_primes(orbits, primes) == expected, (seeds, n, primes)
-        stopped["modular"] += drawn[0] < len(rows)
+        stopped["modular"] += drawn[0] < len(rows) * len(primes)  # one pass per prime
         torsion += any(d > 1 for d in diagonal)
-        split += len(splits) > before
     assert torsion > 1000
-    assert split > 1000
     assert stopped["smith"] > 500 and stopped["modular"] > 1000
 
 
@@ -435,12 +522,10 @@ def test_sparse_engine_matches_dense_on_cover_matrices():
 B3 = "projective\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 -1 0\n1 0 1\n1 0 -1\n0 1 1\n0 1 -1\n"
 
 
-def test_row_order_does_not_move_smith_form_or_ranks(monkeypatch):
+def test_row_order_does_not_move_smith_form_or_ranks():
     """Both eliminations sort their rows by nonzero count, stably, so a row
     permutation reorders rows of equal count: the Smith diagonal and every
-    mod-p rank of the contracted d2 must not move.  B3 is the one such
-    input whose modular elimination splits."""
-    splits = count_splits(monkeypatch)
+    mod-p rank of the contracted d2 must not move."""
     texts = [
         text for _, text in validation.Corpus().entries
         if geometry.parse_arrangement(text).n_lines <= 7
@@ -456,4 +541,3 @@ def test_row_order_does_not_move_smith_form_or_ranks(monkeypatch):
             permuted = RowOrbits(tuple(dict(row) for row in order), (), 1, m.ncols)
             assert smith_normal_form(permuted).diagonal == diagonal, text
             assert ranks_mod_primes(permuted, primes) == ranks, text
-    assert splits
