@@ -7,9 +7,7 @@ picture).  The exact pipeline computes H1 independently; reports
 cross-validate the two.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from . import geometry
@@ -17,8 +15,7 @@ from .geometry import InputError
 from .snf import AbelianGroup
 
 
-@dataclass(frozen=True)
-class SyntheticIncidence:
+class SyntheticIncidence(namedtuple("SyntheticIncidence", "n_lines points")):
     """Incidence data given combinatorially, with no coordinates.
 
     ``points`` holds one tuple of line indices per intersection point.
@@ -26,20 +23,18 @@ class SyntheticIncidence:
     that were never realized geometrically.
     """
 
-    n_lines: int
-    points: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        points = tuple(tuple(sorted(set(p))) for p in self.points)
-        object.__setattr__(self, "points", points)
-        if self.n_lines < 2:
+    def __new__(cls, n_lines, points):
+        points = tuple(tuple(sorted(set(p))) for p in points)
+        if n_lines < 2:
             raise InputError("need at least 2 lines")
         seen_pairs = {}
         for k, pt in enumerate(points):
             if len(pt) < 2:
                 raise InputError(f"point {k} has fewer than 2 lines")
             for i in pt:
-                if not 0 <= i < self.n_lines:
+                if not 0 <= i < n_lines:
                     raise InputError(f"point {k}: line index {i} out of range")
             for a in range(len(pt)):
                 for b in range(a + 1, len(pt)):
@@ -49,6 +44,11 @@ class SyntheticIncidence:
                             f"lines {pair} meet in two points ({seen_pairs[pair]} and {k})"
                         )
                     seen_pairs[pair] = k
+        return tuple.__new__(cls, (n_lines, points))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 # Largest N accepted in an incidence file.  Each bound evaluator makes one
@@ -137,8 +137,8 @@ def corollary_check(inc, n):
     return next((h for h in range(n) if h not in spoiled), None)
 
 
-@dataclass(frozen=True)
-class OnePointCheck:
+class OnePointCheck(namedtuple("OnePointCheck", "fires witness literal_fires guard_blocked",
+                               defaults=(None, False, None))):
     """Outcome of the single-heavy-point criterion.
 
     A point is *heavy* for the criterion when its multiplicity m exceeds 2
@@ -147,12 +147,12 @@ class OnePointCheck:
     requires that heavy point to miss at least one line (m < n), because
     the underlying deconing argument needs a line away from it.  On a
     pencil the literal condition holds but the guard correctly refuses.
+
+    ``witness`` is (line, point label, multiplicity); ``guard_blocked`` is
+    a witness that the m < n guard blocked.
     """
 
-    fires: bool
-    witness: tuple = None  # (line, point label, multiplicity)
-    literal_fires: bool = False
-    guard_blocked: tuple = None  # witness blocked by the m < n guard
+    __slots__ = ()
 
 
 def one_point_check(inc, n):
@@ -245,25 +245,23 @@ def cdo_bound(inc, n):
     return per_k, total
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every combinatorial bound and criterion outcome for one arrangement."""
+class BoundReport(namedtuple("BoundReport", "n lower_bound onehyp_per_line onehyp_best cdo_per_k "
+                             "cdo_total corollary_witness one_point oka_sakamoto applicable notes")):
+    """Every combinatorial bound and criterion outcome for one arrangement;
+    ``one_point`` is a OnePointCheck and ``applicable`` holds (criterion
+    name, witness) pairs."""
 
-    n: int
-    lower_bound: int
-    onehyp_per_line: dict
-    onehyp_best: int
-    cdo_per_k: dict
-    cdo_total: int
-    corollary_witness: object
-    one_point: OnePointCheck
-    oka_sakamoto: object
-    applicable: tuple  # (criterion name, witness) pairs
-    notes: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lower_bound > self.onehyp_best:
             raise AssertionError("lower bound exceeds a per-line upper bound")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def upper_bound(self):
@@ -304,20 +302,23 @@ class BoundReport:
         }
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """What the combinatorics alone promise about H1."""
+class Prediction(namedtuple("Prediction", "exact lower upper")):
+    """What the combinatorics alone promise about H1: ``exact`` is an
+    AbelianGroup or None."""
 
-    exact: object  # AbelianGroup or None
-    lower: int
-    upper: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.exact is not None:
-            if not (self.lower <= self.exact.free_rank <= self.upper):
+    def __new__(cls, exact, lower, upper):
+        if exact is not None:
+            if not (lower <= exact.free_rank <= upper):
                 raise AssertionError("exact prediction outside bound sandwich")
-            if self.exact.torsion:
+            if exact.torsion:
                 raise AssertionError("exactness criteria predict torsion-free groups")
+        return tuple.__new__(cls, (exact, lower, upper))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def bound_report(inc, n, aff=None):

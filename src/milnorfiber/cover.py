@@ -23,9 +23,7 @@ A cover with more than CELL_BUDGET cells (n vertices plus n edges per
 generator plus n 2-cells per relator) is refused before it is built.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import snf
 from .geometry import InputError
@@ -107,14 +105,12 @@ def fox_derivative(word, gen, n):
     return tuple(seed.get((gen, k), 0) for k in range(n))
 
 
-@dataclass(frozen=True)
-class CoverComplex:
-    """Boundary data of the n-fold cyclic cover of a presentation complex."""
+class CoverComplex(namedtuple("CoverComplex", "n generator_count relator_count seeds")):
+    """Boundary data of the n-fold cyclic cover of a presentation complex:
+    ``seeds`` holds one ``{column: value}`` lift per relator, its Fox
+    derivatives."""
 
-    n: int
-    generator_count: int
-    relator_count: int
-    seeds: tuple  # one {column: value} lift per relator: its Fox derivatives
+    __slots__ = ()
 
     def chain_ok(self):
         """The boundary of every 2-cell's boundary is zero.
@@ -191,16 +187,11 @@ def build_cover_complex(pres, modulus=None):
     return CoverComplex(n, G, len(pres.relators), seeds)
 
 
-@dataclass(frozen=True)
-class CoverHomology:
-    """H1 of the cover plus the Betti numbers used for cross-checks."""
+class CoverHomology(namedtuple("CoverHomology", "group b0 b1 b2 betti_mod euler")):
+    """H1 of the cover (an AbelianGroup) plus the Betti numbers used for
+    cross-checks; ``betti_mod`` maps each prime p to dim H1 over F_p."""
 
-    group: AbelianGroup
-    b0: int
-    b1: int
-    b2: int
-    betti_mod: dict  # prime -> dim of H1 over F_p
-    euler: int
+    __slots__ = ()
 
     def euler_ok(self):
         return self.b0 - self.b1 + self.b2 == self.euler

@@ -5,12 +5,13 @@ by the sweep.
 Lines are stored as primitive integer coefficient triples whose first
 nonzero entry is positive, so equality of lines is equality of triples.
 All intersection decisions are exact (no floating point anywhere).
+
+The records are immutable namedtuples.  Those that check their fields do
+it in ``__new__``, which ``_make``, and so ``_replace``, calls.  The
+arrangements keep an instance ``__dict__`` for their cached ``incidence``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -68,55 +69,69 @@ def slope_key(line):
     return _ratio(-a, b)
 
 
-@dataclass(frozen=True)
-class ProjLine:
+class _Line:
+    """What ProjLine and AffineLine share: a line equals only a line of
+    its own kind (as bare tuples the two would compare equal)."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __str__(self):
+        a, b, c = self.coeffs
+        return f"[{a} {b} {c}]"
+
+
+class ProjLine(_Line, namedtuple("ProjLine", "coeffs")):
     """The projective line a*x + b*y + c*z = 0, canonically scaled."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", canonical_triple(self.coeffs))
+    def __new__(cls, coeffs):
+        return tuple.__new__(cls, (canonical_triple(coeffs),))
 
     def contains(self, point):
         a, b, c = self.coeffs
         x, y, z = point
         return a * x + b * y + c * z == 0
 
-    def __str__(self):
-        a, b, c = self.coeffs
-        return f"[{a} {b} {c}]"
 
-
-@dataclass(frozen=True)
-class AffineLine:
+class AffineLine(_Line, namedtuple("AffineLine", "coeffs")):
     """The affine line a*x + b*y + c = 0 with (a, b) != (0, 0)."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", canonical_triple(self.coeffs))
-        a, b, _ = self.coeffs
+    def __new__(cls, coeffs):
+        coeffs = canonical_triple(coeffs)
+        a, b, _ = coeffs
         if a == 0 and b == 0:
             raise InputError("affine line needs a nonzero linear part")
-
-    def __str__(self):
-        a, b, c = self.coeffs
-        return f"[{a} {b} {c}]"
+        return tuple.__new__(cls, (coeffs,))
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(namedtuple("Arrangement", "lines")):
     """An ordered arrangement of at least two distinct projective lines."""
 
-    lines: tuple
-
-    def __post_init__(self):
-        lines = tuple(self.lines)
-        object.__setattr__(self, "lines", lines)
+    def __new__(cls, lines):
+        lines = tuple(lines)
         if len(lines) < 2:
             raise InputError("an arrangement needs at least 2 lines")
         if len(set(lines)) != len(lines):
             raise InputError("duplicate line in arrangement")
+        return tuple.__new__(cls, (lines,))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def n_lines(self):
@@ -128,8 +143,7 @@ class Arrangement:
         return intersection_points(self)
 
 
-@dataclass(frozen=True)
-class AffineArrangement:
+class AffineArrangement(namedtuple("AffineArrangement", "lines shear")):
     """An ordered affine arrangement.  ``shear`` is the t of the shear that
     put it in sweep position (``shear_to_generic``); the sweep refuses an
     arrangement whose ``shear`` is None.
@@ -139,16 +153,17 @@ class AffineArrangement:
     this complement.
     """
 
-    lines: tuple
-    shear: int = None
-
-    def __post_init__(self):
-        lines = tuple(self.lines)
-        object.__setattr__(self, "lines", lines)
+    def __new__(cls, lines, shear=None):
+        lines = tuple(lines)
         if not lines:
             raise InputError("an affine arrangement needs at least 1 line")
         if len(set(lines)) != len(lines):
             raise InputError("duplicate line in arrangement")
+        return tuple.__new__(cls, (lines, shear))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def n_lines(self):
@@ -193,12 +208,10 @@ class IncidencePoint(namedtuple("IncidencePoint", "point incident")):
         return f"({x}:{y}:{z})"
 
 
-@dataclass(frozen=True)
-class IncidenceData:
+class IncidenceData(namedtuple("IncidenceData", "points n_lines")):
     """All intersection points of an arrangement."""
 
-    points: tuple
-    n_lines: int
+    __slots__ = ()
 
     def multiplicity_census(self):
         census = {}

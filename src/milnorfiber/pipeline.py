@@ -6,9 +6,7 @@ self-validation corpus, so every run performs (and records) the same
 consistency checks.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bounds as bounds_mod
 from . import cover as cover_mod
@@ -41,25 +39,15 @@ def probe_primes(n, incidence):
     return tuple(sorted(ps))
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """Everything computed for one arrangement."""
+class Analysis(namedtuple("Analysis", "mode proj aff infinity_index n milnor incidence presentation "
+                       "complex homology primes bound_report prediction verdicts notes")):
+    """Everything computed for one arrangement: ``mode`` is 'projective'
+    or 'affine', ``aff`` the sweep-ready decone, ``n`` the cover degree
+    analyzed, ``milnor`` False when a modulus override changed it (then
+    ``bound_report`` and ``prediction`` are None), and ``incidence`` that
+    of the projective arrangement."""
 
-    mode: str  # 'projective' or 'affine'
-    proj: geometry.Arrangement
-    aff: geometry.AffineArrangement  # sweep-ready decone
-    infinity_index: int
-    n: int  # cover degree actually analyzed
-    milnor: bool  # True unless a modulus override changed the cover degree
-    incidence: geometry.IncidenceData  # of the projective arrangement
-    presentation: presentation_mod.Presentation
-    complex: cover_mod.CoverComplex
-    homology: cover_mod.CoverHomology
-    primes: tuple
-    bound_report: object  # BoundReport or None (modulus override)
-    prediction: object  # Prediction or None
-    verdicts: dict
-    notes: tuple
+    __slots__ = ()
 
     @property
     def h1(self):

@@ -8,10 +8,7 @@ rightmost unbroken ray.  Words are sequences of nonzero signed integers:
 -k is the inverse of generator k.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from dataclasses import dataclass
 
 from . import geometry
 from .geometry import InputError
@@ -102,33 +99,34 @@ class Relator(namedtuple("Relator", "word vertex index projective")):
         return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "generator_count relators kind phi_modulus")):
     """A finite presentation plus the degree of its Milnor cover.
 
     kind 'affine-decone': one generator per affine line, cover degree
     = generators + 1.  kind 'projective': one generator per projective
     line including the one at infinity, exactly one product relator,
-    cover degree = generators.
+    cover degree = generators.  An immutable tuple of its fields.
     """
 
-    generator_count: int
-    relators: tuple
-    kind: str
-    phi_modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "relators", tuple(self.relators))
-        if self.kind not in ("affine-decone", "projective"):
-            raise ValueError(f"unknown presentation kind {self.kind!r}")
-        n_proj = sum(1 for r in self.relators if r.projective)
-        if self.kind == "projective" and n_proj != 1:
+    def __new__(cls, generator_count, relators, kind, phi_modulus):
+        relators = tuple(relators)
+        if kind not in ("affine-decone", "projective"):
+            raise ValueError(f"unknown presentation kind {kind!r}")
+        n_proj = sum(1 for r in relators if r.projective)
+        if kind == "projective" and n_proj != 1:
             raise ValueError("projective presentation needs exactly one product relator")
-        if self.kind == "affine-decone" and n_proj:
+        if kind == "affine-decone" and n_proj:
             raise ValueError("affine presentation cannot contain a product relator")
-        bad = [l for r in self.relators for l in r.word.letters if not 1 <= abs(l) <= self.generator_count]
+        bad = [l for r in relators for l in r.word.letters if not 1 <= abs(l) <= generator_count]
         if bad:
             raise ValueError(f"letter {bad[0]} outside generator range")
+        return tuple.__new__(cls, (generator_count, relators, kind, phi_modulus))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def text(self):
         out = [f"gens: {self.generator_count}"]

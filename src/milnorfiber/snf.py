@@ -20,15 +20,12 @@ to zero.
 (2, 4)
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
 
-@dataclass(frozen=True)
-class RowOrbits:
+class RowOrbits(namedtuple("RowOrbits", "seeds perm order ncols")):
     """An integer matrix given by the orbits of seed rows under a
     permutation s of its columns: each ``{column: value}`` seed r stands for
     the ``order`` rows r, sr, s^2 r, ..., where s moves the entry in column
@@ -39,10 +36,7 @@ class RowOrbits:
     ((3, 3), [[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
     """
 
-    seeds: tuple
-    perm: tuple
-    order: int
-    ncols: int
+    __slots__ = ()
 
     def shifts(self, seed):
         """The rows of a seed's orbit, the seed first, as fresh dicts that
@@ -88,32 +82,35 @@ def _orbits(m, ncols=None):
     return RowOrbits(seeds, (), 1, int(ncols))
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "diagonal")):
     """Diagonal of a Smith normal form: positive, each entry divides the next.
 
     >>> SmithForm((2, 4)).rank
     2
     """
 
-    diagonal: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "diagonal", tuple(int(d) for d in self.diagonal))
-        for d in self.diagonal:
+    def __new__(cls, diagonal):
+        diagonal = tuple(int(d) for d in diagonal)
+        for d in diagonal:
             if d <= 0:
                 raise ValueError("Smith diagonal entries must be positive")
-        for a, b in zip(self.diagonal, self.diagonal[1:]):
+        for a, b in zip(diagonal, diagonal[1:]):
             if b % a:
                 raise ValueError("Smith diagonal must form a divisibility chain")
+        return tuple.__new__(cls, (diagonal,))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def rank(self):
         return len(self.diagonal)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
     """A finitely generated abelian group: free rank plus invariant factors.
 
     The torsion entries are the invariant factors greater than 1, each
@@ -127,19 +124,23 @@ class AbelianGroup:
     '0'
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
-        if self.free_rank < 0:
+    def __new__(cls, free_rank, torsion=()):
+        torsion = tuple(int(t) for t in torsion)
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        for t in self.torsion:
+        for t in torsion:
             if t <= 1:
                 raise ValueError("torsion invariant factors must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion invariant factors must form a divisibility chain")
+        return tuple.__new__(cls, (free_rank, torsion))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def __str__(self):
         parts = []

@@ -7,11 +7,9 @@ random corpus, cross-pipeline agreement, and the algebraic identities
 command line's ``selftest`` and the test suite both run these.
 """
 
-from __future__ import annotations
-
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import gcd
 
@@ -28,13 +26,8 @@ DEFAULT_SEED = 20260826
 RANDOM_CORPUS_SIZE = 100
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(namedtuple("CriterionResult", "number name passed detail seconds")):
+    __slots__ = ()
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"

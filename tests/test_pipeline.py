@@ -1,6 +1,5 @@
 """End-to-end analyses of the built-in arrangements, plus preset sanity."""
 
-import dataclasses
 import time
 
 import pytest
@@ -135,7 +134,7 @@ def shifted_betti_mod(monkeypatch, delta):
 
     def wrong(complex_, primes=()):
         h = real(complex_, primes)
-        return dataclasses.replace(h, betti_mod={p: b + delta for p, b in h.betti_mod.items()})
+        return h._replace(betti_mod={p: b + delta for p, b in h.betti_mod.items()})
 
     monkeypatch.setattr(cover, "h1_of_cover", wrong)
 

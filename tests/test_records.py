@@ -1,0 +1,109 @@
+"""The package's records are immutable namedtuples.
+
+No field can be assigned; every check and normalization a record makes
+runs in its constructor and again in ``_replace``; and a projective line
+never equals an affine line with the same coefficients."""
+
+import pytest
+
+from milnorfiber import bounds, pipeline, presets, snf, validation
+from milnorfiber.bounds import Prediction, SyntheticIncidence
+from milnorfiber.geometry import AffineArrangement, AffineLine, Arrangement, InputError, ProjLine
+from milnorfiber.presentation import Presentation, Relator, Word
+from milnorfiber.snf import AbelianGroup, SmithForm
+
+RECORD_CLASSES = {
+    "AbelianGroup", "AffineArrangement", "AffineLine", "Analysis", "Arrangement",
+    "BoundReport", "CoverComplex", "CoverHomology", "CriterionResult", "IncidenceData",
+    "IncidencePoint", "OnePointCheck", "Prediction", "Presentation", "ProjLine", "Relator",
+    "RowOrbits", "SmithForm", "SyntheticIncidence",
+}
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of every record class: braid-a3's analysis and its
+    parts, plus the records that no analysis holds."""
+    a = pipeline.analyze_text(presets.preset_text("braid-a3"))
+    return [
+        a, a.proj, a.proj.lines[0], a.aff, a.aff.lines[0], a.incidence, a.incidence.points[0],
+        a.presentation, a.presentation.relators[0], a.complex, a.complex.d2, a.homology, a.h1,
+        a.bound_report, a.bound_report.one_point, a.prediction,
+        snf.smith_normal_form([[2, 4], [6, 8]]),
+        SyntheticIncidence(3, ((0, 1), (0, 2), (1, 2))),
+        validation.CriterionResult(1, "name", True, "detail", 0.0),
+    ]
+
+
+def test_every_record_class_is_covered(records):
+    assert {type(r).__name__ for r in records} == RECORD_CLASSES
+    assert all(isinstance(r, tuple) and r._fields for r in records)
+
+
+def test_fields_cannot_be_assigned(records):
+    for r in records:
+        for field in r._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, field, getattr(r, field))
+
+
+def test_replace_without_changes_gives_an_equal_record(records):
+    for r in records:
+        twin = r._replace()
+        assert twin == r and type(twin) is type(r)
+        assert twin._asdict() == r._asdict()
+
+
+TRIANGLE = SyntheticIncidence(3, ((0, 1), (0, 2), (1, 2)))
+
+# (a valid record, field changes it refuses, the error, its message): one
+# case per record class that checks its fields
+REFUSALS = [
+    (SmithForm((2, 4)), {"diagonal": (2, 3)}, ValueError, "divisibility chain"),
+    (AbelianGroup(1, (2,)), {"torsion": (1,)}, ValueError, "must exceed 1"),
+    (ProjLine((1, 0, 0)), {"coeffs": (0, 0, 0)}, InputError, "zero coefficient triple"),
+    (AffineLine((1, 0, 0)), {"coeffs": (0, 0, 1)}, InputError, "nonzero linear part"),
+    (Arrangement((ProjLine((1, 0, 0)), ProjLine((0, 1, 0)))),
+     {"lines": (ProjLine((1, 0, 0)), ProjLine((2, 0, 0)))}, InputError, "duplicate line"),
+    (AffineArrangement((AffineLine((1, 0, 0)),)), {"lines": ()}, InputError, "at least 1 line"),
+    (Presentation(2, (Relator(Word([1, 2, -1, -2])),), "affine-decone", 3),
+     {"generator_count": 1}, ValueError, "outside generator range"),
+    (TRIANGLE, {"points": ((0, 1), (1, 0, 2))}, InputError, "meet in two points"),
+    (bounds.bound_report(TRIANGLE, 3), {"onehyp_best": 1}, AssertionError, "lower bound exceeds"),
+    (Prediction(AbelianGroup(2), 2, 2), {"upper": 1}, AssertionError, "outside bound sandwich"),
+]
+
+
+@pytest.mark.parametrize("record, changes, error, message", REFUSALS,
+                         ids=[type(case[0]).__name__ for case in REFUSALS])
+def test_constructor_and_replace_refuse_alike(record, changes, error, message):
+    with pytest.raises(error, match=message):
+        type(record)(**{**record._asdict(), **changes})
+    with pytest.raises(error, match=message):
+        record._replace(**changes)
+
+
+def test_replace_normalizes_like_the_constructor():
+    assert SmithForm((1,))._replace(diagonal=[2, 4]).diagonal == (2, 4)
+    assert ProjLine((1, 0, 0))._replace(coeffs=(-2, 4, 0)).coeffs == (1, -2, 0)
+    lines = [ProjLine((1, 0, 0)), ProjLine((0, 1, 0))]
+    assert Arrangement(lines)._replace(lines=lines[::-1]).lines == tuple(lines[::-1])
+    assert TRIANGLE._replace(points=[[1, 0], {2, 0}]).points == ((0, 1), (0, 2))
+
+
+def test_arrangements_keep_their_cached_incidence_apart():
+    arr = Arrangement((ProjLine((1, 0, 0)), ProjLine((0, 1, 0)), ProjLine((0, 0, 1))))
+    assert arr.incidence is arr.incidence
+    twin = arr._replace()
+    assert twin == arr and twin.incidence is not arr.incidence
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 0), (1, -2, 3), (0, 1, -5)])
+def test_a_projective_line_never_equals_an_affine_line(coeffs):
+    proj, aff = ProjLine(coeffs), AffineLine(coeffs)
+    assert proj.coeffs == aff.coeffs
+    assert proj != aff and aff != proj
+    assert not proj == aff and not aff == proj
+    assert len({proj, aff}) == 2
+    assert proj == ProjLine(coeffs) and not proj != ProjLine(coeffs)
+    assert hash(proj) == hash(ProjLine(tuple(2 * c for c in coeffs)))

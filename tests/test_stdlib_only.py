@@ -1,9 +1,14 @@
-"""The package's runtime imports nothing outside the standard library.
+"""The package's runtime imports nothing outside the standard library,
+and the command line's import path stays free of code generation.
 
 numpy, scipy or sympy may be installed where the tests run, so a stray
-import of one would not fail any other test."""
+import of one would not fail any other test.  pytest and hypothesis
+import ``dataclasses`` and ``inspect`` themselves, so only a fresh
+interpreter shows whether the package loads them."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +40,26 @@ def test_runtime_imports_only_the_standard_library():
         if roots:
             foreign[path.name] = sorted(roots)
     assert foreign == {}
+
+
+def test_no_module_imports_dataclasses():
+    importers = sorted(
+        path.name
+        for path in PACKAGE_DIR.glob("*.py")
+        if "dataclasses" in absolute_import_roots(path.read_text(encoding="utf-8"))
+    )
+    assert importers == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S: no site module, so nothing but the package decides what is loaded
+    probe = (
+        "import sys, milnorfiber.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
