@@ -1,10 +1,11 @@
 """Combinatorial bounds and exactness criteria for the first homology of
 the Milnor fiber, evaluated from incidence data alone.
 
-Every bound here depends only on which lines meet at which multiplicity
-(plus, for the transverse-split criterion, parallelism in a chosen affine
-picture).  The exact pipeline computes H1 independently; reports
-cross-validate the two.
+Every bound here depends only on which lines meet at which multiplicity.
+That holds for the transverse-split criterion too: it reads which line
+goes to infinity, and two affine lines are parallel exactly when they
+meet on that line.  The exact pipeline computes H1 independently;
+reports cross-validate the two.
 """
 
 from collections import namedtuple
@@ -176,19 +177,23 @@ def one_point_check(inc, n):
     return OnePointCheck(False)
 
 
-def oka_sakamoto_check(aff):
+def oka_sakamoto_check(inc, infinity):
     """Split the affine lines into two nonempty families meeting each other
     only in ordinary double points.
 
+    ``inc`` is the incidence of the projective arrangement and ``infinity``
+    the index of the line sent to infinity.  The affine lines are the other
+    lines, renumbered in order: index i becomes i - (i > infinity).  Two
+    affine lines are parallel exactly when they meet on the infinity line.
+
     Computed on the conflict graph (edge = parallel pair, or pair sharing
-    a point of multiplicity >= 3): any union of connected components gives
-    a valid split, so the check fires exactly when the graph is
-    disconnected.  Returns (family_a, family_b) or None.
+    a point of multiplicity >= 3 off the infinity line): any union of
+    connected components gives a valid split, so the check fires exactly
+    when the graph is disconnected.  Returns (family_a, family_b) or None.
     """
-    if not isinstance(aff, geometry.AffineArrangement):
-        raise TypeError("oka_sakamoto_check expects an affine arrangement")
-    k = aff.n_lines
-    parent = list(range(k))
+    if not 0 <= infinity < inc.n_lines:
+        raise ValueError(f"infinity index {infinity} out of range")
+    parent = list(range(inc.n_lines))
 
     def find(i):
         while parent[i] != i:
@@ -196,30 +201,30 @@ def oka_sakamoto_check(aff):
             i = parent[i]
         return i
 
-    # one group per parallel class (primitive direction) and per point of
-    # multiplicity >= 3; each group's lines join one component
-    classes = {}
-    for i, line in enumerate(aff.lines):
-        a, b, _ = line.coeffs
-        classes.setdefault(geometry.primitive_triple(a, b, 0), []).append(i)
-    inc = aff.incidence
-    heavy = [pt.incident for pt in inc.points if pt.multiplicity >= 3]
-    for group in list(classes.values()) + heavy:
-        for other in group[1:]:
-            parent[find(other)] = find(group[0])
-    root0 = find(0)
-    side_a = tuple(i for i in range(k) if find(i) == root0)
-    side_b = tuple(i for i in range(k) if find(i) != root0)
-    if not side_b:
+    # one group per point on the infinity line (a parallel class) and per
+    # point of multiplicity >= 3 off it; each group's lines join one component
+    doubles = []
+    for m, incident in _points_view(inc):
+        if infinity in incident:
+            incident = [i for i in incident if i != infinity]
+        elif m == 2:
+            doubles.append(incident)
+            continue
+        for other in incident[1:]:
+            parent[find(other)] = find(incident[0])
+    affine = [i for i in range(inc.n_lines) if i != infinity]
+    root0 = find(affine[0])
+    on_a = {i for i in affine if find(i) == root0}
+    if len(on_a) == len(affine):
         return None
     # re-verify the witness: every cross pair meets transversally in a
     # double point.  Two lines meet at most once, so the double points with
     # one line on each side are distinct cross pairs: all |A|*|B| of them.
-    on_a = set(side_a)
-    split = sum(pt.multiplicity == 2 and (pt.incident[0] in on_a) != (pt.incident[1] in on_a)
-                for pt in inc.points)
-    if split != len(side_a) * len(side_b):
+    split = sum((a in on_a) != (b in on_a) for a, b in doubles)
+    if split != len(on_a) * (len(affine) - len(on_a)):
         raise AssertionError("transverse-split witness failed re-verification")
+    side_a = tuple(i - (i > infinity) for i in affine if i in on_a)
+    side_b = tuple(i - (i > infinity) for i in affine if i not in on_a)
     return side_a, side_b
 
 
@@ -321,14 +326,15 @@ class Prediction(namedtuple("Prediction", "exact lower upper")):
         return cls(*fields)
 
 
-def bound_report(inc, n, aff=None):
-    """Assemble a BoundReport from incidence data (and, when an affine
-    picture is available, the transverse-split check)."""
+def bound_report(inc, n, infinity=None):
+    """Assemble a BoundReport from incidence data.  The transverse-split
+    check runs when ``infinity``, the index of the line sent to infinity,
+    is given; it is None for incidence without an affine picture."""
     per_line, best = onehyp_bounds(inc, n)
     per_k, total = cdo_bound(inc, n)
     cw = corollary_check(inc, n)
     opc = one_point_check(inc, n)
-    osw = oka_sakamoto_check(aff) if aff is not None else None
+    osw = None if infinity is None else oka_sakamoto_check(inc, infinity)
     applicable = []
     if cw is not None:
         applicable.append(("coprime_or_double_line", cw))
@@ -367,6 +373,6 @@ def predict(arr, infinity_index=None):
 
     Returns (Prediction, BoundReport).
     """
-    proj, aff, _ = geometry.affine_picture(arr, infinity_index)
-    report = bound_report(proj.incidence, proj.n_lines, aff=aff)
+    proj, _, infinity = geometry.affine_picture(arr, infinity_index)
+    report = bound_report(proj.incidence, proj.n_lines, infinity=infinity)
     return report.prediction(), report

@@ -17,7 +17,11 @@ import argparse
 import functools
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+
+try:  # the C accelerator alone; the json package would load its decoder too
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # as json.encoder does: its pure-Python version
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import bounds as bounds_mod
 from . import geometry
@@ -155,7 +159,7 @@ def cmd_bounds(args, out):
     head = next((l.split("#")[0].strip() for l in text.splitlines() if l.split("#")[0].strip()), "")
     if head.startswith("incidence"):
         inc = bounds_mod.parse_incidence(text)
-        report = bounds_mod.bound_report(inc, inc.n_lines, aff=None)
+        report = bounds_mod.bound_report(inc, inc.n_lines)
         notes = ["raw incidence input: the transverse-split check needs coordinates and was skipped"]
     else:
         arr = geometry.parse_arrangement(text)

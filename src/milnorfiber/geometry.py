@@ -339,13 +339,17 @@ def shear_to_generic(aff):
     linear isotopy) while removing vertical lines and making all
     intersection-point x coordinates distinct.  t is the smallest
     non-negative integer that works, found by trying t = 0, 1, 2, ...
-    (only finitely many values fail), so runs are reproducible.
+    (only finitely many values fail), so runs are reproducible.  At t = 0
+    the result has the input's lines and shares its ``incidence``; a
+    sheared picture computes its own.
     """
     t = 0
     while not is_sweep_generic(aff, t):
         t += 1
     new_lines = tuple(AffineLine((a, a * t + b, c)) for a, b, c in (l.coeffs for l in aff.lines))
     out = AffineArrangement(new_lines, shear=t)
+    if not t:
+        vars(out)["incidence"] = aff.incidence
     if not is_sweep_generic(out):
         raise AssertionError("shear failed to reach sweep position")
     return out

@@ -133,7 +133,7 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     hom = cover_mod.h1_of_cover(complex_, primes=primes)
     notes = []
     if milnor:
-        report = bounds_mod.bound_report(incidence, full_degree, aff=aff)
+        report = bounds_mod.bound_report(incidence, full_degree, infinity=infinity_index)
         prediction = report.prediction()
         notes.extend({"id": "single-heavy-point-guard", "text": t} for t in report.notes)
     else:

@@ -233,9 +233,15 @@ def test_one_point_silent_on_braid():
 # --- transverse split -----------------------------------------------------------
 
 
+def cone_split(aff):
+    """The split of an affine picture, read from its cone's incidence: the
+    cone appends the infinity line last, so the affine indices stay."""
+    return oka_sakamoto_check(geometry.cone(aff).incidence, aff.n_lines)
+
+
 def test_split_generic_triangle():
     aff = geometry.parse_arrangement("affine\n0 1 0\n1 -1 -1\n1 1 -3\n")
-    split = oka_sakamoto_check(aff)
+    split = cone_split(aff)
     assert split is not None
     a, b = split
     assert sorted(a + b) == [0, 1, 2]
@@ -243,13 +249,17 @@ def test_split_generic_triangle():
 
 def test_split_refuses_concurrent():
     aff = geometry.parse_arrangement("affine\n1 0 0\n1 1 0\n1 2 0\n")
-    assert oka_sakamoto_check(aff) is None
+    assert cone_split(aff) is None
 
 
 def test_split_two_parallel_pairs():
     aff = geometry.parse_arrangement("affine\n0 1 0\n0 1 -1\n1 0 0\n1 0 -1\n")
-    split = oka_sakamoto_check(aff)
+    split = cone_split(aff)
     assert split == ((0, 1), (2, 3))
+    # the same picture given combinatorially: each parallel pair meets the
+    # infinity line (index 4) in one point
+    synthetic = SyntheticIncidence(5, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 1, 4), (2, 3, 4)])
+    assert oka_sakamoto_check(synthetic, 4) == split
 
 
 def reference_split(aff):
@@ -288,29 +298,52 @@ def random_affine(rng, k, bound):
 
 
 def test_split_matches_pairwise_reference():
+    # the reference reads the affine picture's own incidence, the check
+    # the projective incidence of its cone: two separate passes
     rng = random.Random(20111005)
     outcomes = {"split": 0, "none": 0}
     for _ in range(300):
         aff = random_affine(rng, rng.randint(1, 8), rng.choice([1, 2, 3]))
-        split = oka_sakamoto_check(aff)
+        split = cone_split(aff)
         assert split == reference_split(aff)
         outcomes["split" if split else "none"] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
 
+def test_split_projective_matches_reference_on_decone():
+    # the infinity line first renumbers every affine line
+    rng = random.Random(20111006)
+    outcomes = {"split": 0, "none": 0}
+    for _ in range(200):
+        k, lines = rng.randint(2, 8), set()
+        while len(lines) < k:
+            triple = tuple(rng.randint(-2, 2) for _ in range(3))
+            if any(triple):
+                lines.add(geometry.ProjLine(triple))
+        arr = geometry.Arrangement(tuple(sorted(lines)))
+        split = oka_sakamoto_check(arr.incidence, 0)
+        assert split == reference_split(geometry.decone(arr, 0))
+        outcomes["split" if split else "none"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
 def test_split_witness_is_reverified():
-    # drop one double point from the incidence: the components still split
-    # the lines, but one cross pair no longer meets, and the check says so
+    # drop one double point off the infinity line: the components still
+    # split the lines, but one cross pair no longer meets, and the check
+    # says so
     aff = geometry.parse_arrangement("affine\n0 1 0\n1 -1 -1\n1 1 -3\n")
-    inc = aff.incidence
-    object.__setattr__(aff, "incidence", geometry.IncidenceData(inc.points[1:], inc.n_lines))
+    inc = geometry.cone(aff).incidence
+    (dropped, *_) = [pt for pt in inc.points if pt.incident[-1] != aff.n_lines]
+    doctored = geometry.IncidenceData(tuple(p for p in inc.points if p != dropped), inc.n_lines)
     with pytest.raises(AssertionError, match="re-verification"):
-        oka_sakamoto_check(aff)
+        oka_sakamoto_check(doctored, aff.n_lines)
 
 
-def test_split_requires_affine():
-    with pytest.raises(TypeError):
-        oka_sakamoto_check(geometry.parse_arrangement(TRIANGLE))
+def test_split_refuses_infinity_out_of_range():
+    inc, n = proj_incidence(TRIANGLE)
+    for infinity in (-1, n):
+        with pytest.raises(ValueError, match="out of range"):
+            oka_sakamoto_check(inc, infinity)
 
 
 # --- per-degree bound ------------------------------------------------------------

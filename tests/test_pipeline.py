@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from milnorfiber import bounds, cover, geometry, pipeline, presets, snf
+from milnorfiber import bounds, cli, cover, geometry, pipeline, presets, snf
 from milnorfiber.geometry import InputError
 from milnorfiber.snf import AbelianGroup
 
@@ -205,8 +205,24 @@ def test_one_incidence_per_arrangement_object(name, monkeypatch):
     pipeline.analyze(geometry.decone(fresh(), 0))  # the input, its cone and the sheared picture
     assert len(calls) == 3
     del calls[:]
-    bounds.predict(fresh())  # the input and its decone
-    assert len(calls) == 2
+    bounds.predict(fresh())  # the input only: the transverse split reads it too
+    assert len(calls) == 1
+
+
+def test_unsheared_picture_keeps_its_decone_incidence(monkeypatch, tmp_path, capsys):
+    # generic:8:1 needs no shear (t = 0), so the sheared picture has the
+    # decone's own lines and takes its incidence
+    text = presets.preset_text("generic:8:1")
+    calls = count_incidence_calls(monkeypatch)
+    a = pipeline.analyze(geometry.parse_arrangement(text))  # the input and its decone
+    assert a.aff.shear == 0 and len(calls) == 2
+    path = tmp_path / "generic8.txt"
+    path.write_text(text)
+    for command in ("bounds", "presentation"):  # the input; the decone
+        del calls[:]
+        assert cli.main([command, str(path), "--json"]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
 
 
 # --- presets ------------------------------------------------------------------

@@ -52,10 +52,11 @@ def test_no_module_imports_dataclasses():
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # -S: no site module, so nothing but the package decides what is loaded
+    # -S: no site module, so nothing but the package decides what is loaded;
+    # the JSON writer needs only the string quoting, not the json decoder
     probe = (
         "import sys, milnorfiber.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json.decoder'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     done = subprocess.run(
@@ -63,3 +64,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_json_writer_without_the_c_accelerator():
+    # where _json is missing, the writer quotes with json.encoder's own
+    # pure-Python function and writes the same bytes
+    probe = (
+        "import sys; sys.modules['_json'] = None; "
+        "import json, json.encoder, io, milnorfiber.cli as cli; "
+        "assert cli._quote is json.encoder.py_encode_basestring_ascii; "
+        "obj = {'a\\u00e9\"': [1, None, True, '\\n'], 'b': {}}; out = io.StringIO(); "
+        "cli._emit_json(obj, out); "
+        "assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + '\\n'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
