@@ -1,7 +1,8 @@
 """Combinatorial bounds and exactness criteria for the first homology of
 the Milnor fiber, evaluated from incidence data alone.
 
-Every bound here depends only on which lines meet at which multiplicity.
+Every bound here depends only on which lines meet at which multiplicity,
+and on their number N = ``inc.n_lines``, the degree of the Milnor cover.
 That holds for the transverse-split criterion too: it reads which line
 goes to infinity, and two affine lines are parallel exactly when they
 meet on that line.  The exact pipeline computes H1 independently;
@@ -116,21 +117,22 @@ def _label(inc, k):
     return inc.points[k].label() if isinstance(inc, geometry.IncidenceData) else f"pt{k}"
 
 
-def onehyp_bounds(inc, n):
+def onehyp_bounds(inc):
     """All per-line bounds and their minimum, in one pass over the points."""
+    n = inc.n_lines
     per_line = dict.fromkeys(range(n), n - 1)
     for m, incident in _points_view(inc):
         excess = (m - 2) * (gcd(m, n) - 1)
         for h in incident:
-            if h in per_line:  # n may be below the incidence's own line count
-                per_line[h] += excess
+            per_line[h] += excess
     return per_line, min(per_line.values())
 
 
-def corollary_check(inc, n):
+def corollary_check(inc):
     """A line whose points all have multiplicity 2 or multiplicity coprime
-    to the number of lines; such a line forces H1 to be free of rank n-1.
+    to the number of lines n; such a line forces H1 to be free of rank n-1.
     Returns the lowest such line index, or None."""
+    n = inc.n_lines
     spoiled = set()
     for m, incident in _points_view(inc):
         if m != 2 and gcd(m, n) != 1:
@@ -156,13 +158,13 @@ class OnePointCheck(namedtuple("OnePointCheck", "fires witness literal_fires gua
     __slots__ = ()
 
 
-def one_point_check(inc, n):
+def one_point_check(inc):
+    n = inc.n_lines
     heavy = {h: [] for h in range(n)}
     for k, (m, incident) in enumerate(_points_view(inc)):
         if m > 2 and gcd(m, n) != 1:
             for h in incident:
-                if h in heavy:  # n may be below the incidence's own line count
-                    heavy[h].append((k, m))
+                heavy[h].append((k, m))
     blocked = None
     for h, found in heavy.items():
         if len(found) != 1:
@@ -228,14 +230,15 @@ def oka_sakamoto_check(inc, infinity):
     return side_a, side_b
 
 
-def cdo_bound(inc, n):
-    """Local-system style bound: for each k in 1..n-1, the minimum over
-    lines of the total excess (m-2) of the line's points whose multiplicity
-    m satisfies n | k*m (points with m = 2 never count); the aggregate
-    bound is (n-1) plus the sum over k.
+def cdo_bound(inc):
+    """Local-system style bound, n the number of lines: for each k in
+    1..n-1, the minimum over lines of the total excess (m-2) of the line's
+    points whose multiplicity m satisfies n | k*m (points with m = 2 never
+    count); the aggregate bound is (n-1) plus the sum over k.
 
     Returns (per_k dict, total).
     """
+    n = inc.n_lines
     heavy = [(m, incident) for m, incident in _points_view(inc) if m > 2]
     per_k = {}
     for k in range(1, n):
@@ -243,8 +246,7 @@ def cdo_bound(inc, n):
         for m, incident in heavy:
             if (k * m) % n == 0:
                 for h in incident:
-                    if h in excess:
-                        excess[h] += m - 2
+                    excess[h] += m - 2
         per_k[k] = min(excess.values())
     total = (n - 1) + sum(per_k.values())
     return per_k, total
@@ -326,14 +328,15 @@ class Prediction(namedtuple("Prediction", "exact lower upper")):
         return cls(*fields)
 
 
-def bound_report(inc, n, infinity=None):
+def bound_report(inc, infinity=None):
     """Assemble a BoundReport from incidence data.  The transverse-split
     check runs when ``infinity``, the index of the line sent to infinity,
     is given; it is None for incidence without an affine picture."""
-    per_line, best = onehyp_bounds(inc, n)
-    per_k, total = cdo_bound(inc, n)
-    cw = corollary_check(inc, n)
-    opc = one_point_check(inc, n)
+    n = inc.n_lines
+    per_line, best = onehyp_bounds(inc)
+    per_k, total = cdo_bound(inc)
+    cw = corollary_check(inc)
+    opc = one_point_check(inc)
     osw = None if infinity is None else oka_sakamoto_check(inc, infinity)
     applicable = []
     if cw is not None:
@@ -374,5 +377,5 @@ def predict(arr, infinity_index=None):
     Returns (Prediction, BoundReport).
     """
     proj, _, infinity = geometry.affine_picture(arr, infinity_index)
-    report = bound_report(proj.incidence, proj.n_lines, infinity=infinity)
+    report = bound_report(proj.incidence, infinity=infinity)
     return report.prediction(), report

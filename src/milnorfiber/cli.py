@@ -159,7 +159,7 @@ def cmd_bounds(args, out):
     head = next((l.split("#")[0].strip() for l in text.splitlines() if l.split("#")[0].strip()), "")
     if head.startswith("incidence"):
         inc = bounds_mod.parse_incidence(text)
-        report = bounds_mod.bound_report(inc, inc.n_lines)
+        report = bounds_mod.bound_report(inc)
         notes = ["raw incidence input: the transverse-split check needs coordinates and was skipped"]
     else:
         arr = geometry.parse_arrangement(text)

@@ -105,12 +105,16 @@ def fox_derivative(word, gen, n):
     return tuple(seed.get((gen, k), 0) for k in range(n))
 
 
-class CoverComplex(namedtuple("CoverComplex", "n generator_count relator_count seeds")):
+class CoverComplex(namedtuple("CoverComplex", "n generator_count seeds")):
     """Boundary data of the n-fold cyclic cover of a presentation complex:
     ``seeds`` holds one ``{column: value}`` lift per relator, its Fox
     derivatives."""
 
     __slots__ = ()
+
+    @property
+    def relator_count(self):
+        return len(self.seeds)
 
     def chain_ok(self):
         """The boundary of every 2-cell's boundary is zero.
@@ -184,7 +188,7 @@ def build_cover_complex(pres, modulus=None):
         return (g - 2) % G * n + k
 
     seeds = tuple(_fox_seed(r.word, n, column) for r in pres.relators)
-    return CoverComplex(n, G, len(pres.relators), seeds)
+    return CoverComplex(n, G, seeds)
 
 
 class CoverHomology(namedtuple("CoverHomology", "group b0 b1 b2 betti_mod euler")):

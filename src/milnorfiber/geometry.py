@@ -147,10 +147,6 @@ class AffineArrangement(namedtuple("AffineArrangement", "lines shear")):
     """An ordered affine arrangement.  ``shear`` is the t of the shear that
     put it in sweep position (``shear_to_generic``); the sweep refuses an
     arrangement whose ``shear`` is None.
-
-    ``cover_degree`` is one more than the number of affine lines: the
-    Milnor fiber of the coned arrangement is that many-fold a cover of
-    this complement.
     """
 
     def __new__(cls, lines, shear=None):
@@ -168,10 +164,6 @@ class AffineArrangement(namedtuple("AffineArrangement", "lines shear")):
     @property
     def n_lines(self):
         return len(self.lines)
-
-    @property
-    def cover_degree(self):
-        return len(self.lines) + 1
 
     @cached_property
     def incidence(self):
@@ -366,8 +358,8 @@ def parse_arrangement(text):
 
     >>> parse_arrangement("projective\\n1 0 0\\n0 1 0\\n0 0 1").n_lines
     3
-    >>> parse_arrangement("affine\\n1 0 0\\n0 1 0").cover_degree
-    3
+    >>> parse_arrangement("affine\\n1 0 0\\n0 1 0").n_lines
+    2
     """
     mode = None
     triples = []

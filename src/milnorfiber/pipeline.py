@@ -15,25 +15,22 @@ from . import presentation as presentation_mod
 from . import snf
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11)
-# Requested probe primes must lie below this ceiling, so that checking
-# one for primality (trial division up to its square root) stays instant.
-PRIME_CEILING = 2**31
 
 
 def _check_primes(primes):
-    """Refuse any requested probe that is not a prime below PRIME_CEILING."""
+    """Refuse any requested probe that is not a prime below snf.PRIME_CEILING."""
     for p in primes:
-        if p >= PRIME_CEILING:
+        if p >= snf.PRIME_CEILING:
             raise geometry.InputError(f"bad --primes entry {p}: probe primes must be below 2^31")
         if snf.prime_factors(p) != [p]:
             raise geometry.InputError(f"bad --primes entry {p}: not a prime")
 
 
-def probe_primes(n, incidence):
+def probe_primes(incidence):
     """Default torsion probes: 2,3,5,7,11 plus every prime dividing the
-    cover degree or a point multiplicity."""
+    number of lines or a point multiplicity."""
     ps = set(DEFAULT_PRIMES)
-    ps.update(snf.prime_factors(n))
+    ps.update(snf.prime_factors(incidence.n_lines))
     for pt in incidence.points:
         ps.update(snf.prime_factors(pt.multiplicity))
     return tuple(sorted(ps))
@@ -62,7 +59,7 @@ def _is_generic_triangle(incidence):
     return incidence.n_lines == 3 and incidence.multiplicity_census() == {2: 3}
 
 
-def _verdicts(full_degree, hom, report, prediction, complex_, primes):
+def _verdicts(hom, report, prediction, complex_, primes):
     """The verdicts, and a note for each mod-p Betti number that the
     modular oracle disputes.
 
@@ -79,14 +76,14 @@ def _verdicts(full_degree, hom, report, prediction, complex_, primes):
     v["euler_identity"] = hom.euler_ok()
     if report is not None:
         upper = report.upper_bound
-        v["rank_lower_bound"] = hom.b1 >= full_degree - 1
+        v["rank_lower_bound"] = hom.b1 >= report.lower_bound
         v["rank_upper_bound"] = hom.b1 <= upper
         v["modular_upper_bound"] = all(hom.betti_mod[p] <= upper for p in primes)
         consistent = all(
             hom.betti_mod[p] == hom.b1 + sum(t % p == 0 for t in hom.group.torsion)
             for p in primes
         )
-        if upper > full_degree - 1:
+        if upper > report.lower_bound:
             oracle = cover_mod.modular_betti(complex_, primes)
             disputed = [p for p in primes if hom.betti_mod[p] != oracle[p]]
             if disputed:
@@ -110,7 +107,7 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     only; default: the last line).  ``modulus`` analyzes the Z/m quotient
     cover instead of the full Milnor-fiber cover; combinatorial bounds are
     about the full cover, so they are skipped in that case.  Each of the
-    requested ``primes`` must be a prime below PRIME_CEILING; this is
+    requested ``primes`` must be a prime below snf.PRIME_CEILING; this is
     checked before any geometry.
     """
     if primes is not None:
@@ -119,45 +116,31 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     proj, aff0, infinity_index = geometry.affine_picture(arr, infinity_index)
     if modulus is not None and modulus < 1:
         raise geometry.InputError(f"modulus must be a positive integer, got {modulus}")
-    full_degree = proj.n_lines
     aff = geometry.shear_to_generic(aff0)
     pres = presentation_mod.free_reduce_and_strip(presentation_mod.arvola_randell(aff))
     complex_ = cover_mod.build_cover_complex(pres, modulus=modulus)
     n = complex_.n
-    milnor = n == full_degree
+    milnor = n == proj.n_lines
     incidence = proj.incidence
     if primes is None:
-        primes = probe_primes(full_degree, incidence)
+        primes = probe_primes(incidence)
     else:
         primes = tuple(sorted(set(primes)))
     hom = cover_mod.h1_of_cover(complex_, primes=primes)
-    notes = []
     if milnor:
-        report = bounds_mod.bound_report(incidence, full_degree, infinity=infinity_index)
+        report = bounds_mod.bound_report(incidence, infinity=infinity_index)
         prediction = report.prediction()
-        notes.extend({"id": "single-heavy-point-guard", "text": t} for t in report.notes)
-    else:
-        report = None
-        prediction = None
-        notes.append(
-            {
-                "id": "modulus-override",
-                "text": f"analyzing the degree-{n} quotient cover instead of the full "
-                f"degree-{full_degree} cover; combinatorial bounds apply to the full "
-                "cover only and are skipped",
-            }
-        )
-    if milnor and _is_generic_triangle(incidence):
-        notes.append(
-            {
-                "id": "triangle-published-value",
-                "text": "an earlier published computation reports rank 3 for the first "
-                "homology of this cover; the exact reduction here gives rank 2, which "
-                "matches the Euler characteristic and the double-point exactness "
-                "criterion",
-            }
-        )
-    if milnor:
+        notes = [{"id": "single-heavy-point-guard", "text": t} for t in report.notes]
+        if _is_generic_triangle(incidence):
+            notes.append(
+                {
+                    "id": "triangle-published-value",
+                    "text": "an earlier published computation reports rank 3 for the first "
+                    "homology of this cover; the exact reduction here gives rank 2, which "
+                    "matches the Euler characteristic and the double-point exactness "
+                    "criterion",
+                }
+            )
         notes.append(
             {
                 "id": "rank-lower-bound-convention",
@@ -167,7 +150,18 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
                 "and is not used",
             }
         )
-    verdicts, oracle_notes = _verdicts(full_degree, hom, report, prediction, complex_, primes)
+    else:
+        report = None
+        prediction = None
+        notes = [
+            {
+                "id": "modulus-override",
+                "text": f"analyzing the degree-{n} quotient cover instead of the full "
+                f"degree-{proj.n_lines} cover; combinatorial bounds apply to the full "
+                "cover only and are skipped",
+            }
+        ]
+    verdicts, oracle_notes = _verdicts(hom, report, prediction, complex_, primes)
     notes.extend(oracle_notes)
     return Analysis(
         mode=mode,

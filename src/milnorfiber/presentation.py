@@ -99,8 +99,8 @@ class Relator(namedtuple("Relator", "word vertex index projective")):
         return cls(*fields)
 
 
-class Presentation(namedtuple("Presentation", "generator_count relators kind phi_modulus")):
-    """A finite presentation plus the degree of its Milnor cover.
+class Presentation(namedtuple("Presentation", "generator_count relators kind")):
+    """A finite presentation; its kind fixes its Milnor cover's degree, ``phi_modulus``.
 
     kind 'affine-decone': one generator per affine line, cover degree
     = generators + 1.  kind 'projective': one generator per projective
@@ -110,7 +110,7 @@ class Presentation(namedtuple("Presentation", "generator_count relators kind phi
 
     __slots__ = ()
 
-    def __new__(cls, generator_count, relators, kind, phi_modulus):
+    def __new__(cls, generator_count, relators, kind):
         relators = tuple(relators)
         if kind not in ("affine-decone", "projective"):
             raise ValueError(f"unknown presentation kind {kind!r}")
@@ -122,11 +122,15 @@ class Presentation(namedtuple("Presentation", "generator_count relators kind phi
         bad = [l for r in relators for l in r.word.letters if not 1 <= abs(l) <= generator_count]
         if bad:
             raise ValueError(f"letter {bad[0]} outside generator range")
-        return tuple.__new__(cls, (generator_count, relators, kind, phi_modulus))
+        return tuple.__new__(cls, (generator_count, relators, kind))
 
     @classmethod
     def _make(cls, fields):
         return cls(*fields)
+
+    @property
+    def phi_modulus(self):
+        return self.generator_count + (self.kind == "affine-decone")
 
     def text(self):
         out = [f"gens: {self.generator_count}"]
@@ -147,7 +151,7 @@ def _order_keys(pairs):
     return [num * q2 // den for num, den in pairs]
 
 
-def arvola_randell(aff, *, top_down=False):
+def arvola_randell(aff):
     """Sweep presentation of the affine complement's fundamental group.
 
     The sweep moves right to left through the intersection points (strictly
@@ -161,10 +165,6 @@ def arvola_randell(aff, *, top_down=False):
     then lets the outermost lines (positions 1 and m) continue unchanged
     while each middle line i picks up a conjugation by W_{i-1} ... W_1.
     Words are letter tuples; each relator and conjugate is reduced once.
-
-    With top_down=True the vertex-local ordering is reversed (descending
-    slope).  The two conventions give different words but isomorphic
-    groups; cross-checked at the cover-homology level in the test suite.
 
     >>> aff = geometry.shear_to_generic(geometry.parse_arrangement("affine\\n1 0 0\\n0 1 0"))
     >>> [r.word.format() for r in arvola_randell(aff).relators]
@@ -183,8 +183,6 @@ def arvola_randell(aff, *, top_down=False):
     relators = []
     for pt in map(points.__getitem__, sweep):
         order = sorted(pt.incident, key=slope.__getitem__)
-        if top_down:
-            order.reverse()
         W = [words[i] for i in order]
         m = len(W)
         lower = [()]  # lower[j] = W_j ... W_1, unreduced
@@ -198,7 +196,7 @@ def arvola_randell(aff, *, top_down=False):
         for pos in range(1, m - 1):
             c = lower[pos]
             words[order[pos]] = _word(_inverse(c) + W[pos] + c).letters
-    return Presentation(aff.n_lines, tuple(relators), "affine-decone", aff.cover_degree)
+    return Presentation(aff.n_lines, tuple(relators), "affine-decone")
 
 
 def _auxiliary_line(arr, inc):
@@ -248,7 +246,7 @@ def projective_presentation(arr):
     slope = _order_keys([geometry.slope_key(line) for line in aff.lines])
     delta = Word([i + 1 for i in sorted(range(aff.n_lines), key=slope.__getitem__, reverse=True)])
     relators = sweep.relators + (Relator(delta, vertex="infinity", index=0, projective=True),)
-    return Presentation(arr.n_lines, relators, "projective", arr.n_lines)
+    return Presentation(arr.n_lines, relators, "projective")
 
 
 def free_reduce_and_strip(pres):
@@ -259,7 +257,7 @@ def free_reduce_and_strip(pres):
     cyclic shift of the boundary of r, and the cover complex includes all
     shifts of every relator anyway.
 
-    >>> p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),), "affine-decone", 4)
+    >>> p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),), "affine-decone")
     >>> [r.word.format() for r in free_reduce_and_strip(p).relators]
     ['g2 g3 g2^-1 g3^-1']
     """
@@ -274,4 +272,4 @@ def free_reduce_and_strip(pres):
         if k:
             r = Relator(_word(letters[k:n - k]), r.vertex, r.index, r.projective)
         kept.append(r)
-    return Presentation(pres.generator_count, tuple(kept), pres.kind, pres.phi_modulus)
+    return Presentation(pres.generator_count, tuple(kept), pres.kind)

@@ -308,8 +308,14 @@ def smith_normal_form(m, ncols=None):
     return SmithForm(tuple(diag))
 
 
+# Probe primes lie below this, so that trial division up to sqrt(p) stays instant.
+PRIME_CEILING = 2**31
+
+
 @lru_cache(maxsize=64)  # trial division of a prime near 2^31 takes about 10 ms
 def _require_prime(p):
+    if p >= PRIME_CEILING:
+        raise ValueError(f"{p} is not prime below 2^31")
     if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
 

@@ -34,12 +34,12 @@ class CriterionResult(namedtuple("CriterionResult", "number name passed detail s
         return f"criterion {self.number:2d} [{self.name}]: {status} ({self.seconds:.2f}s) {self.detail}"
 
 
-def random_arrangement_texts(count=RANDOM_CORPUS_SIZE, seed=DEFAULT_SEED, max_lines=7):
-    """Seeded random rational projective arrangements with 3..max_lines lines."""
+def random_arrangement_texts(seed=DEFAULT_SEED):
+    """RANDOM_CORPUS_SIZE seeded random rational projective arrangements of 3..7 lines."""
     rng = random.Random(seed)
     texts = []
-    while len(texts) < count:
-        k = rng.randint(3, max_lines)
+    while len(texts) < RANDOM_CORPUS_SIZE:
+        k = rng.randint(3, 7)
         lines = []
         while len(lines) < k:
             cand = (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
@@ -255,7 +255,7 @@ def criterion_synthetic_cdo():
     inc = parse_incidence(synthetic_incidence_text())
     line3 = sorted({len(pt) for pt in inc.points if 3 in pt})
     line4 = sorted({len(pt) for pt in inc.points if 4 in pt})
-    per_k, total = cdo_bound(inc, 12)
+    per_k, total = cdo_bound(inc)
     ok = (
         line3 == [2, 3]
         and line4 == [2, 4]

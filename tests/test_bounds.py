@@ -49,8 +49,8 @@ def labelled_points(inc):
 
 
 def test_onehyp_triangle():
-    inc, n = proj_incidence(TRIANGLE)
-    per_line, best = onehyp_bounds(inc, n)
+    inc, _ = proj_incidence(TRIANGLE)
+    per_line, best = onehyp_bounds(inc)
     # all points are double: every line gives the bare n-1
     assert per_line == {0: 2, 1: 2, 2: 2}
     assert best == 2
@@ -59,15 +59,15 @@ def test_onehyp_triangle():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_onehyp_pencil_attained(n):
     inc, _ = proj_incidence(pencil(n))
-    per_line, best = onehyp_bounds(inc, n)
+    per_line, best = onehyp_bounds(inc)
     # the single point has m = n on every line: (n-1) + (n-2)(n-1)
     assert best == (n - 1) ** 2
     assert set(per_line.values()) == {(n - 1) ** 2}
 
 
 def test_onehyp_braid():
-    inc, n = proj_incidence(BRAID)
-    per_line, best = onehyp_bounds(inc, n)
+    inc, _ = proj_incidence(BRAID)
+    per_line, best = onehyp_bounds(inc)
     # each line carries two triple points; gcd(3, 6) = 3 adds 2 per triple
     assert best == 9
     assert set(per_line.values()) == {9}
@@ -81,14 +81,14 @@ def test_onehyp_monotone_in_multiplicity():
 
     for n in range(3, 13):
         for m in range(2, n):
-            before = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m)),)), n)[0][0]
-            after = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m + 1)),)), n)[0][0]
+            before = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m)),)))[0][0]
+            after = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m + 1)),)))[0][0]
             if gcd(m + 1, n) >= gcd(m, n):
                 assert after >= before
     # when the gcd does drop the bound can fall: a 6-fold point among 12
     # lines contributes 4 * 5 = 20, a 7-fold point nothing
-    six = onehyp_bounds(SyntheticIncidence(12, (tuple(range(6)),)), 12)[0][0]
-    seven = onehyp_bounds(SyntheticIncidence(12, (tuple(range(7)),)), 12)[0][0]
+    six = onehyp_bounds(SyntheticIncidence(12, (tuple(range(6)),)))[0][0]
+    seven = onehyp_bounds(SyntheticIncidence(12, (tuple(range(7)),)))[0][0]
     assert (six, seven) == (31, 11)
 
 
@@ -166,20 +166,18 @@ def test_one_pass_bounds_match_per_line_reference():
     rng = random.Random(20111004)
     cases = [proj_incidence(t) for t in (TRIANGLE, BRAID, pencil(6), presets.nearpencil_text(8))]
     cases += [proj_incidence(presets.parallel_family_text())]
-    cases += [(random_synthetic_incidence(rng, n), n) for n in range(2, 14) for _ in range(10)]
+    cases += [(random_synthetic_incidence(rng, n), n) for n in range(2, 14) for _ in range(30)]
     outcomes = {"fires": 0, "guard": 0, "silent": 0, "corollary": 0, "no-corollary": 0}
-    for inc, n_lines in cases:
-        # the public functions accept any line count, not only the incidence's own
-        for n in {n_lines, n_lines + 1, max(2, n_lines - 1)}:
-            expected = {h: reference_onehyp_bound(inc, n, h) for h in range(n)}
-            assert onehyp_bounds(inc, n) == (expected, min(expected.values()))
-            assert cdo_bound(inc, n) == reference_cdo_bound(inc, n)
-            opc = one_point_check(inc, n)
-            assert opc == reference_one_point_check(inc, n)
-            outcomes["fires" if opc.fires else "guard" if opc.guard_blocked else "silent"] += 1
-            witness = corollary_check(inc, n)
-            assert witness == reference_corollary_check(inc, n)
-            outcomes["corollary" if witness is not None else "no-corollary"] += 1
+    for inc, n in cases:
+        expected = {h: reference_onehyp_bound(inc, n, h) for h in range(n)}
+        assert onehyp_bounds(inc) == (expected, min(expected.values()))
+        assert cdo_bound(inc) == reference_cdo_bound(inc, n)
+        opc = one_point_check(inc)
+        assert opc == reference_one_point_check(inc, n)
+        outcomes["fires" if opc.fires else "guard" if opc.guard_blocked else "silent"] += 1
+        witness = corollary_check(inc)
+        assert witness == reference_corollary_check(inc, n)
+        outcomes["corollary" if witness is not None else "no-corollary"] += 1
     # every branch of both criteria is reached
     assert min(outcomes.values()) >= 20, outcomes
 
@@ -188,26 +186,26 @@ def test_one_pass_bounds_match_per_line_reference():
 
 
 def test_corollary_triangle_and_nearpencil():
-    inc, n = proj_incidence(TRIANGLE)
-    assert corollary_check(inc, n) == 0
+    inc, _ = proj_incidence(TRIANGLE)
+    assert corollary_check(inc) == 0
     # near-pencil(5): the 4-fold point has gcd(4, 5) = 1, doubles are fine
-    inc, n = proj_incidence(presets.nearpencil_text(5))
-    assert corollary_check(inc, n) == 0
+    inc, _ = proj_incidence(presets.nearpencil_text(5))
+    assert corollary_check(inc) == 0
 
 
 def test_corollary_refuses_pencil_and_braid():
-    inc, n = proj_incidence(pencil(4))
-    assert corollary_check(inc, n) is None  # gcd(4, 4) = 4 on every line
-    inc, n = proj_incidence(BRAID)
-    assert corollary_check(inc, n) is None  # every line has gcd-3 triples
+    inc, _ = proj_incidence(pencil(4))
+    assert corollary_check(inc) is None  # gcd(4, 4) = 4 on every line
+    inc, _ = proj_incidence(BRAID)
+    assert corollary_check(inc) is None  # every line has gcd-3 triples
 
 
 # --- single heavy point --------------------------------------------------------
 
 
 def test_one_point_fires_on_parallel_family():
-    inc, n = proj_incidence(presets.parallel_family_text())
-    r = one_point_check(inc, n)
+    inc, _ = proj_incidence(presets.parallel_family_text())
+    r = one_point_check(inc)
     assert r.fires
     assert r.witness == (0, "(0:0:1)", 4)
     assert r.guard_blocked is None
@@ -216,7 +214,7 @@ def test_one_point_fires_on_parallel_family():
 def test_one_point_guard_blocks_pencil():
     for n in (3, 5, 8):
         inc, _ = proj_incidence(pencil(n))
-        r = one_point_check(inc, n)
+        r = one_point_check(inc)
         assert r.literal_fires  # one heavy point on each line, literally
         assert not r.fires  # but it has multiplicity n: guard refuses
         assert r.guard_blocked is not None
@@ -225,8 +223,8 @@ def test_one_point_guard_blocks_pencil():
 
 def test_one_point_silent_on_braid():
     # two heavy points per line: the criterion does not even match
-    inc, n = proj_incidence(BRAID)
-    r = one_point_check(inc, n)
+    inc, _ = proj_incidence(BRAID)
+    r = one_point_check(inc)
     assert not r.fires and not r.literal_fires
 
 
@@ -350,15 +348,15 @@ def test_split_refuses_infinity_out_of_range():
 
 
 def test_cdo_triangle():
-    inc, n = proj_incidence(TRIANGLE)
-    per_k, total = cdo_bound(inc, n)
+    inc, _ = proj_incidence(TRIANGLE)
+    per_k, total = cdo_bound(inc)
     assert per_k == {1: 0, 2: 0}
     assert total == 2
 
 
 def test_cdo_braid():
-    inc, n = proj_incidence(BRAID)
-    per_k, total = cdo_bound(inc, n)
+    inc, _ = proj_incidence(BRAID)
+    per_k, total = cdo_bound(inc)
     # triples only matter when 6 divides 3k, i.e. k even
     assert per_k == {1: 0, 2: 2, 3: 0, 4: 2, 5: 0}
     assert total == 9
@@ -367,7 +365,7 @@ def test_cdo_braid():
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_cdo_pencil(n):
     inc, _ = proj_incidence(pencil(n))
-    per_k, total = cdo_bound(inc, n)
+    per_k, total = cdo_bound(inc)
     # the n-fold point counts for every k, on every line
     assert all(v == n - 2 for v in per_k.values())
     assert total == (n - 1) + (n - 1) * (n - 2)
@@ -376,7 +374,7 @@ def test_cdo_pencil(n):
 def test_cdo_symmetry():
     for text in (BRAID, presets.parallel_family_text()):
         inc, n = proj_incidence(text)
-        per_k, _ = cdo_bound(inc, n)
+        per_k, _ = cdo_bound(inc)
         for k in range(1, n):
             assert per_k[k] == per_k[n - k]
 
@@ -388,7 +386,7 @@ def test_cdo_symmetry_on_corpus():
 
     for name, text in Corpus().entries:
         inc, n = proj_incidence(text)
-        per_k, _ = cdo_bound(inc, n)
+        per_k, _ = cdo_bound(inc)
         assert all(per_k[k] == per_k[n - k] for k in range(1, n)), name
 
 
@@ -428,11 +426,11 @@ def test_parse_incidence_line_budget():
 
 def test_synthetic_matches_geometric():
     # feeding the triangle's incidence synthetically gives identical bounds
-    inc, n = proj_incidence(TRIANGLE)
+    inc, _ = proj_incidence(TRIANGLE)
     synth = SyntheticIncidence(3, ((0, 1), (0, 2), (1, 2)))
-    assert onehyp_bounds(inc, n) == onehyp_bounds(synth, n)
-    assert cdo_bound(inc, n) == cdo_bound(synth, n)
-    assert corollary_check(inc, n) == corollary_check(synth, n)
+    assert onehyp_bounds(inc) == onehyp_bounds(synth)
+    assert cdo_bound(inc) == cdo_bound(synth)
+    assert corollary_check(inc) == corollary_check(synth)
 
 
 def test_synthetic_cdo_target():
@@ -441,11 +439,11 @@ def test_synthetic_cdo_target():
     from milnorfiber.validation import synthetic_incidence_text
 
     inc = parse_incidence(synthetic_incidence_text())
-    per_k, total = cdo_bound(inc, 12)
+    per_k, total = cdo_bound(inc)
     assert total == 11
     assert set(per_k.values()) == {0}
     # while the per-line bound stays strictly larger
-    _, best = onehyp_bounds(inc, 12)
+    _, best = onehyp_bounds(inc)
     assert best > 11
 
 
@@ -453,8 +451,8 @@ def test_synthetic_cdo_target():
 
 
 def test_report_triangle():
-    inc, n = proj_incidence(TRIANGLE)
-    r = bound_report(inc, n)
+    inc, _ = proj_incidence(TRIANGLE)
+    r = bound_report(inc)
     assert r.lower_bound == 2
     assert r.upper_bound == 2
     assert r.corollary_witness == 0

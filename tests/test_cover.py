@@ -232,7 +232,7 @@ def test_contracted_d2_drops_tree_columns():
 
 def test_cell_budget():
     # a relator-free presentation: n vertices and n edges, so 2n cells
-    free = Presentation(1, (), "affine-decone", 2)
+    free = Presentation(1, (), "affine-decone")
     c = build_cover_complex(free, modulus=CELL_BUDGET // 2)
     assert c.d2.shape == (0, CELL_BUDGET // 2)
     with pytest.raises(geometry.InputError, match=f"budget of {CELL_BUDGET}.*--modulus"):
@@ -240,9 +240,9 @@ def test_cell_budget():
 
 
 def test_modulus_override_validation():
-    pres = Presentation(2, (Relator(Word([1, 1, -2, -2]), projective=True),), "projective", 2)
+    pres = Presentation(2, (Relator(Word([1, 1, -2, -2]), projective=True),), "projective")
     build_cover_complex(pres, modulus=2)  # exponent sum 0 works for any n
-    bad = Presentation(2, (Relator(Word([1, 1]), projective=True),), "projective", 2)
+    bad = Presentation(2, (Relator(Word([1, 1]), projective=True),), "projective")
     build_cover_complex(bad, modulus=2)
     with pytest.raises(ValueError, match="not divisible"):
         build_cover_complex(bad, modulus=3)
@@ -291,7 +291,7 @@ def test_h1_two_parallel_lines():
 def test_h1_betti_mod_detects_torsion():
     # one generator, relator g^4, double cover: the Fox row folds to
     # 2 + 2x, so H1 = Z/2 and only the mod-2 Betti number sees it
-    pres = Presentation(1, (Relator(Word([1, 1, 1, 1]), projective=True),), "projective", 4)
+    pres = Presentation(1, (Relator(Word([1, 1, 1, 1]), projective=True),), "projective")
     c = build_cover_complex(pres, modulus=2)
     assert c.seeds == ({0: 2, 1: 2},)
     h = h1_of_cover(c, primes=(2, 3))
@@ -384,12 +384,10 @@ def test_connected_cover_everywhere():
 def test_shift_invariance_of_homology():
     """Conjugating a relator only shifts its Fox row, so homology of the
     cover must not change."""
-    base = Presentation(2, (Relator(Word([1, 2, -1, -2])),), "affine-decone", 5)
-    conj = Presentation(
-        2, (Relator(Word([2, 1, 2, -1, -2, -2])),), "affine-decone", 5
-    )
-    h_base = h1_of_cover(build_cover_complex(base), primes=(2, 5))
-    h_conj = h1_of_cover(build_cover_complex(conj), primes=(2, 5))
+    base = Presentation(2, (Relator(Word([1, 2, -1, -2])),), "affine-decone")
+    conj = Presentation(2, (Relator(Word([2, 1, 2, -1, -2, -2])),), "affine-decone")
+    h_base = h1_of_cover(build_cover_complex(base, modulus=5), primes=(2, 5))
+    h_conj = h1_of_cover(build_cover_complex(conj, modulus=5), primes=(2, 5))
     assert h_base.group == h_conj.group
     assert h_base.betti_mod == h_conj.betti_mod
 

@@ -90,6 +90,14 @@ def test_default_primes_follow_cover_degree():
     assert b.primes == (2,)
 
 
+def test_default_probes_follow_the_line_count_under_a_modulus():
+    # the probes come from the 4 lines and their 4-fold point, not from
+    # the degree-13 cover that --modulus asks for
+    a = analyze("pencil:4", modulus=13)
+    assert a.n == 13 and a.primes == (2, 3, 5, 7, 11)
+    assert pipeline.probe_primes(a.incidence) == a.primes
+
+
 def test_report_dict_shape():
     r = pipeline.report_dict(analyze("triangle"))
     assert r["input"]["n_lines"] == 3

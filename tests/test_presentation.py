@@ -239,7 +239,8 @@ def test_sweep_deterministic():
 def test_vertex_order_convention_is_cosmetic():
     # Reversing the vertex-local ordering (descending slope instead of
     # ascending) changes the relator words but must not change the cover
-    # homology.
+    # homology.  The package sweeps bottom-up only; the top-down words come
+    # from the reference sweep below.
     affines = [
         geometry.shear_to_generic(
             geometry.parse_arrangement("affine\n1 -1 -2\n0 1 0\n1 1 -2\n10 -1 0\n")
@@ -250,7 +251,11 @@ def test_vertex_order_convention_is_cosmetic():
         affines.append(geometry.shear_to_generic(geometry.decone(arr, 0)))
     for aff in affines:
         bottom_up = arvola_randell(aff)
-        top_down = arvola_randell(aff, top_down=True)
+        top_down = Presentation(
+            aff.n_lines,
+            tuple(Relator(w, vertex=v, index=k) for w, v, k in reference_sweep(aff, top_down=True)),
+            "affine-decone",
+        )
         ha = cover.h1_of_cover(cover.build_cover_complex(bottom_up), primes=(2, 3))
         hb = cover.h1_of_cover(cover.build_cover_complex(top_down), primes=(2, 3))
         assert ha.group == hb.group
@@ -303,7 +308,7 @@ sweep = presentation.arvola_randell
 
 def dropping(aff):
     p = sweep(aff)
-    return presentation.Presentation(p.generator_count, p.relators[:-1], p.kind, p.phi_modulus)
+    return presentation.Presentation(p.generator_count, p.relators[:-1], p.kind)
 
 presentation.arvola_randell = dropping
 arr = geometry.parse_arrangement("projective\\n1 0 0\\n0 1 0\\n0 0 1\\n1 1 1\\n")
@@ -330,14 +335,14 @@ def test_relator_count_check_survives_dash_o():
 
 
 def test_free_reduce_and_strip():
-    p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),), "affine-decone", 4)
+    p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),), "affine-decone")
     out = free_reduce_and_strip(p)
     assert [r.word.format() for r in out.relators] == ["g2 g3 g2^-1 g3^-1"]
 
 
 def test_strip_drops_empty_relators():
     # conjugate of the identity collapses to nothing
-    p = Presentation(2, (Relator(Word([1, 2, -2, -1])),), "affine-decone", 3)
+    p = Presentation(2, (Relator(Word([1, 2, -2, -1])),), "affine-decone")
     assert free_reduce_and_strip(p).relators == ()
 
 
@@ -345,7 +350,7 @@ def test_strip_keeps_unwrapped_relators_as_they_are():
     # nothing to strip: the relator itself comes back, not a rebuilt copy
     kept = Relator(Word([1, 2, -1, -2]), vertex="v0")
     wrapped = Relator(Word([3, 1, 2, -1, -2, -3]), vertex="v1", index=1)
-    out = free_reduce_and_strip(Presentation(3, (kept, wrapped), "affine-decone", 4)).relators
+    out = free_reduce_and_strip(Presentation(3, (kept, wrapped), "affine-decone")).relators
     assert out[0] is kept
     assert out[1] == wrapped._replace(word=Word([1, 2, -1, -2]))
 
@@ -374,7 +379,7 @@ def test_strip_matches_pairwise_reference(parts):
         letters = reference_strip(r.word.letters)
         if letters:
             expected.append(r._replace(word=Word(letters)))
-    pres = Presentation(4, tuple(relators), "affine-decone", 5)
+    pres = Presentation(4, tuple(relators), "affine-decone")
     assert free_reduce_and_strip(pres).relators == tuple(expected)
 
 
@@ -405,7 +410,7 @@ def test_relator_is_an_immutable_value():
 ])
 def test_presentation_refusals(kind, relators, message):
     with pytest.raises(ValueError, match=message):
-        Presentation(2, relators, kind, 3)
+        Presentation(2, relators, kind)
 
 
 # --- reference sweep -------------------------------------------------------------
@@ -473,9 +478,7 @@ def test_sweep_matches_fraction_reference():
         arr = geometry.Arrangement(tuple(lines))
         for idx in range(arr.n_lines):
             aff = geometry.shear_to_generic(geometry.decone(arr, idx))
-            for top_down in (False, True):
-                got = triples(arvola_randell(aff, top_down=top_down))
-                assert got == reference_sweep(aff, top_down)
+            assert triples(arvola_randell(aff)) == reference_sweep(aff)
             checked += 1
         if n % 10 == 0:
             delta, sweep_relators = reference_product_relator(arr)
@@ -490,8 +493,7 @@ def test_sweep_matches_fraction_reference():
         arr = planted_arrangement(rng, rng.randint(20, 40), [rng.randint(5, 8) for _ in range(2)])
         aff = geometry.shear_to_generic(geometry.decone(arr, rng.randrange(arr.n_lines)))
         heavy += max(pt.multiplicity for pt in aff.incidence.points) >= 5
-        for top_down in (False, True):
-            assert triples(arvola_randell(aff, top_down=top_down)) == reference_sweep(aff, top_down)
+        assert triples(arvola_randell(aff)) == reference_sweep(aff)
     assert heavy >= 15
 
 

@@ -66,10 +66,10 @@ REFUSALS = [
     (Arrangement((ProjLine((1, 0, 0)), ProjLine((0, 1, 0)))),
      {"lines": (ProjLine((1, 0, 0)), ProjLine((2, 0, 0)))}, InputError, "duplicate line"),
     (AffineArrangement((AffineLine((1, 0, 0)),)), {"lines": ()}, InputError, "at least 1 line"),
-    (Presentation(2, (Relator(Word([1, 2, -1, -2])),), "affine-decone", 3),
+    (Presentation(2, (Relator(Word([1, 2, -1, -2])),), "affine-decone"),
      {"generator_count": 1}, ValueError, "outside generator range"),
     (TRIANGLE, {"points": ((0, 1), (1, 0, 2))}, InputError, "meet in two points"),
-    (bounds.bound_report(TRIANGLE, 3), {"onehyp_best": 1}, AssertionError, "lower bound exceeds"),
+    (bounds.bound_report(TRIANGLE), {"onehyp_best": 1}, AssertionError, "lower bound exceeds"),
     (Prediction(AbelianGroup(2), 2, 2), {"upper": 1}, AssertionError, "outside bound sandwich"),
 ]
 

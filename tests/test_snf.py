@@ -1,11 +1,12 @@
 import random
+import time
 import unittest
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from milnorfiber import geometry, pipeline, presets, snf, validation
+from milnorfiber import cover, geometry, pipeline, presets, snf, validation
 from milnorfiber.snf import (
     AbelianGroup,
     RowOrbits,
@@ -77,6 +78,20 @@ def test_rank_mod_p():
 def test_rank_mod_p_refuses_non_prime(p):
     with pytest.raises(ValueError, match=f"{p} is not prime"):
         rank_mod_p([[1]], p)
+
+
+def test_library_calls_refuse_a_probe_above_the_ceiling_at_once():
+    # 2^61 - 1 is prime: trial division up to its square root would take minutes
+    huge, top = 2**61 - 1, snf.PRIME_CEILING - 1
+    complex_ = pipeline.analyze_text(presets.triangle_text()).complex
+    for call in (lambda p: ranks_mod_primes([[1, 1]], (2, p)),
+                 lambda p: cover.h1_of_cover(complex_, primes=(p,))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{huge} is not prime below 2\\^31"):
+            call(huge)
+        assert time.perf_counter() - start < 1.0
+        call(top)
+    assert top == 2**31 - 1
 
 
 def test_matrix_input_errors():
