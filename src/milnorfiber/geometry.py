@@ -332,19 +332,39 @@ def shear_to_generic(aff):
     intersection-point x coordinates distinct.  t is the smallest
     non-negative integer that works, found by trying t = 0, 1, 2, ...
     (only finitely many values fail), so runs are reproducible.  At t = 0
-    the result has the input's lines and shares its ``incidence``; a
-    sheared picture computes its own.
+    the result has the input's lines and shares its ``incidence``, which
+    just passed the test; a sheared picture computes its own and is
+    tested again.
     """
     t = 0
     while not is_sweep_generic(aff, t):
         t += 1
+    if not t:
+        out = aff._replace(shear=0)
+        vars(out)["incidence"] = aff.incidence
+        return out
     new_lines = tuple(AffineLine((a, a * t + b, c)) for a, b, c in (l.coeffs for l in aff.lines))
     out = AffineArrangement(new_lines, shear=t)
-    if not t:
-        vars(out)["incidence"] = aff.incidence
     if not is_sweep_generic(out):
         raise AssertionError("shear failed to reach sweep position")
     return out
+
+
+def _rational(token):
+    """``Fraction(token)`` as an ``int`` where ``int`` reads the token.
+
+    For a token with no ``_``, ``int`` accepts exactly a sign and decimal
+    digits (Unicode ones included), which ``Fraction`` reads as the same
+    integer; any token ``int`` refuses goes to ``Fraction``, so errors stay
+    ``Fraction``'s.  A ``_`` always goes to ``Fraction``: before Python
+    3.11 it refuses ``1_0``, which ``int`` reads as 10.
+    """
+    if "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return Fraction(token)
 
 
 def parse_arrangement(text):
@@ -354,7 +374,8 @@ def parse_arrangement(text):
     non-comment line: three whitespace-separated rationals (``p`` or
     ``p/q``); exponent notation such as ``1e9`` is refused, since a short
     token like ``1e30000000`` would expand to millions of digits.  ``#``
-    starts a comment.
+    starts a comment.  A token reads as ``Fraction(token)`` does, with the
+    same value and the same errors; see ``_rational``.
 
     >>> parse_arrangement("projective\\n1 0 0\\n0 1 0\\n0 0 1").n_lines
     3
@@ -381,7 +402,7 @@ def parse_arrangement(text):
                     f"line {lineno}: malformed rational {p!r} (write p or p/q; no exponents)"
                 )
         try:
-            coeffs = tuple(Fraction(p) for p in parts)
+            coeffs = tuple(map(_rational, parts))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"line {lineno}: malformed rational ({exc})") from None
         triples.append((lineno, coeffs))

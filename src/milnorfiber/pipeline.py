@@ -22,8 +22,10 @@ def _check_primes(primes):
     for p in primes:
         if p >= snf.PRIME_CEILING:
             raise geometry.InputError(f"bad --primes entry {p}: probe primes must be below 2^31")
-        if snf.prime_factors(p) != [p]:
-            raise geometry.InputError(f"bad --primes entry {p}: not a prime")
+        try:
+            snf._require_prime(p)  # cached: h1_of_cover asks again
+        except ValueError:
+            raise geometry.InputError(f"bad --primes entry {p}: not a prime") from None
 
 
 def probe_primes(incidence):

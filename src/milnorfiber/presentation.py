@@ -9,6 +9,8 @@ rightmost unbroken ray.  Words are sequences of nonzero signed integers:
 """
 
 from collections import namedtuple
+from functools import lru_cache
+from operator import neg
 
 from . import geometry
 from .geometry import InputError
@@ -56,11 +58,16 @@ class Word:
         """Stable text form, e.g. 'g1 g2 g1^-1 g2^-1' ('1' for the identity)."""
         if not self.letters:
             return "1"
-        return " ".join([f"g{l}" if l > 0 else f"g{-l}^-1" for l in self.letters])
+        return " ".join(map(_letter_text, self.letters))
+
+
+@lru_cache(maxsize=None)
+def _letter_text(l):
+    return f"g{l}" if l > 0 else f"g{-l}^-1"
 
 
 def _inverse(letters):
-    return tuple(-l for l in reversed(letters))
+    return tuple(map(neg, reversed(letters)))
 
 
 def _word(letters):
@@ -72,8 +79,13 @@ def _word(letters):
             out.pop()
         else:
             out.append(l)
+    return _reduced(tuple(out))
+
+
+def _reduced(letters):
+    """The Word of a letter tuple that is already freely reduced."""
     w = Word.__new__(Word)
-    w.letters = tuple(out)
+    w.letters = letters
     return w
 
 
@@ -166,6 +178,12 @@ def arvola_randell(aff):
     while each middle line i picks up a conjugation by W_{i-1} ... W_1.
     Words are letter tuples; each relator and conjugate is reduced once.
 
+    A double point (m = 2), almost every vertex of a generic picture, has
+    no middle line: it emits [W_2, W_1] and changes no word.  Every word
+    is freely reduced and nonempty, so W_2 W_1 W_2^-1 W_1^-1 can cancel
+    only where two of its four pieces meet; it is reduced only when one of
+    those three junctions cancels.
+
     >>> aff = geometry.shear_to_generic(geometry.parse_arrangement("affine\\n1 0 0\\n0 1 0"))
     >>> [r.word.format() for r in arvola_randell(aff).relators]
     ['g2 g1 g2^-1 g1^-1']
@@ -182,6 +200,18 @@ def arvola_randell(aff):
     words = [(i + 1,) for i in range(aff.n_lines)]
     relators = []
     for pt in map(points.__getitem__, sweep):
+        if len(pt.incident) == 2:
+            lo, hi = pt.incident
+            if slope[hi] < slope[lo]:
+                lo, hi = hi, lo
+            u, l = words[hi], words[lo]
+            letters = u + l + _inverse(l + u)
+            if u[-1] == -l[0] or u[0] == -l[-1] or u[-1] == l[-1]:
+                word = _word(letters)
+            else:
+                word = _reduced(letters)
+            relators.append(Relator(word, pt.label(), 1))
+            continue
         order = sorted(pt.incident, key=slope.__getitem__)
         W = [words[i] for i in order]
         m = len(W)
@@ -192,7 +222,7 @@ def arvola_randell(aff):
         upper = ()
         for k in range(1, m):
             upper += W[m - k]
-            relators.append(Relator(_commutator(upper, lower[m - k]), vertex=vertex, index=k))
+            relators.append(Relator(_commutator(upper, lower[m - k]), vertex, k))
         for pos in range(1, m - 1):
             c = lower[pos]
             words[order[pos]] = _word(_inverse(c) + W[pos] + c).letters

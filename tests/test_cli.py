@@ -83,7 +83,7 @@ def test_analyze_primes_flag(tri_file, capsys):
     assert "F_13: 2" in out
 
 
-@pytest.mark.parametrize("entry", ["4", "0", "-3"])
+@pytest.mark.parametrize("entry", ["4", "0", "-3", "1", "-2", "2147483646"])
 def test_analyze_primes_rejects_non_prime(tri_file, capsys, entry):
     code, out, err = run(capsys, "analyze", tri_file, "--primes", f"2,{entry}")
     assert code == 2

@@ -300,6 +300,10 @@ def test_integer_geometry_builds_no_fraction(monkeypatch):
     assert shear_to_generic(AffineArrangement(
         (AffineLine((0, 1, 0)), AffineLine((0, 1, -1)), AffineLine((1, 0, 0))))).shear == 1
     assert len(presentation.projective_presentation(arr).relators) == 3 + 2 * 4 + 1
+    # an all-integer file, signs and Unicode digits included, parses to ints
+    text = "projective\n1 0 0\n0 1 0\n+0 -0 \u0663\n1 1 0\n0 1 1\n1 1 1\n"
+    assert parse_arrangement(text) == arr
+    assert parse_arrangement("affine\n1 -1 0\n1 1 0\n0 1 -7\n").n_lines == 3
 
 
 def test_intersection_points_canonicalizes_each_pair_once(monkeypatch):
@@ -393,6 +397,28 @@ def test_shear_noop_when_already_generic():
     out = shear_to_generic(aff)
     assert out.shear == 0
     assert [l.coeffs for l in out.lines] == [l.coeffs for l in aff.lines]
+
+
+def test_shear_tests_once_at_t0(monkeypatch):
+    # the t = 0 picture keeps the lines and the incidence that just passed
+    calls = []
+    real = geometry.is_sweep_generic
+    monkeypatch.setattr(geometry, "is_sweep_generic",
+                        lambda aff, t=0: calls.append((aff, t)) or real(aff, t))
+    aff = parse_arrangement("affine\n1 -1 0\n1 1 0\n0 1 0\n0 1 -1\n")
+    out = shear_to_generic(aff)
+    assert out.shear == 0 and calls == [(aff, 0)]
+    assert out.lines == aff.lines and out.incidence is aff.incidence
+
+
+def test_shear_post_check_runs_when_t_is_positive(monkeypatch):
+    real = geometry.is_sweep_generic
+    # the search tests the unsheared input; the post-check tests the result
+    monkeypatch.setattr(geometry, "is_sweep_generic",
+                        lambda aff, t=0: aff.shear is None and real(aff, t))
+    with pytest.raises(AssertionError, match="shear failed"):
+        shear_to_generic(parse_arrangement("affine\n1 0 0\n0 1 0\n"))
+    assert shear_to_generic(parse_arrangement("affine\n1 -1 0\n1 1 0\n")).shear == 0
 
 
 def test_concurrent_affine_incidence():

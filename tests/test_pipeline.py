@@ -136,6 +136,17 @@ def test_analyze_accepts_prime_below_ceiling():
     assert a.homology.betti_mod == {2**31 - 1: 2}
 
 
+def test_analyze_trial_divides_a_requested_prime_once(monkeypatch):
+    # the request check and h1_of_cover share one cached primality test
+    calls = []
+    real = snf.prime_factors
+    monkeypatch.setattr(snf, "prime_factors", lambda n: calls.append(n) or real(n))
+    snf._require_prime.cache_clear()
+    a = analyze("triangle", primes=(2**31 - 1,))
+    assert a.homology.betti_mod == {2**31 - 1: 2}
+    assert calls == [2**31 - 1]
+
+
 def shifted_betti_mod(monkeypatch, delta):
     """Make h1_of_cover report every mod-p Betti number off by ``delta``."""
     real = cover.h1_of_cover

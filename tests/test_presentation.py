@@ -535,3 +535,34 @@ def test_sweep_matches_fraction_reference_with_vertical_lines():
         assert triples(arvola_randell(aff)) == reference_sweep(aff)
     assert sheared > 40
 
+
+
+# the smallest input, by line and point count, of a seeded search over affine
+# arrangements (random.Random(0): 5..12 lines, coefficients in -3..3) whose
+# sweep cancels a letter where two pieces of a double point's commutator meet
+JUNCTION_CANCELLING = "affine\n2 1 0\n1 3 -1\n-3 0 0\n0 3 -1\n-1 -2 0\n"
+
+
+def test_double_point_junction_cancellation_is_reduced(monkeypatch):
+    aff = geometry.shear_to_generic(geometry.parse_arrangement(JUNCTION_CANCELLING))
+    expected = reference_sweep(aff)
+    calls = []
+    real = presentation._word
+    monkeypatch.setattr(presentation, "_word", lambda letters: calls.append(letters) or real(letters))
+    assert triples(arvola_randell(aff)) == expected
+    # a vertex of multiplicity m >= 3 reduces m - 1 relators and m - 2
+    # conjugates; every further call is the double-point fallback
+    heavy = sum(2 * pt.multiplicity - 3 for pt in aff.incidence.points if pt.multiplicity > 2)
+    assert aff.incidence.multiplicity_census() == {2: 4, 3: 2}
+    assert len(calls) == heavy + 1
+
+
+def test_generic_double_points_are_never_reduced(monkeypatch):
+    # only double points: every word stays one letter, no junction cancels
+    _, aff, _ = geometry.affine_picture(geometry.parse_arrangement(presets.preset_text("generic:8:1")))
+    aff = geometry.shear_to_generic(aff)
+    expected = reference_sweep(aff)
+    monkeypatch.setattr(presentation, "_word", None)
+    pres = arvola_randell(aff)
+    assert len(pres.relators) == len(aff.incidence.points) == 21
+    assert triples(pres) == expected
