@@ -104,13 +104,18 @@ def parse_incidence(text):
     return SyntheticIncidence(n, tuple(points))
 
 
-def _points_view(inc):
-    """Uniform view: list of (multiplicity, line indices)."""
+def _incident(inc):
+    """Uniform view: the line indices of each point, in point order."""
     if isinstance(inc, geometry.IncidenceData):
-        return [(len(p.incident), p.incident) for p in inc.points]
+        return [p.incident for p in inc.points]
     if isinstance(inc, SyntheticIncidence):
-        return [(len(p), p) for p in inc.points]
+        return inc.points
     raise TypeError(f"cannot read incidence from {type(inc).__name__}")
+
+
+def _heavy(inc):
+    """(index, m, line indices) of the points of multiplicity m > 2."""
+    return [(k, len(p), p) for k, p in enumerate(_incident(inc)) if len(p) > 2]
 
 
 def _label(inc, k):
@@ -121,7 +126,7 @@ def onehyp_bounds(inc):
     """All per-line bounds and their minimum, in one pass over the points."""
     n = inc.n_lines
     per_line = dict.fromkeys(range(n), n - 1)
-    for m, incident in _points_view(inc):
+    for _, m, incident in _heavy(inc):
         excess = (m - 2) * (gcd(m, n) - 1)
         for h in incident:
             per_line[h] += excess
@@ -133,10 +138,7 @@ def corollary_check(inc):
     to the number of lines n; such a line forces H1 to be free of rank n-1.
     Returns the lowest such line index, or None."""
     n = inc.n_lines
-    spoiled = set()
-    for m, incident in _points_view(inc):
-        if m != 2 and gcd(m, n) != 1:
-            spoiled.update(incident)
+    spoiled = {h for _, m, incident in _heavy(inc) if gcd(m, n) != 1 for h in incident}
     return next((h for h in range(n) if h not in spoiled), None)
 
 
@@ -161,8 +163,8 @@ class OnePointCheck(namedtuple("OnePointCheck", "fires witness literal_fires gua
 def one_point_check(inc):
     n = inc.n_lines
     heavy = {h: [] for h in range(n)}
-    for k, (m, incident) in enumerate(_points_view(inc)):
-        if m > 2 and gcd(m, n) != 1:
+    for k, m, incident in _heavy(inc):
+        if gcd(m, n) != 1:
             for h in incident:
                 heavy[h].append((k, m))
     blocked = None
@@ -206,10 +208,10 @@ def oka_sakamoto_check(inc, infinity):
     # one group per point on the infinity line (a parallel class) and per
     # point of multiplicity >= 3 off it; each group's lines join one component
     doubles = []
-    for m, incident in _points_view(inc):
+    for incident in _incident(inc):
         if infinity in incident:
             incident = [i for i in incident if i != infinity]
-        elif m == 2:
+        elif len(incident) == 2:
             doubles.append(incident)
             continue
         for other in incident[1:]:
@@ -239,17 +241,21 @@ def cdo_bound(inc):
     Returns (per_k dict, total).
     """
     n = inc.n_lines
-    heavy = [(m, incident) for m, incident in _points_view(inc) if m > 2]
+    heavy = _heavy(inc)
     per_k = {}
     for k in range(1, n):
         excess = dict.fromkeys(range(n), 0)
-        for m, incident in heavy:
+        for _, m, incident in heavy:
             if (k * m) % n == 0:
                 for h in incident:
                     excess[h] += m - 2
         per_k[k] = min(excess.values())
     total = (n - 1) + sum(per_k.values())
     return per_k, total
+
+
+def _jsonable(w):
+    return [_jsonable(x) for x in w] if isinstance(w, tuple) else w
 
 
 class BoundReport(namedtuple("BoundReport", "n lower_bound onehyp_per_line onehyp_best cdo_per_k "
@@ -283,10 +289,6 @@ class BoundReport(namedtuple("BoundReport", "n lower_bound onehyp_per_line onehy
     def as_dict(self):
         """JSON-ready bounds block, shared by the analysis report and the
         bounds command."""
-
-        def jsonable(w):
-            return [jsonable(x) for x in w] if isinstance(w, tuple) else w
-
         opc = self.one_point
         return {
             "lower": self.lower_bound,
@@ -301,11 +303,11 @@ class BoundReport(namedtuple("BoundReport", "n lower_bound onehyp_per_line onehy
             "corollary_witness": self.corollary_witness,
             "one_point": {
                 "fires": opc.fires,
-                "witness": jsonable(opc.witness),
-                "guard_blocked": jsonable(opc.guard_blocked),
+                "witness": _jsonable(opc.witness),
+                "guard_blocked": _jsonable(opc.guard_blocked),
             },
-            "oka_sakamoto": jsonable(self.oka_sakamoto),
-            "applicable": [[name, jsonable(w)] for name, w in self.applicable],
+            "oka_sakamoto": _jsonable(self.oka_sakamoto),
+            "applicable": [[name, _jsonable(w)] for name, w in self.applicable],
         }
 
 
@@ -376,6 +378,6 @@ def predict(arr, infinity_index=None):
 
     Returns (Prediction, BoundReport).
     """
-    proj, _, infinity = geometry.affine_picture(arr, infinity_index)
+    proj, infinity = geometry.projective_picture(arr, infinity_index)
     report = bound_report(proj.incidence, infinity=infinity)
     return report.prediction(), report

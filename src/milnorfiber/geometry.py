@@ -47,26 +47,29 @@ def primitive_triple(a, b, c):
     return a // g, b // g, c // g
 
 
-def _ratio(num, den):
-    g = gcd(num, den)
-    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+def _order_keys(pairs):
+    """floor(num * q^2 / den) for unreduced pairs with den != 0, q the
+    largest |den|: distinct rationals with denominators <= q differ by at
+    least 1/q^2, so the keys order num/den exactly, and equal rationals tie
+    (a stable sort keeps them in input order)."""
+    q2 = max((abs(den) for _, den in pairs), default=1) ** 2
+    return [num * q2 // den for num, den in pairs]
 
 
-def sweep_x(point, t=0):
-    """x - t*y of the affine point (x : y : z) as a reduced pair (num, den)
-    with den > 0, so that equal pairs are equal rationals."""
-    x, y, z = point
-    if not z:
-        raise ValueError(f"point {point} lies at infinity")
-    return _ratio(x - t * y, z)
+def sweep_keys(points, t=0):
+    """Integer keys ordered as x - t*y over the affine points (x : y : z)."""
+    for point in points:
+        if not point[2]:
+            raise ValueError(f"point {point} lies at infinity")
+    return _order_keys([(x - t * y, z) for x, y, z in points])
 
 
-def slope_key(line):
-    """The slope -a/b of a non-vertical affine line, as a sweep_x pair."""
-    a, b, _ = line.coeffs
-    if not b:
-        raise ValueError(f"vertical line {line} has no slope")
-    return _ratio(-a, b)
+def slope_keys(lines):
+    """Integer keys ordered as the slopes -a/b of non-vertical affine lines."""
+    for line in lines:
+        if not line.coeffs[1]:
+            raise ValueError(f"vertical line {line} has no slope")
+    return _order_keys([(-a, b) for a, b, _ in (line.coeffs for line in lines)])
 
 
 class _Line:
@@ -266,8 +269,7 @@ def decone(arr, infinity_index):
     """
     if not isinstance(arr, Arrangement):
         raise TypeError("decone expects a projective arrangement")
-    if not 0 <= infinity_index < arr.n_lines:
-        raise InputError(f"infinity index {infinity_index} out of range")
+    _, infinity_index = projective_picture(arr, infinity_index)
     inf_line = arr.lines[infinity_index].coeffs
     # T has two standard basis rows, avoiding the position of the chosen
     # row's first nonzero entry, above the chosen row itself
@@ -296,32 +298,37 @@ def cone(aff):
     return Arrangement(tuple(lines) + (inf,))
 
 
-def affine_picture(arr, infinity_index=None):
-    """The projective arrangement, the affine picture the sweep runs on,
-    and the index of the line at infinity, as ``(proj, aff, index)``.
-
-    Affine input is coned (its infinity line is appended last) and
-    ``infinity_index`` is ignored; projective input is deconed along
-    ``infinity_index`` (default: the last line).
-    """
+def projective_picture(arr, infinity_index):
+    """``(proj, index)``: the projective arrangement (affine input is coned,
+    its infinity line last) and the index of its line at infinity, for
+    projective input ``infinity_index`` checked, or the last line if None."""
     if isinstance(arr, AffineArrangement):
-        proj = cone(arr)
-        return proj, arr, proj.n_lines - 1
-    if not isinstance(arr, Arrangement):
+        arr, infinity_index = cone(arr), None
+    elif not isinstance(arr, Arrangement):
         raise TypeError(f"expected an arrangement, got {type(arr).__name__}")
     if infinity_index is None:
         infinity_index = arr.n_lines - 1
-    return arr, decone(arr, infinity_index), infinity_index
+    elif not 0 <= infinity_index < arr.n_lines:
+        raise InputError(f"infinity index {infinity_index} out of range")
+    return arr, infinity_index
+
+
+def affine_picture(arr, infinity_index=None):
+    """``(proj, aff, index)``: ``projective_picture`` and the affine picture
+    the sweep runs on, projective input deconed along that line."""
+    proj, infinity_index = projective_picture(arr, infinity_index)
+    aff = arr if isinstance(arr, AffineArrangement) else decone(proj, infinity_index)
+    return proj, aff, infinity_index
 
 
 def is_sweep_generic(aff, t=0):
-    """No vertical line, and no two intersection points share an x value,
-    after the shear (x, y) -> (x - t*y, y)."""
+    """No vertical line, and no two intersection points share an x value
+    (distinct ``sweep_keys`` at t), after the shear (x, y) -> (x - t*y, y)."""
     # a line's new y-coefficient is a*t + b; a vertex (x, y) moves to x - t*y
     if any(a * t + b == 0 for a, b, _ in (l.coeffs for l in aff.lines)):
         return False
-    xs = {sweep_x(pt.point, t) for pt in aff.incidence.points}
-    return len(xs) == len(aff.incidence.points)
+    points = [pt.point for pt in aff.incidence.points]
+    return len(set(sweep_keys(points, t))) == len(points)
 
 
 def shear_to_generic(aff):
@@ -330,8 +337,8 @@ def shear_to_generic(aff):
     The substitution keeps the arrangement's topology (it is an ambient
     linear isotopy) while removing vertical lines and making all
     intersection-point x coordinates distinct.  t is the smallest
-    non-negative integer that works, found by trying t = 0, 1, 2, ...
-    (only finitely many values fail), so runs are reproducible.  At t = 0
+    non-negative integer ``is_sweep_generic`` accepts, found by trying t = 0,
+    1, 2, ... (only finitely many fail), so runs are reproducible.  At t = 0
     the result has the input's lines and shares its ``incidence``, which
     just passed the test; a sheared picture computes its own and is
     tested again.

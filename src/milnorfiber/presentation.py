@@ -153,24 +153,14 @@ class Presentation(namedtuple("Presentation", "generator_count relators kind")):
         return sum(len(r.word) for r in self.relators)
 
 
-def _order_keys(pairs):
-    """Integer keys ordered as the rationals num/den of (num, den) pairs
-    with den > 0 (sweep_x, slope_key): floor(num * q^2 / den), q the
-    largest den.  Exact: two distinct rationals with denominators <= q
-    differ by >= 1/q^2, so their keys differ by >= 1; equal rationals tie,
-    and a stable sort keeps them in input order."""
-    q2 = max((den for _, den in pairs), default=1) ** 2
-    return [num * q2 // den for num, den in pairs]
-
-
 def arvola_randell(aff):
     """Sweep presentation of the affine complement's fundamental group.
 
     The sweep moves right to left through the intersection points (strictly
-    decreasing x; the arrangement must be in sweep position, see
-    geometry.shear_to_generic).  At a vertex of multiplicity m whose
-    incident lines currently carry meridian words W_1 <= ... <= W_m in
-    ascending slope order, it emits the m-1 relators
+    decreasing geometry.sweep_keys; the arrangement must be in sweep
+    position, see geometry.shear_to_generic).  At a vertex of multiplicity
+    m whose incident lines currently carry meridian words W_1 <= ... <= W_m
+    in ascending geometry.slope_keys order, it emits the m-1 relators
 
         [W_m ... W_{m-k+1},  W_{m-k} ... W_1]      for k = 1 .. m-1,
 
@@ -191,12 +181,12 @@ def arvola_randell(aff):
     if aff.shear is None:
         raise ValueError("arrangement is not in sweep position; apply shear_to_generic first")
     points = aff.incidence.points
-    x = _order_keys([geometry.sweep_x(pt.point) for pt in points])
+    x = geometry.sweep_keys([pt.point for pt in points])
     if len(set(x)) != len(x):
         raise ValueError("two vertices share an x coordinate; shear first")
     sweep = sorted(range(len(points)), key=x.__getitem__, reverse=True)
     # lines through one vertex have distinct slopes, so their keys order them
-    slope = _order_keys([geometry.slope_key(line) for line in aff.lines])
+    slope = geometry.slope_keys(aff.lines)
     words = [(i + 1,) for i in range(aff.n_lines)]
     relators = []
     for pt in map(points.__getitem__, sweep):
@@ -273,7 +263,7 @@ def projective_presentation(arr):
     if len(sweep.relators) != sum(pt.multiplicity - 1 for pt in inc.points):
         raise AssertionError("the sweep missed an intersection point")
     # descending slope; parallel lines keep input order
-    slope = _order_keys([geometry.slope_key(line) for line in aff.lines])
+    slope = geometry.slope_keys(aff.lines)
     delta = Word([i + 1 for i in sorted(range(aff.n_lines), key=slope.__getitem__, reverse=True)])
     relators = sweep.relators + (Relator(delta, vertex="infinity", index=0, projective=True),)
     return Presentation(arr.n_lines, relators, "projective")

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, JSON schema and determinism."""
 
+import gc
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorfiber import cli, validation
+from milnorfiber import cli, geometry, validation
 from milnorfiber.validation import CriterionResult
 
 TRIANGLE = "projective\n1 0 0\n0 1 0\n0 0 1\n"
@@ -205,6 +206,34 @@ def test_bounds_command_arrangement(tri_file, capsys):
         "coprime_or_double_line",
         "transverse_split",
     ]
+
+
+def test_bounds_builds_no_affine_picture(tri_file, capsys, monkeypatch):
+    # the bounds read the projective incidence and the infinity index only
+    def refuse(*args):
+        raise AssertionError("bounds deconed its input")
+
+    monkeypatch.setattr(geometry, "decone", refuse)
+    for argv in ((), ("--infinity", "0")):
+        code, out, err = run(capsys, "bounds", tri_file, "--json", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lower"] == 2
+    assert run(capsys, "bounds", tri_file, "--infinity", "99") == (
+        2, "", "error: infinity index 99 out of range\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds", "presentation"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_commands_leave_no_cyclic_garbage(tri_file, capsys, command, json_flag):
+    # everything a call builds is freed by reference counting alone
+    run(capsys, command, tri_file, *json_flag)  # first-call caches warmed
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, command, tri_file, *json_flag)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bounds_command_incidence(tmp_path, capsys):

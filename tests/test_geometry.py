@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milnorfiber import geometry, presentation
@@ -27,8 +27,8 @@ from milnorfiber.geometry import (
     parse_arrangement,
     arrangement_text,
     shear_to_generic,
-    slope_key,
-    sweep_x,
+    slope_keys,
+    sweep_keys,
 )
 
 TRIANGLE = "projective\n1 0 0\n0 1 0\n0 0 1\n"
@@ -427,7 +427,7 @@ def test_concurrent_affine_incidence():
     assert len(inc.points) == 1
     assert inc.points[0].multiplicity == 3
     assert inc.points[0].point == (0, 0, 1)
-    assert sweep_x(inc.points[0].point) == (0, 1)
+    assert sweep_keys([inc.points[0].point]) == [0]
 
 
 def test_shear_separates_stacked_points():
@@ -435,7 +435,7 @@ def test_shear_separates_stacked_points():
     aff = parse_arrangement("affine\n0 1 0\n0 1 -1\n1 0 0\n")
     out = shear_to_generic(aff)
     assert is_sweep_generic(out)
-    xs = [sweep_x(pt.point) for pt in intersection_points(out).points]
+    xs = sweep_keys([pt.point for pt in intersection_points(out).points])
     assert len(set(xs)) == len(xs) == 2
 
 
@@ -497,36 +497,79 @@ def test_incidence_is_computed_once_per_object(monkeypatch):
 
 
 def test_slope_and_vertical():
-    with pytest.raises(ValueError, match="no slope"):
-        slope_key(AffineLine((1, 0, -2)))
-    # 2x - y + 1 = 0 is y = 2x + 1
-    assert slope_key(AffineLine((2, -1, 1))) == (2, 1)
-    assert slope_key(AffineLine((0, 1, 7))) == (0, 1)
-    # 4x + 6y + 1 = 0 is primitive, its slope -2/3 is not in lowest terms
-    assert slope_key(AffineLine((4, 6, 1))) == (-2, 3)
+    lines = [AffineLine((2, -1, 1)), AffineLine((0, 1, 7)), AffineLine((4, 6, 1))]
+    with pytest.raises(ValueError, match=r"^vertical line \[1 0 -2\] has no slope$"):
+        slope_keys(lines + [AffineLine((1, 0, -2))])
+    # y = 2x + 1, y = -7, and 4x + 6y + 1 = 0, which is primitive though its
+    # slope -2/3 is not in lowest terms: the keys are the slopes times 6^2
+    assert slope_keys(lines) == [72, 0, -24]
+    assert slope_keys([]) == []
 
 
 huge = st.integers(-10**30, 10**30)
 nonzero = huge.filter(bool)
+triples = st.tuples(huge, huge, nonzero)
 
 
-@given(huge, huge, nonzero, st.integers(-10**6, 10**6))
+def assert_keys_order_as(keys, values):
+    """The integer keys compare, tie and sort (stably, both ways) exactly
+    as the exact values do."""
+    assert all(type(k) is int for k in keys)
+    for u in range(len(keys)):
+        for v in range(len(keys)):
+            d = values[u] - values[v]
+            assert (keys[u] > keys[v]) - (keys[u] < keys[v]) == (d > 0) - (d < 0)
+    entries = list(range(len(keys)))
+    for reverse in (False, True):
+        got = sorted(entries, key=keys.__getitem__, reverse=reverse)
+        assert got == sorted(entries, key=values.__getitem__, reverse=reverse)
+
+
+def with_scaled_copies(points):
+    """The points, then (-3x : -3y : -3z) copies of some of them."""
+    if not points:
+        return st.just(points)
+    return st.lists(st.sampled_from(points), max_size=4).map(
+        lambda copies: points + [tuple(-3 * v for v in p) for p in copies])
+
+
+@given(st.lists(triples, max_size=10).flatmap(with_scaled_copies), st.integers(0, 10**6))
+@example([(1, 2, 3), (-3, -6, -9), (2, 4, 6), (0, 5, -1), (0, 0, 7), (7, 1, 7)], 0)
+@example([(1, 1, 2), (3, 1, 2), (-1, -2, -1)], 1)  # ties only once sheared
 @settings(max_examples=300, deadline=None)
-def test_sweep_x_is_fraction_normal_form(x, y, z, t):
-    q = Fraction(x, z) - t * Fraction(y, z)
-    assert sweep_x((x, y, z), t) == (q.numerator, q.denominator)
-    # a projective point is its own multiples, negative ones included
-    assert sweep_x((-3 * x, -3 * y, -3 * z), t) == sweep_x((x, y, z), t)
+def test_sweep_keys_order_as_fractions(points, t):
+    # z has either sign, and a scaled copy ties with its point: a projective
+    # point is its own multiples
+    assert_keys_order_as(sweep_keys(points, t), [Fraction(x - t * y, z) for x, y, z in points])
 
 
-@given(huge, nonzero, huge)
+@given(st.lists(st.tuples(huge, nonzero, huge).filter(any), max_size=12))
+@example([(2, -1, 1), (4, -2, 0), (0, 1, 7), (4, 6, 1), (-2, -3, 5)])  # ties
 @settings(max_examples=300, deadline=None)
-def test_slope_key_is_fraction_normal_form(a, b, c):
-    q = Fraction(-a, b)
-    assert slope_key(AffineLine((a, b, c))) == (q.numerator, q.denominator)
+def test_slope_keys_order_as_fractions(coeffs):
+    lines = list({AffineLine(c): None for c in coeffs})
+    assert_keys_order_as(slope_keys(lines), [Fraction(-a, b) for a, b, _ in (l.coeffs for l in lines)])
 
 
-def test_sweep_x_refuses_points_at_infinity():
-    with pytest.raises(ValueError, match="infinity"):
-        sweep_x((1, 2, 0))
+def test_sweep_keys_refuse_points_at_infinity():
+    with pytest.raises(ValueError, match=r"^point \(1, 2, 0\) lies at infinity$"):
+        sweep_keys([(0, 0, 1), (1, 2, 0)])
+
+
+def sweep_generic_reference(aff, t):
+    """No line a*x + b*y + c = 0 turns vertical (a*t + b = 0), and the
+    points' values x - t*y, as Fractions, are distinct."""
+    if any(a * t + b == 0 for a, b, _ in (l.coeffs for l in aff.lines)):
+        return False
+    points = intersection_points(aff).points
+    return len({Fraction(x - t * y, z) for x, y, z in (pt.point for pt in points)}) == len(points)
+
+
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=7), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_is_sweep_generic_matches_fraction_reference(coeffs, t):
+    lines = list({AffineLine(c): None for c in coeffs if c[:2] != (0, 0)})
+    if lines:
+        aff = AffineArrangement(lines)
+        assert is_sweep_generic(aff, t) == sweep_generic_reference(aff, t)
 

@@ -133,17 +133,21 @@ pairs = st.tuples(
 @example([(1, 2), (-3, 1), (2, 4), (-6, 2), (1, 2), (0, 7), (0, 1)])  # ties
 @settings(max_examples=300, deadline=None)
 def test_key_order_is_fraction_order(keys):
-    ints = presentation._order_keys(keys)
-    assert all(type(k) is int for k in ints)
-    for u in range(len(keys)):
-        for v in range(len(keys)):
-            d = Fraction(*keys[u]) - Fraction(*keys[v])
-            assert (ints[u] > ints[v]) - (ints[u] < ints[v]) == (d > 0) - (d < 0)
-    entries = list(range(len(keys)))
-    for reverse in (False, True):
-        got = sorted(entries, key=ints.__getitem__, reverse=reverse)
-        want = sorted(entries, key=lambda e: Fraction(*keys[e]), reverse=reverse)
-        assert got == want  # ties included: both sorts are stable
+    # the sweep's two orders on num/den: vertices (num : 0 : den) by x, and
+    # lines -num*x + den*y = 0 by slope
+    x = geometry.sweep_keys([(num, 0, den) for num, den in keys])
+    slope = geometry.slope_keys([geometry.AffineLine((-num, den, 0)) for num, den in keys])
+    for ints in (x, slope):
+        assert all(type(k) is int for k in ints)
+        for u in range(len(keys)):
+            for v in range(len(keys)):
+                d = Fraction(*keys[u]) - Fraction(*keys[v])
+                assert (ints[u] > ints[v]) - (ints[u] < ints[v]) == (d > 0) - (d < 0)
+        entries = list(range(len(keys)))
+        for reverse in (False, True):
+            got = sorted(entries, key=ints.__getitem__, reverse=reverse)
+            want = sorted(entries, key=lambda e: Fraction(*keys[e]), reverse=reverse)
+            assert got == want  # ties included: both sorts are stable
 
 
 # --- affine sweep ------------------------------------------------------------
