@@ -32,7 +32,6 @@ from .presentation import (
 from .cover import CoverComplex, CoverHomology, build_cover_complex, fox_derivative, h1_of_cover, phi_degree
 from .bounds import (
     BoundReport,
-    Prediction,
     SyntheticIncidence,
     bound_report,
     cdo_bound,
@@ -57,7 +56,6 @@ __all__ = [
     "IncidenceData",
     "IncidencePoint",
     "InputError",
-    "Prediction",
     "Presentation",
     "ProjLine",
     "Relator",

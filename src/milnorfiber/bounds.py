@@ -13,11 +13,11 @@ from collections import namedtuple
 from math import gcd
 
 from . import geometry
-from .geometry import InputError
+from .geometry import InputError, _Checked
 from .snf import AbelianGroup
 
 
-class SyntheticIncidence(namedtuple("SyntheticIncidence", "n_lines points")):
+class SyntheticIncidence(_Checked, namedtuple("SyntheticIncidence", "n_lines points")):
     """Incidence data given combinatorially, with no coordinates.
 
     ``points`` holds one tuple of line indices per intersection point.
@@ -48,23 +48,13 @@ class SyntheticIncidence(namedtuple("SyntheticIncidence", "n_lines points")):
                     seen_pairs[pair] = k
         return tuple.__new__(cls, (n_lines, points))
 
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-
-# Largest N accepted in an incidence file.  Each bound evaluator makes one
-# pass over the points, so the densest input is the complete double-point
-# incidence with N(N-1)/2 points: its `bounds` took 0.3-0.5 s at 300 lines
-# (0.8 s at 400, 1.3 s at 500), mostly parsing, with Python 3.11 on
-# 2 shared vCPUs.
-INCIDENCE_LINE_BUDGET = 300
-
 
 def parse_incidence(text):
     """Parse raw incidence text: ``incidence N=<int>`` then one point per
     line as ``m=<int> lines=<comma-separated indices>``.  N above
-    INCIDENCE_LINE_BUDGET is refused as soon as the header is read.
+    geometry.LINE_BUDGET is refused as soon as the header is read; each
+    bound evaluator makes one pass over the points, and the densest input,
+    N(N-1)/2 double points, took 0.3-0.5 s in ``bounds`` at N = 300.
 
     >>> parse_incidence("incidence N=3\\nm=2 lines=0,1\\n").n_lines
     3
@@ -83,9 +73,9 @@ def parse_incidence(text):
                 n = int(parts[1][2:])
             except ValueError:
                 raise InputError(f"line {lineno}: N must be an integer") from None
-            if n > INCIDENCE_LINE_BUDGET:
+            if n > geometry.LINE_BUDGET:
                 raise InputError(
-                    f"line {lineno}: N={n} exceeds the budget of {INCIDENCE_LINE_BUDGET} lines"
+                    f"line {lineno}: N={n} exceeds the budget of {geometry.LINE_BUDGET} lines"
                 )
             continue
         parts = line.split()
@@ -142,8 +132,7 @@ def corollary_check(inc):
     return next((h for h in range(n) if h not in spoiled), None)
 
 
-class OnePointCheck(namedtuple("OnePointCheck", "fires witness literal_fires guard_blocked",
-                               defaults=(None, False, None))):
+class OnePointCheck(namedtuple("OnePointCheck", "witness guard_blocked", defaults=(None, None))):
     """Outcome of the single-heavy-point criterion.
 
     A point is *heavy* for the criterion when its multiplicity m exceeds 2
@@ -153,11 +142,20 @@ class OnePointCheck(namedtuple("OnePointCheck", "fires witness literal_fires gua
     the underlying deconing argument needs a line away from it.  On a
     pencil the literal condition holds but the guard correctly refuses.
 
-    ``witness`` is (line, point label, multiplicity); ``guard_blocked`` is
-    a witness that the m < n guard blocked.
+    ``witness`` is (line, point label, multiplicity) when the criterion
+    fires; otherwise ``guard_blocked`` is a witness that the m < n guard
+    blocked, if any.
     """
 
     __slots__ = ()
+
+    @property
+    def fires(self):
+        return self.witness is not None
+
+    @property
+    def literal_fires(self):
+        return self.fires or self.guard_blocked is not None
 
 
 def one_point_check(inc):
@@ -173,12 +171,10 @@ def one_point_check(inc):
             continue
         k, m = found[0]
         if m < n:
-            return OnePointCheck(True, (h, _label(inc, k), m), literal_fires=True)
+            return OnePointCheck(witness=(h, _label(inc, k), m))
         if blocked is None:
             blocked = (h, _label(inc, k), m)
-    if blocked is not None:
-        return OnePointCheck(False, None, literal_fires=True, guard_blocked=blocked)
-    return OnePointCheck(False)
+    return OnePointCheck(guard_blocked=blocked)
 
 
 def oka_sakamoto_check(inc, infinity):
@@ -258,33 +254,34 @@ def _jsonable(w):
     return [_jsonable(x) for x in w] if isinstance(w, tuple) else w
 
 
-class BoundReport(namedtuple("BoundReport", "n lower_bound onehyp_per_line onehyp_best cdo_per_k "
-                             "cdo_total corollary_witness one_point oka_sakamoto applicable notes")):
-    """Every combinatorial bound and criterion outcome for one arrangement;
-    ``one_point`` is a OnePointCheck and ``applicable`` holds (criterion
-    name, witness) pairs."""
+class BoundReport(_Checked, namedtuple("BoundReport", "n onehyp_per_line onehyp_best cdo_per_k "
+                                       "cdo_total corollary_witness one_point oka_sakamoto "
+                                       "applicable notes")):
+    """Every combinatorial bound and criterion outcome for one arrangement
+    of n lines; ``one_point`` is a OnePointCheck and ``applicable`` holds
+    (criterion name, witness) pairs."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.lower_bound > self.onehyp_best:
-            raise AssertionError("lower bound exceeds a per-line upper bound")
+        if self.lower_bound > self.upper_bound:
+            raise AssertionError("lower bound exceeds an upper bound")
         return self
 
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
+    @property
+    def lower_bound(self):
+        return self.n - 1
 
     @property
     def upper_bound(self):
         return min(self.onehyp_best, self.cdo_total)
 
-    def prediction(self):
-        """The N-1 lower bound, the best upper bound, and the free group of
-        rank N-1 as an exact answer whenever an exactness criterion fired."""
-        exact = AbelianGroup(self.n - 1) if self.applicable else None
-        return Prediction(exact=exact, lower=self.lower_bound, upper=self.upper_bound)
+    @property
+    def exact(self):
+        """The free group of rank N-1 whenever an exactness criterion
+        fired, else None."""
+        return AbelianGroup(self.n - 1) if self.applicable else None
 
     def as_dict(self):
         """JSON-ready bounds block, shared by the analysis report and the
@@ -311,29 +308,12 @@ class BoundReport(namedtuple("BoundReport", "n lower_bound onehyp_per_line onehy
         }
 
 
-class Prediction(namedtuple("Prediction", "exact lower upper")):
-    """What the combinatorics alone promise about H1: ``exact`` is an
-    AbelianGroup or None."""
-
-    __slots__ = ()
-
-    def __new__(cls, exact, lower, upper):
-        if exact is not None:
-            if not (lower <= exact.free_rank <= upper):
-                raise AssertionError("exact prediction outside bound sandwich")
-            if exact.torsion:
-                raise AssertionError("exactness criteria predict torsion-free groups")
-        return tuple.__new__(cls, (exact, lower, upper))
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-
 def bound_report(inc, infinity=None):
-    """Assemble a BoundReport from incidence data.  The transverse-split
-    check runs when ``infinity``, the index of the line sent to infinity,
-    is given; it is None for incidence without an affine picture."""
+    """Assemble a BoundReport from incidence data: the N-1 lower bound,
+    both upper bounds, and each exactness criterion with its witness.  The
+    transverse-split check runs when ``infinity``, the index of the line
+    sent to infinity, is given; it is None for incidence without an affine
+    picture."""
     n = inc.n_lines
     per_line, best = onehyp_bounds(inc)
     per_k, total = cdo_bound(inc)
@@ -348,7 +328,7 @@ def bound_report(inc, infinity=None):
     if osw is not None:
         applicable.append(("transverse_split", osw))
     notes = []
-    if opc.guard_blocked is not None and not opc.fires:
+    if opc.guard_blocked is not None:
         h, label, m = opc.guard_blocked
         notes.append(
             "single-heavy-point criterion matched line "
@@ -358,7 +338,6 @@ def bound_report(inc, infinity=None):
         )
     return BoundReport(
         n=n,
-        lower_bound=n - 1,
         onehyp_per_line=per_line,
         onehyp_best=best,
         cdo_per_k=per_k,
@@ -372,12 +351,8 @@ def bound_report(inc, infinity=None):
 
 
 def predict(arr, infinity_index=None):
-    """Aggregate prediction for an arrangement: the N-1 lower bound, the
-    best combinatorial upper bound, and an exact answer whenever one of
-    the exactness criteria fires.
-
-    Returns (Prediction, BoundReport).
-    """
+    """The BoundReport of an arrangement: its projective incidence, with
+    the transverse-split check on the line sent to infinity
+    (``geometry.projective_picture`` picks and checks it)."""
     proj, infinity = geometry.projective_picture(arr, infinity_index)
-    report = bound_report(proj.incidence, infinity=infinity)
-    return report.prediction(), report
+    return bound_report(proj.incidence, infinity=infinity)

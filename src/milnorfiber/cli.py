@@ -163,7 +163,7 @@ def cmd_bounds(args, out):
         notes = ["raw incidence input: the transverse-split check needs coordinates and was skipped"]
     else:
         arr = geometry.parse_arrangement(text)
-        _, report = bounds_mod.predict(arr, infinity_index=args.infinity)
+        report = bounds_mod.predict(arr, infinity_index=args.infinity)
         notes = []
     payload = {**report.as_dict(), "n_lines": report.n, "notes": list(report.notes) + notes}
     if args.json:
@@ -227,7 +227,8 @@ def build_parser():
     p = sub.add_parser("analyze", help="full pipeline on an arrangement file")
     p.add_argument("file")
     p.add_argument("--infinity", type=int, default=None,
-                   help="index of the line sent to infinity (default: last)")
+                   help="index of the line sent to infinity, projective files only "
+                   "(default: last)")
     p.add_argument("--primes", default=None, help="comma-separated torsion probe primes")
     p.add_argument("--modulus", type=int, default=None,
                    help="analyze the Z/m quotient cover instead of the full cover")

@@ -191,11 +191,15 @@ def build_cover_complex(pres, modulus=None):
     return CoverComplex(n, G, seeds)
 
 
-class CoverHomology(namedtuple("CoverHomology", "group b0 b1 b2 betti_mod euler")):
+class CoverHomology(namedtuple("CoverHomology", "group b0 b2 betti_mod euler")):
     """H1 of the cover (an AbelianGroup) plus the Betti numbers used for
     cross-checks; ``betti_mod`` maps each prime p to dim H1 over F_p."""
 
     __slots__ = ()
+
+    @property
+    def b1(self):
+        return self.group.free_rank
 
     def euler_ok(self):
         return self.b0 - self.b1 + self.b2 == self.euler
@@ -225,7 +229,6 @@ def h1_of_cover(complex_, primes=()):
     return CoverHomology(
         group=AbelianGroup(b1, torsion),
         b0=n - tree,
-        b1=b1,
         b2=n * complex_.relator_count - form.rank,
         betti_mod={p: b1 + sum(t % p == 0 for t in torsion) for p in primes},
         euler=complex_.euler_characteristic(),

@@ -38,15 +38,23 @@ def probe_primes(incidence):
     return tuple(sorted(ps))
 
 
-class Analysis(namedtuple("Analysis", "mode proj aff infinity_index n milnor incidence presentation "
-                       "complex homology primes bound_report prediction verdicts notes")):
+class Analysis(namedtuple("Analysis", "mode proj aff infinity_index presentation complex homology "
+                       "primes bound_report verdicts notes")):
     """Everything computed for one arrangement: ``mode`` is 'projective'
-    or 'affine', ``aff`` the sweep-ready decone, ``n`` the cover degree
-    analyzed, ``milnor`` False when a modulus override changed it (then
-    ``bound_report`` and ``prediction`` are None), and ``incidence`` that
-    of the projective arrangement."""
+    or 'affine', ``aff`` the sweep-ready decone, and ``bound_report`` None
+    when a modulus override changed the cover degree ``n``."""
 
     __slots__ = ()
+
+    @property
+    def n(self):
+        """The degree of the cover analyzed."""
+        return self.complex.n
+
+    @property
+    def incidence(self):
+        """The incidence of the projective arrangement."""
+        return self.proj.incidence
 
     @property
     def h1(self):
@@ -61,7 +69,7 @@ def _is_generic_triangle(incidence):
     return incidence.n_lines == 3 and incidence.multiplicity_census() == {2: 3}
 
 
-def _verdicts(hom, report, prediction, complex_, primes):
+def _verdicts(hom, report, complex_, primes):
     """The verdicts, and a note for each mod-p Betti number that the
     modular oracle disputes.
 
@@ -97,20 +105,21 @@ def _verdicts(hom, report, prediction, complex_, primes):
                 )
                 notes.append({"id": "modular-oracle-disagrees", "text": text})
         v["torsion_consistency"] = consistent
-        if prediction is not None and prediction.exact is not None:
-            v["exact_prediction"] = hom.group == prediction.exact
+        exact = report.exact
+        if exact is not None:
+            v["exact_prediction"] = hom.group == exact
     return v, notes
 
 
 def analyze(arr, infinity_index=None, primes=None, modulus=None):
     """Run the full pipeline on a parsed arrangement.
 
-    ``infinity_index`` picks the line sent to infinity (projective input
-    only; default: the last line).  ``modulus`` analyzes the Z/m quotient
-    cover instead of the full Milnor-fiber cover; combinatorial bounds are
-    about the full cover, so they are skipped in that case.  Each of the
-    requested ``primes`` must be a prime below snf.PRIME_CEILING; this is
-    checked before any geometry.
+    ``infinity_index`` picks the line sent to infinity (default: the last
+    line); affine input has one already and refuses it.  ``modulus``
+    analyzes the Z/m quotient cover instead of the full Milnor-fiber cover;
+    combinatorial bounds are about the full cover, so they are skipped in
+    that case.  Each of the requested ``primes`` must be a prime below
+    snf.PRIME_CEILING; this is checked before any geometry.
     """
     if primes is not None:
         _check_primes(primes)
@@ -122,16 +131,14 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     pres = presentation_mod.free_reduce_and_strip(presentation_mod.arvola_randell(aff))
     complex_ = cover_mod.build_cover_complex(pres, modulus=modulus)
     n = complex_.n
-    milnor = n == proj.n_lines
     incidence = proj.incidence
     if primes is None:
         primes = probe_primes(incidence)
     else:
         primes = tuple(sorted(set(primes)))
     hom = cover_mod.h1_of_cover(complex_, primes=primes)
-    if milnor:
+    if n == proj.n_lines:
         report = bounds_mod.bound_report(incidence, infinity=infinity_index)
-        prediction = report.prediction()
         notes = [{"id": "single-heavy-point-guard", "text": t} for t in report.notes]
         if _is_generic_triangle(incidence):
             notes.append(
@@ -154,7 +161,6 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
         )
     else:
         report = None
-        prediction = None
         notes = [
             {
                 "id": "modulus-override",
@@ -163,22 +169,18 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
                 "cover only and are skipped",
             }
         ]
-    verdicts, oracle_notes = _verdicts(hom, report, prediction, complex_, primes)
+    verdicts, oracle_notes = _verdicts(hom, report, complex_, primes)
     notes.extend(oracle_notes)
     return Analysis(
         mode=mode,
         proj=proj,
         aff=aff,
         infinity_index=infinity_index,
-        n=n,
-        milnor=milnor,
-        incidence=incidence,
         presentation=pres,
         complex=complex_,
         homology=hom,
         primes=primes,
         bound_report=report,
-        prediction=prediction,
         verdicts=verdicts,
         notes=tuple(notes),
     )
@@ -235,21 +237,19 @@ def report_dict(a):
         "b2": a.homology.b2,
         "euler": a.homology.euler,
     }
-    if a.bound_report is None:
-        bounds_block = None
+    report = a.bound_report
+    if report is None:
+        bounds_block = prediction_block = None
     else:
-        bounds_block = a.bound_report.as_dict()
-        bounds_block["one_point"]["literal_fires"] = a.bound_report.one_point.literal_fires
-    if a.prediction is None:
-        prediction_block = None
-    else:
-        p = a.prediction
+        bounds_block = report.as_dict()
+        bounds_block["one_point"]["literal_fires"] = report.one_point.literal_fires
+        exact = report.exact
         prediction_block = {
             "exact": None
-            if p.exact is None
-            else {"rank": p.exact.free_rank, "torsion": list(p.exact.torsion)},
-            "lower": p.lower,
-            "upper": p.upper,
+            if exact is None
+            else {"rank": exact.free_rank, "torsion": list(exact.torsion)},
+            "lower": report.lower_bound,
+            "upper": report.upper_bound,
         }
     return {
         "input": input_block,

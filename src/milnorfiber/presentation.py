@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import neg
 
 from . import geometry
-from .geometry import InputError
+from .geometry import InputError, _Checked
 
 
 class Word:
@@ -94,7 +94,7 @@ def _commutator(u, l):
     return _word(u + l + _inverse(u) + _inverse(l))
 
 
-class Relator(namedtuple("Relator", "word vertex index projective")):
+class Relator(_Checked, namedtuple("Relator", "word vertex index projective")):
     """A relator with its provenance: the vertex that produced it and its
     index k among that vertex's relators.  The single product relator of a
     projective presentation is flagged.  An immutable tuple of its fields."""
@@ -106,12 +106,8 @@ class Relator(namedtuple("Relator", "word vertex index projective")):
             raise ValueError("vertex relators must have exponent sum 0")
         return tuple.__new__(cls, (word, vertex, index, projective))
 
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
-
-class Presentation(namedtuple("Presentation", "generator_count relators kind")):
+class Presentation(_Checked, namedtuple("Presentation", "generator_count relators kind")):
     """A finite presentation; its kind fixes its Milnor cover's degree, ``phi_modulus``.
 
     kind 'affine-decone': one generator per affine line, cover degree
@@ -135,10 +131,6 @@ class Presentation(namedtuple("Presentation", "generator_count relators kind")):
         if bad:
             raise ValueError(f"letter {bad[0]} outside generator range")
         return tuple.__new__(cls, (generator_count, relators, kind))
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
     @property
     def phi_modulus(self):

@@ -24,6 +24,8 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
+from .geometry import _Checked
+
 
 class RowOrbits(namedtuple("RowOrbits", "seeds perm order ncols")):
     """An integer matrix given by the orbits of seed rows under a
@@ -82,7 +84,7 @@ def _orbits(m, ncols=None):
     return RowOrbits(seeds, (), 1, int(ncols))
 
 
-class SmithForm(namedtuple("SmithForm", "diagonal")):
+class SmithForm(_Checked, namedtuple("SmithForm", "diagonal")):
     """Diagonal of a Smith normal form: positive, each entry divides the next.
 
     >>> SmithForm((2, 4)).rank
@@ -101,16 +103,12 @@ class SmithForm(namedtuple("SmithForm", "diagonal")):
                 raise ValueError("Smith diagonal must form a divisibility chain")
         return tuple.__new__(cls, (diagonal,))
 
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
     @property
     def rank(self):
         return len(self.diagonal)
 
 
-class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
+class AbelianGroup(_Checked, namedtuple("AbelianGroup", "free_rank torsion")):
     """A finitely generated abelian group: free rank plus invariant factors.
 
     The torsion entries are the invariant factors greater than 1, each
@@ -137,10 +135,6 @@ class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
             if b % a:
                 raise ValueError("torsion invariant factors must form a divisibility chain")
         return tuple.__new__(cls, (free_rank, torsion))
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
     def __str__(self):
         parts = []

@@ -9,7 +9,6 @@ import pytest
 from milnorfiber import geometry, presets
 from milnorfiber.bounds import (
     OnePointCheck,
-    INCIDENCE_LINE_BUDGET,
     SyntheticIncidence,
     cdo_bound,
     corollary_check,
@@ -20,7 +19,7 @@ from milnorfiber.bounds import (
     bound_report,
     predict,
 )
-from milnorfiber.geometry import InputError
+from milnorfiber.geometry import LINE_BUDGET, InputError
 from milnorfiber.snf import AbelianGroup
 
 
@@ -142,12 +141,12 @@ def reference_one_point_check(inc, n):
             continue
         m, label = heavy[0]
         if m < n:
-            return OnePointCheck(True, (h, label, m), literal_fires=True)
+            return OnePointCheck(witness=(h, label, m))
         if blocked is None:
             blocked = (h, label, m)
     if blocked is not None:
-        return OnePointCheck(False, None, literal_fires=True, guard_blocked=blocked)
-    return OnePointCheck(False)
+        return OnePointCheck(guard_blocked=blocked)
+    return OnePointCheck()
 
 
 def random_synthetic_incidence(rng, n):
@@ -206,7 +205,7 @@ def test_corollary_refuses_pencil_and_braid():
 def test_one_point_fires_on_parallel_family():
     inc, _ = proj_incidence(presets.parallel_family_text())
     r = one_point_check(inc)
-    assert r.fires
+    assert r.fires and r.literal_fires
     assert r.witness == (0, "(0:0:1)", 4)
     assert r.guard_blocked is None
 
@@ -217,7 +216,7 @@ def test_one_point_guard_blocks_pencil():
         r = one_point_check(inc)
         assert r.literal_fires  # one heavy point on each line, literally
         assert not r.fires  # but it has multiplicity n: guard refuses
-        assert r.guard_blocked is not None
+        assert r.witness is None and r.guard_blocked is not None
         assert r.guard_blocked[2] == n
 
 
@@ -226,6 +225,7 @@ def test_one_point_silent_on_braid():
     inc, _ = proj_incidence(BRAID)
     r = one_point_check(inc)
     assert not r.fires and not r.literal_fires
+    assert r.witness is None and r.guard_blocked is None
 
 
 # --- transverse split -----------------------------------------------------------
@@ -417,10 +417,10 @@ def test_parse_incidence_errors(text, fragment):
 
 
 def test_parse_incidence_line_budget():
-    at_budget = f"incidence N={INCIDENCE_LINE_BUDGET}\nm=2 lines=0,1\n"
-    assert parse_incidence(at_budget).n_lines == INCIDENCE_LINE_BUDGET
-    over = f"incidence N={INCIDENCE_LINE_BUDGET + 1}\nm=2 lines=0,1\n"
-    with pytest.raises(InputError, match=f"line 1: N={INCIDENCE_LINE_BUDGET + 1} exceeds"):
+    at_budget = f"incidence N={LINE_BUDGET}\nm=2 lines=0,1\n"
+    assert parse_incidence(at_budget).n_lines == LINE_BUDGET
+    over = f"incidence N={LINE_BUDGET + 1}\nm=2 lines=0,1\n"
+    with pytest.raises(InputError, match=f"line 1: N={LINE_BUDGET + 1} exceeds"):
         parse_incidence(over)
 
 
@@ -461,22 +461,22 @@ def test_report_triangle():
 
 
 def test_predict_exact_when_criterion_fires():
-    pred, report = predict(geometry.parse_arrangement(presets.nearpencil_text(6)))
-    assert pred.exact == AbelianGroup(5)
-    assert pred.lower == 5
+    report = predict(geometry.parse_arrangement(presets.nearpencil_text(6)))
+    assert report.exact == AbelianGroup(5)
+    assert report.lower_bound == 5
     assert report.n == 6
 
 
 def test_predict_no_exactness_on_braid():
-    pred, report = predict(geometry.parse_arrangement(BRAID))
-    assert pred.exact is None
-    assert pred.lower == 5
-    assert pred.upper == 9
+    report = predict(geometry.parse_arrangement(BRAID))
+    assert report.exact is None
+    assert report.lower_bound == 5
+    assert report.upper_bound == 9
     assert report.applicable == ()
 
 
 def test_predict_sandwich_enforced():
-    pred, _ = predict(geometry.parse_arrangement(pencil(5)))
-    assert pred.lower == 4
-    assert pred.upper == 16
-    assert pred.exact is None  # guard keeps the pencil out
+    report = predict(geometry.parse_arrangement(pencil(5)))
+    assert report.lower_bound == 4
+    assert report.upper_bound == 16
+    assert report.exact is None  # guard keeps the pencil out

@@ -259,6 +259,54 @@ def test_bounds_refuses_incidence_over_line_budget(tmp_path, capsys):
     assert err == "error: line 1: N=100000000 exceeds the budget of 300 lines\n"
 
 
+def lines_text(header, count):
+    """An arrangement file of ``count`` lines x + k*y + k^2 = 0: distinct,
+    with distinct slopes, and no three through one point."""
+    return header + "\n" + "".join(f"1 {k} {k * k}\n" for k in range(count))
+
+
+@pytest.mark.parametrize("header", ["projective", "affine"])
+@pytest.mark.parametrize("command", ["analyze", "bounds", "presentation"])
+def test_file_over_line_budget_is_refused_while_read(tmp_path, capsys, header, command):
+    # without the budget a 1000-line file ran 6.6 s in bounds and past 120 s in presentation
+    p = tmp_path / "big.txt"
+    p.write_text(lines_text(header, geometry.LINE_BUDGET + 1) + "not a line\n" * 1000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(p))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: line 302: more than 300 lines, over the budget\n"
+
+
+@pytest.mark.parametrize("header", ["projective", "affine"])
+def test_file_at_line_budget_passes_bounds(tmp_path, capsys, header):
+    # an affine file's added line at infinity is not counted
+    p = tmp_path / "at-budget.txt"
+    p.write_text(lines_text(header, geometry.LINE_BUDGET))
+    code, out, err = run(capsys, "bounds", str(p), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_lines"] == geometry.LINE_BUDGET + (header == "affine")
+
+
+def test_malformed_line_under_the_budget_is_the_one_reported(tmp_path, capsys):
+    text = lines_text("projective", geometry.LINE_BUDGET + 1).splitlines()
+    text[50] = "1 2"
+    p = tmp_path / "bad.txt"
+    p.write_text("\n".join(text) + "\n")
+    assert run(capsys, "bounds", str(p)) == (
+        2, "", "error: line 51: expected three rationals, got '1 2'\n")
+
+
+@pytest.mark.parametrize("index", ["0", "99"])
+@pytest.mark.parametrize("command", ["analyze", "bounds", "presentation"])
+def test_infinity_flag_is_refused_on_affine_input(tmp_path, capsys, command, index):
+    # affine input has its line at infinity already; the flag was ignored
+    p = tmp_path / "affine3.txt"
+    p.write_text("affine\n1 0 0\n0 1 0\n1 1 -1\n")
+    assert run(capsys, command, str(p), "--infinity", index) == (
+        2, "", "error: an infinity index applies to projective input only\n")
+
+
 def test_preset_pencil(capsys):
     code, out, _ = run(capsys, "preset", "pencil:5")
     assert code == 0

@@ -431,4 +431,4 @@ def test_contracted_reference_matches_h1_of_cover():
         ranks = ranks_mod_primes(m, a.primes)
         assert {p: m.ncols - r for p, r in ranks.items()} == a.homology.betti_mod, name
     # an exactness criterion of the paper fires on the grid: H1 = Z^28
-    assert a.complex.n == 29 and a.h1 == a.prediction.exact == AbelianGroup(28)
+    assert a.complex.n == 29 and a.h1 == a.bound_report.exact == AbelianGroup(28)

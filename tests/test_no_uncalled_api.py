@@ -26,18 +26,8 @@ PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "milnorfiber"
 
 # Read only from outside the package's code, each for the reason given.
 ALLOWED = {
-    "bounds.BoundReport._make": "namedtuple's _replace calls it",
-    "bounds.Prediction._make": "namedtuple's _replace calls it",
-    "bounds.SyntheticIncidence._make": "namedtuple's _replace calls it",
     "cli._Parser.error": "argparse calls it on a usage error",
-    "geometry.AffineArrangement._make": "namedtuple's _replace calls it",
-    "geometry.Arrangement._make": "namedtuple's _replace calls it",
-    "geometry.IncidencePoint._make": "namedtuple's _replace calls it",
-    "geometry._Line._make": "namedtuple's _replace calls it, for ProjLine and AffineLine",
-    "presentation.Presentation._make": "namedtuple's _replace calls it",
-    "presentation.Relator._make": "namedtuple's _replace calls it",
-    "snf.AbelianGroup._make": "namedtuple's _replace calls it",
-    "snf.SmithForm._make": "namedtuple's _replace calls it",
+    "geometry._Checked._make": "namedtuple's _replace calls it, for every record that checks its fields",
     "snf.RowOrbits.shape": "perfbench's d2 counters, which CI requires non-null, read it",
 }
 
@@ -50,8 +40,8 @@ ALLOWED_DEFAULTS = {
 # Method names defined in two or more package classes, each for the reason given.
 SHARED = {
     "n_lines": "geometry.Arrangement and AffineArrangement: callers take either picture",
-    "incidence": "geometry.Arrangement and AffineArrangement: callers take either picture",
-    "_make": "every record that checks its fields overrides namedtuple's constructor hook",
+    "incidence": "geometry.Arrangement and AffineArrangement: callers take either picture; "
+    "pipeline.Analysis reads its projective arrangement's",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

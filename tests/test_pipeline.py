@@ -19,9 +19,9 @@ def test_braid_census_and_h1():
     assert a.h1 == AbelianGroup(7)
     assert a.all_verdicts_pass
     # no exactness criterion covers this one: bounds give 5 <= 7 <= 9
-    assert a.prediction.exact is None
-    assert a.prediction.lower == 5
-    assert a.prediction.upper == 9
+    assert a.bound_report.exact is None
+    assert a.bound_report.lower_bound == 5
+    assert a.bound_report.upper_bound == 9
 
 
 def test_parallel_family():
@@ -70,6 +70,13 @@ def test_decone_choice_is_cosmetic():
         for i in range(5)
     }
     assert groups == {AbelianGroup(4)}
+
+
+def test_infinity_index_is_refused_on_affine_input():
+    aff = geometry.parse_arrangement("affine\n1 0 0\n0 1 0\n1 1 -1")
+    with pytest.raises(InputError, match="projective input only"):
+        pipeline.analyze(aff, infinity_index=0)
+    assert pipeline.analyze(aff).infinity_index == 3
 
 
 def test_modulus_skips_bounds():

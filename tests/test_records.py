@@ -1,13 +1,18 @@
 """The package's records are immutable namedtuples.
 
 No field can be assigned; every check and normalization a record makes
-runs in its constructor and again in ``_replace``; and a projective line
+runs in its constructor and again in ``_replace``; a value a record's
+fields already give is read off them, not stored; and a projective line
 never equals an affine line with the same coefficients."""
+
+import importlib
+import pkgutil
 
 import pytest
 
-from milnorfiber import bounds, pipeline, presets, snf, validation
-from milnorfiber.bounds import Prediction, SyntheticIncidence
+import milnorfiber
+from milnorfiber import bounds, geometry, pipeline, presets, snf, validation
+from milnorfiber.bounds import SyntheticIncidence
 from milnorfiber.geometry import AffineArrangement, AffineLine, Arrangement, InputError, ProjLine
 from milnorfiber.presentation import Presentation, Relator, Word
 from milnorfiber.snf import AbelianGroup, SmithForm
@@ -15,7 +20,7 @@ from milnorfiber.snf import AbelianGroup, SmithForm
 RECORD_CLASSES = {
     "AbelianGroup", "AffineArrangement", "AffineLine", "Analysis", "Arrangement",
     "BoundReport", "CoverComplex", "CoverHomology", "CriterionResult", "IncidenceData",
-    "IncidencePoint", "OnePointCheck", "Prediction", "Presentation", "ProjLine", "Relator",
+    "IncidencePoint", "OnePointCheck", "Presentation", "ProjLine", "Relator",
     "RowOrbits", "SmithForm", "SyntheticIncidence",
 }
 
@@ -28,16 +33,46 @@ def records():
     return [
         a, a.proj, a.proj.lines[0], a.aff, a.aff.lines[0], a.incidence, a.incidence.points[0],
         a.presentation, a.presentation.relators[0], a.complex, a.complex.d2, a.homology, a.h1,
-        a.bound_report, a.bound_report.one_point, a.prediction,
+        a.bound_report, a.bound_report.one_point,
         snf.smith_normal_form([[2, 4], [6, 8]]),
         SyntheticIncidence(3, ((0, 1), (0, 2), (1, 2))),
         validation.CriterionResult(1, "name", True, "detail", 0.0),
     ]
 
 
+def package_record_classes():
+    """The namedtuple record classes that the package's modules define."""
+    found = set()
+    for info in pkgutil.iter_modules(milnorfiber.__path__):
+        module = importlib.import_module(f"milnorfiber.{info.name}")
+        found.update(
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+            and obj.__module__ == module.__name__
+        )
+    return found
+
+
 def test_every_record_class_is_covered(records):
     assert {type(r).__name__ for r in records} == RECORD_CLASSES
+    assert {cls.__name__ for cls in package_record_classes()} == RECORD_CLASSES
     assert all(isinstance(r, tuple) and r._fields for r in records)
+
+
+def test_every_checked_record_replaces_through_one_hook():
+    # namedtuple's own _make would build a record without running __new__
+    checked = [cls for cls in package_record_classes() if "__new__" in vars(cls)]
+    assert len(checked) == 11
+    for cls in checked:
+        assert cls._make.__func__ is geometry._Checked._make.__func__, cls.__name__
+
+
+def test_derived_fields_read_their_owner(records):
+    a = records[0]
+    assert a.incidence is a.proj.incidence
+    assert a.n == a.complex.n == a.proj.n_lines
+    assert a.homology.b1 == a.homology.group.free_rank == 7
+    assert a.bound_report.lower_bound == a.bound_report.n - 1
 
 
 def test_fields_cannot_be_assigned(records):
@@ -56,8 +91,8 @@ def test_replace_without_changes_gives_an_equal_record(records):
 
 TRIANGLE = SyntheticIncidence(3, ((0, 1), (0, 2), (1, 2)))
 
-# (a valid record, field changes it refuses, the error, its message): one
-# case per record class that checks its fields
+# (a valid record, field changes it refuses, the error, its message): at
+# least one case per record class that checks its fields
 REFUSALS = [
     (SmithForm((2, 4)), {"diagonal": (2, 3)}, ValueError, "divisibility chain"),
     (AbelianGroup(1, (2,)), {"torsion": (1,)}, ValueError, "must exceed 1"),
@@ -70,12 +105,16 @@ REFUSALS = [
      {"generator_count": 1}, ValueError, "outside generator range"),
     (TRIANGLE, {"points": ((0, 1), (1, 0, 2))}, InputError, "meet in two points"),
     (bounds.bound_report(TRIANGLE), {"onehyp_best": 1}, AssertionError, "lower bound exceeds"),
-    (Prediction(AbelianGroup(2), 2, 2), {"upper": 1}, AssertionError, "outside bound sandwich"),
+    # the per-degree total is an upper bound too
+    (bounds.bound_report(TRIANGLE), {"cdo_total": 1}, AssertionError, "lower bound exceeds"),
 ]
+# the record's class, and the changed fields for a second case of a class
+CASE_IDS = [type(case[0]).__name__ for case in REFUSALS]
+CASE_IDS = [name if CASE_IDS.index(name) == k else f"{name}-{'-'.join(REFUSALS[k][1])}"
+            for k, name in enumerate(CASE_IDS)]
 
 
-@pytest.mark.parametrize("record, changes, error, message", REFUSALS,
-                         ids=[type(case[0]).__name__ for case in REFUSALS])
+@pytest.mark.parametrize("record, changes, error, message", REFUSALS, ids=CASE_IDS)
 def test_constructor_and_replace_refuse_alike(record, changes, error, message):
     with pytest.raises(error, match=message):
         type(record)(**{**record._asdict(), **changes})
