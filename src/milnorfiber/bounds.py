@@ -113,14 +113,14 @@ def _label(inc, k):
 
 
 def onehyp_bounds(inc):
-    """All per-line bounds and their minimum, in one pass over the points."""
+    """Every line's bound, ``{line: bound}``, in one pass over the points."""
     n = inc.n_lines
     per_line = dict.fromkeys(range(n), n - 1)
     for _, m, incident in _heavy(inc):
         excess = (m - 2) * (gcd(m, n) - 1)
         for h in incident:
             per_line[h] += excess
-    return per_line, min(per_line.values())
+    return per_line
 
 
 def corollary_check(inc):
@@ -232,9 +232,8 @@ def cdo_bound(inc):
     """Local-system style bound, n the number of lines: for each k in
     1..n-1, the minimum over lines of the total excess (m-2) of the line's
     points whose multiplicity m satisfies n | k*m (points with m = 2 never
-    count); the aggregate bound is (n-1) plus the sum over k.
-
-    Returns (per_k dict, total).
+    count).  Returns ``{k: contribution}``; ``BoundReport.cdo_total``, the
+    aggregate bound, is (n-1) plus their sum.
     """
     n = inc.n_lines
     heavy = _heavy(inc)
@@ -246,20 +245,18 @@ def cdo_bound(inc):
                 for h in incident:
                     excess[h] += m - 2
         per_k[k] = min(excess.values())
-    total = (n - 1) + sum(per_k.values())
-    return per_k, total
+    return per_k
 
 
 def _jsonable(w):
     return [_jsonable(x) for x in w] if isinstance(w, tuple) else w
 
 
-class BoundReport(_Checked, namedtuple("BoundReport", "n onehyp_per_line onehyp_best cdo_per_k "
-                                       "cdo_total corollary_witness one_point oka_sakamoto "
-                                       "applicable notes")):
+class BoundReport(_Checked, namedtuple("BoundReport", "n onehyp_per_line cdo_per_k "
+                                       "corollary_witness one_point oka_sakamoto")):
     """Every combinatorial bound and criterion outcome for one arrangement
-    of n lines; ``one_point`` is a OnePointCheck and ``applicable`` holds
-    (criterion name, witness) pairs."""
+    of n lines, as the evaluators gave them (``one_point`` a OnePointCheck);
+    the best bounds, the criteria that fired and the notes read them."""
 
     __slots__ = ()
 
@@ -268,6 +265,33 @@ class BoundReport(_Checked, namedtuple("BoundReport", "n onehyp_per_line onehyp_
         if self.lower_bound > self.upper_bound:
             raise AssertionError("lower bound exceeds an upper bound")
         return self
+
+    @property
+    def onehyp_best(self):
+        return min(self.onehyp_per_line.values())
+
+    @property
+    def cdo_total(self):
+        return self.n - 1 + sum(self.cdo_per_k.values())
+
+    @property
+    def applicable(self):
+        """(criterion name, witness) of each exactness criterion that fired;
+        a criterion's witness is None exactly when it did not fire."""
+        return tuple((name, w) for name, w in (
+            ("coprime_or_double_line", self.corollary_witness),
+            ("single_heavy_point_line", self.one_point.witness),
+            ("transverse_split", self.oka_sakamoto)) if w is not None)
+
+    @property
+    def notes(self):
+        """The single-heavy-point guard's note, when it blocked a match."""
+        if self.one_point.guard_blocked is None:
+            return ()
+        h, label, m = self.one_point.guard_blocked
+        return (f"single-heavy-point criterion matched line {h} literally (point {label}, "
+                f"multiplicity {m}), but the point lies on every line, so the deconing argument "
+                "behind the criterion does not apply; no exactness is claimed from it",)
 
     @property
     def lower_bound(self):
@@ -309,45 +333,13 @@ class BoundReport(_Checked, namedtuple("BoundReport", "n onehyp_per_line onehyp_
 
 
 def bound_report(inc, infinity=None):
-    """Assemble a BoundReport from incidence data: the N-1 lower bound,
-    both upper bounds, and each exactness criterion with its witness.  The
-    transverse-split check runs when ``infinity``, the index of the line
-    sent to infinity, is given; it is None for incidence without an affine
-    picture."""
-    n = inc.n_lines
-    per_line, best = onehyp_bounds(inc)
-    per_k, total = cdo_bound(inc)
-    cw = corollary_check(inc)
-    opc = one_point_check(inc)
-    osw = None if infinity is None else oka_sakamoto_check(inc, infinity)
-    applicable = []
-    if cw is not None:
-        applicable.append(("coprime_or_double_line", cw))
-    if opc.fires:
-        applicable.append(("single_heavy_point_line", opc.witness))
-    if osw is not None:
-        applicable.append(("transverse_split", osw))
-    notes = []
-    if opc.guard_blocked is not None:
-        h, label, m = opc.guard_blocked
-        notes.append(
-            "single-heavy-point criterion matched line "
-            f"{h} literally (point {label}, multiplicity {m}), but the point lies on "
-            "every line, so the deconing argument behind the criterion does not "
-            "apply; no exactness is claimed from it"
-        )
-    return BoundReport(
-        n=n,
-        onehyp_per_line=per_line,
-        onehyp_best=best,
-        cdo_per_k=per_k,
-        cdo_total=total,
-        corollary_witness=cw,
-        one_point=opc,
-        oka_sakamoto=osw,
-        applicable=tuple(applicable),
-        notes=tuple(notes),
-    )
+    """Assemble a BoundReport from incidence data: both upper bounds, and
+    each exactness criterion with its witness.  The transverse-split check
+    runs when ``infinity``, the index of the line sent to infinity, is
+    given; it is None for incidence without an affine picture."""
+    return BoundReport(inc.n_lines, onehyp_bounds(inc), cdo_bound(inc), corollary_check(inc),
+                       one_point_check(inc),
+                       None if infinity is None else oka_sakamoto_check(inc, infinity))
 
 
 def predict(arr, infinity_index=None):

@@ -158,6 +158,8 @@ def cmd_bounds(args, out):
     text = _read(args.file)
     head = next((l.split("#")[0].strip() for l in text.splitlines() if l.split("#")[0].strip()), "")
     if head.startswith("incidence"):
+        if args.infinity is not None:
+            raise InputError("an infinity index applies to arrangement files, not raw incidence")
         inc = bounds_mod.parse_incidence(text)
         report = bounds_mod.bound_report(inc)
         notes = ["raw incidence input: the transverse-split check needs coordinates and was skipped"]

@@ -20,7 +20,7 @@ never the shifts themselves.  The edge boundary needs no matrix: the
 edges x^0 g_1 .. x^{n-2} g_1 form a spanning tree of the 1-skeleton.
 
 A cover with more than CELL_BUDGET cells (n vertices plus n edges per
-generator plus n 2-cells per relator) is refused before it is built.
+generator plus n 2-cells per relator) is refused by ``check_cells``.
 """
 
 from collections import namedtuple
@@ -150,6 +150,19 @@ class CoverComplex(namedtuple("CoverComplex", "n generator_count seeds")):
         return RowOrbits(self.seeds, perm, n, cols)
 
 
+def check_cells(n, generator_count, relator_count, modulus):
+    """The cell count n * (1 + G + R) of the degree-n cover of G generators
+    and R relators, refused over CELL_BUDGET with an InputError that names
+    --modulus when ``modulus`` set n."""
+    cells = n * (1 + generator_count + relator_count)
+    if cells > CELL_BUDGET:
+        raise InputError(
+            f"the degree-{n} cover would have {cells} cells, over the budget of {CELL_BUDGET}"
+            + ("" if modulus is None else "; choose a smaller --modulus")
+        )
+    return cells
+
+
 def build_cover_complex(pres, modulus=None):
     """Assemble the cover's boundary d2 from a presentation: one seed per
     relator.
@@ -171,12 +184,7 @@ def build_cover_complex(pres, modulus=None):
     if n < 1:
         raise ValueError("cover degree must be >= 1")
     G = pres.generator_count
-    cells = n * (1 + G + len(pres.relators))
-    if cells > CELL_BUDGET:
-        raise InputError(
-            f"the degree-{n} cover would have {cells} cells, over the budget of {CELL_BUDGET}"
-            + ("" if modulus is None else "; choose a smaller --modulus")
-        )
+    check_cells(n, G, len(pres.relators), modulus)
     for r in pres.relators:
         if phi_degree(r.word, n) != 0:
             raise ValueError(
@@ -191,18 +199,15 @@ def build_cover_complex(pres, modulus=None):
     return CoverComplex(n, G, seeds)
 
 
-class CoverHomology(namedtuple("CoverHomology", "group b0 b2 betti_mod euler")):
+class CoverHomology(namedtuple("CoverHomology", "group b0 b2 betti_mod")):
     """H1 of the cover (an AbelianGroup) plus the Betti numbers used for
-    cross-checks; ``betti_mod`` maps each prime p to dim H1 over F_p."""
+    cross-checks; ``betti_mod`` maps each prime p, increasing, to dim H1 over F_p."""
 
     __slots__ = ()
 
     @property
     def b1(self):
         return self.group.free_rank
-
-    def euler_ok(self):
-        return self.b0 - self.b1 + self.b2 == self.euler
 
 
 def h1_of_cover(complex_, primes=()):
@@ -231,7 +236,6 @@ def h1_of_cover(complex_, primes=()):
         b0=n - tree,
         b2=n * complex_.relator_count - form.rank,
         betti_mod={p: b1 + sum(t % p == 0 for t in torsion) for p in primes},
-        euler=complex_.euler_characteristic(),
     )
 
 

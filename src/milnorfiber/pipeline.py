@@ -39,7 +39,7 @@ def probe_primes(incidence):
 
 
 class Analysis(namedtuple("Analysis", "mode proj aff infinity_index presentation complex homology "
-                       "primes bound_report verdicts notes")):
+                       "bound_report verdicts notes")):
     """Everything computed for one arrangement: ``mode`` is 'projective'
     or 'affine', ``aff`` the sweep-ready decone, and ``bound_report`` None
     when a modulus override changed the cover degree ``n``."""
@@ -57,6 +57,10 @@ class Analysis(namedtuple("Analysis", "mode proj aff infinity_index presentation
         return self.proj.incidence
 
     @property
+    def primes(self):
+        return tuple(self.homology.betti_mod)
+
+    @property
     def h1(self):
         return self.homology.group
 
@@ -69,7 +73,7 @@ def _is_generic_triangle(incidence):
     return incidence.n_lines == 3 and incidence.multiplicity_census() == {2: 3}
 
 
-def _verdicts(hom, report, complex_, primes):
+def _verdicts(hom, report, complex_):
     """The verdicts, and a note for each mod-p Betti number that the
     modular oracle disputes.
 
@@ -83,19 +87,19 @@ def _verdicts(hom, report, complex_, primes):
     notes = []
     v["chain_condition"] = complex_.chain_ok()
     v["connected_cover"] = hom.b0 == 1
-    v["euler_identity"] = hom.euler_ok()
+    v["euler_identity"] = hom.b0 - hom.b1 + hom.b2 == complex_.euler_characteristic()
     if report is not None:
         upper = report.upper_bound
         v["rank_lower_bound"] = hom.b1 >= report.lower_bound
         v["rank_upper_bound"] = hom.b1 <= upper
-        v["modular_upper_bound"] = all(hom.betti_mod[p] <= upper for p in primes)
+        v["modular_upper_bound"] = all(b <= upper for b in hom.betti_mod.values())
         consistent = all(
-            hom.betti_mod[p] == hom.b1 + sum(t % p == 0 for t in hom.group.torsion)
-            for p in primes
+            b == hom.b1 + sum(t % p == 0 for t in hom.group.torsion)
+            for p, b in hom.betti_mod.items()
         )
         if upper > report.lower_bound:
-            oracle = cover_mod.modular_betti(complex_, primes)
-            disputed = [p for p in primes if hom.betti_mod[p] != oracle[p]]
+            oracle = cover_mod.modular_betti(complex_, hom.betti_mod)
+            disputed = [p for p, b in hom.betti_mod.items() if b != oracle[p]]
             if disputed:
                 consistent = False
                 text = "; ".join(
@@ -119,24 +123,24 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     analyzes the Z/m quotient cover instead of the full Milnor-fiber cover;
     combinatorial bounds are about the full cover, so they are skipped in
     that case.  Each of the requested ``primes`` must be a prime below
-    snf.PRIME_CEILING; this is checked before any geometry.
+    snf.PRIME_CEILING, and ``modulus`` positive, before any geometry; the
+    cell budget is checked from the incidence, before the shear.
     """
     if primes is not None:
         _check_primes(primes)
-    mode = "affine" if isinstance(arr, geometry.AffineArrangement) else "projective"
-    proj, aff0, infinity_index = geometry.affine_picture(arr, infinity_index)
     if modulus is not None and modulus < 1:
         raise geometry.InputError(f"modulus must be a positive integer, got {modulus}")
+    mode = "affine" if isinstance(arr, geometry.AffineArrangement) else "projective"
+    proj, aff0, infinity_index = geometry.affine_picture(arr, infinity_index)
+    incidence = proj.incidence
+    # the sweep's m - 1 relators per affine point of multiplicity m, none stripped away
+    relators = sum(pt.multiplicity - 1 for pt in incidence.points if infinity_index not in pt.incident)
+    cover_mod.check_cells(modulus or proj.n_lines, proj.n_lines - 1, relators, modulus)
     aff = geometry.shear_to_generic(aff0)
     pres = presentation_mod.free_reduce_and_strip(presentation_mod.arvola_randell(aff))
     complex_ = cover_mod.build_cover_complex(pres, modulus=modulus)
     n = complex_.n
-    incidence = proj.incidence
-    if primes is None:
-        primes = probe_primes(incidence)
-    else:
-        primes = tuple(sorted(set(primes)))
-    hom = cover_mod.h1_of_cover(complex_, primes=primes)
+    hom = cover_mod.h1_of_cover(complex_, primes=probe_primes(incidence) if primes is None else primes)
     if n == proj.n_lines:
         report = bounds_mod.bound_report(incidence, infinity=infinity_index)
         notes = [{"id": "single-heavy-point-guard", "text": t} for t in report.notes]
@@ -169,7 +173,7 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
                 "cover only and are skipped",
             }
         ]
-    verdicts, oracle_notes = _verdicts(hom, report, complex_, primes)
+    verdicts, oracle_notes = _verdicts(hom, report, complex_)
     notes.extend(oracle_notes)
     return Analysis(
         mode=mode,
@@ -179,7 +183,6 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
         presentation=pres,
         complex=complex_,
         homology=hom,
-        primes=primes,
         bound_report=report,
         verdicts=verdicts,
         notes=tuple(notes),
@@ -235,7 +238,7 @@ def report_dict(a):
         "mod": {str(p): a.homology.betti_mod[p] for p in a.primes},
         "b0": a.homology.b0,
         "b2": a.homology.b2,
-        "euler": a.homology.euler,
+        "euler": a.complex.euler_characteristic(),
     }
     report = a.bound_report
     if report is None:

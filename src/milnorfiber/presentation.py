@@ -107,30 +107,30 @@ class Relator(_Checked, namedtuple("Relator", "word vertex index projective")):
         return tuple.__new__(cls, (word, vertex, index, projective))
 
 
-class Presentation(_Checked, namedtuple("Presentation", "generator_count relators kind")):
+class Presentation(_Checked, namedtuple("Presentation", "generator_count relators")):
     """A finite presentation; its kind fixes its Milnor cover's degree, ``phi_modulus``.
 
     kind 'affine-decone': one generator per affine line, cover degree
     = generators + 1.  kind 'projective': one generator per projective
-    line including the one at infinity, exactly one product relator,
+    line including the one at infinity, one flagged product relator,
     cover degree = generators.  An immutable tuple of its fields.
     """
 
     __slots__ = ()
 
-    def __new__(cls, generator_count, relators, kind):
+    def __new__(cls, generator_count, relators):
         relators = tuple(relators)
-        if kind not in ("affine-decone", "projective"):
-            raise ValueError(f"unknown presentation kind {kind!r}")
         n_proj = sum(1 for r in relators if r.projective)
-        if kind == "projective" and n_proj != 1:
-            raise ValueError("projective presentation needs exactly one product relator")
-        if kind == "affine-decone" and n_proj:
-            raise ValueError("affine presentation cannot contain a product relator")
+        if n_proj > 1:
+            raise ValueError(f"a projective presentation has exactly one product relator, not {n_proj}")
         bad = [l for r in relators for l in r.word.letters if not 1 <= abs(l) <= generator_count]
         if bad:
             raise ValueError(f"letter {bad[0]} outside generator range")
-        return tuple.__new__(cls, (generator_count, relators, kind))
+        return tuple.__new__(cls, (generator_count, relators))
+
+    @property
+    def kind(self):
+        return "projective" if any(r.projective for r in self.relators) else "affine-decone"
 
     @property
     def phi_modulus(self):
@@ -208,7 +208,7 @@ def arvola_randell(aff):
         for pos in range(1, m - 1):
             c = lower[pos]
             words[order[pos]] = _word(_inverse(c) + W[pos] + c).letters
-    return Presentation(aff.n_lines, tuple(relators), "affine-decone")
+    return Presentation(aff.n_lines, tuple(relators))
 
 
 def _auxiliary_line(arr, inc):
@@ -258,7 +258,7 @@ def projective_presentation(arr):
     slope = geometry.slope_keys(aff.lines)
     delta = Word([i + 1 for i in sorted(range(aff.n_lines), key=slope.__getitem__, reverse=True)])
     relators = sweep.relators + (Relator(delta, vertex="infinity", index=0, projective=True),)
-    return Presentation(arr.n_lines, relators, "projective")
+    return Presentation(arr.n_lines, relators)
 
 
 def free_reduce_and_strip(pres):
@@ -269,7 +269,7 @@ def free_reduce_and_strip(pres):
     cyclic shift of the boundary of r, and the cover complex includes all
     shifts of every relator anyway.
 
-    >>> p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),), "affine-decone")
+    >>> p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),))
     >>> [r.word.format() for r in free_reduce_and_strip(p).relators]
     ['g2 g3 g2^-1 g3^-1']
     """
@@ -284,4 +284,4 @@ def free_reduce_and_strip(pres):
         if k:
             r = Relator(_word(letters[k:n - k]), r.vertex, r.index, r.projective)
         kept.append(r)
-    return Presentation(pres.generator_count, tuple(kept), pres.kind)
+    return Presentation(pres.generator_count, tuple(kept))

@@ -19,7 +19,7 @@ from . import pipeline
 from . import presets
 from . import snf
 from .presentation import Word
-from .bounds import parse_incidence, cdo_bound
+from .bounds import bound_report, parse_incidence
 from .snf import AbelianGroup
 
 DEFAULT_SEED = 20260826
@@ -96,12 +96,12 @@ def criterion_triangle():
     a = pipeline.analyze_text(presets.triangle_text())
     ok = (
         a.h1 == AbelianGroup(2)
-        and a.homology.euler == 0
+        and a.complex.euler_characteristic() == 0
         and a.homology.b2 == 1
         and a.all_verdicts_pass
         and any(n["id"] == "triangle-published-value" for n in a.notes)
     )
-    return ok, f"H1 = {a.h1}, euler = {a.homology.euler}, b2 = {a.homology.b2}"
+    return ok, f"H1 = {a.h1}, euler = {a.complex.euler_characteristic()}, b2 = {a.homology.b2}"
 
 
 def criterion_nearpencil():
@@ -127,7 +127,7 @@ def criterion_pencil():
     for n in range(3, 11):
         a = pipeline.analyze_text(presets.pencil_text(n))
         expect = (n - 1) ** 2
-        euler_oracle = a.homology.b0 + a.homology.b2 - a.homology.euler
+        euler_oracle = a.homology.b0 + a.homology.b2 - a.complex.euler_characteristic()
         if not (
             a.h1 == AbelianGroup(expect)
             and euler_oracle == expect
@@ -255,14 +255,10 @@ def criterion_synthetic_cdo():
     inc = parse_incidence(synthetic_incidence_text())
     line3 = sorted({len(pt) for pt in inc.points if 3 in pt})
     line4 = sorted({len(pt) for pt in inc.points if 4 in pt})
-    per_k, total = cdo_bound(inc)
-    ok = (
-        line3 == [2, 3]
-        and line4 == [2, 4]
-        and all(v == 0 for v in per_k.values())
-        and total == 11
-    )
-    return ok, f"per-degree contributions {sorted(set(per_k.values()))}, total {total}"
+    report = bound_report(inc)
+    contributions = sorted(set(report.cdo_per_k.values()))
+    ok = line3 == [2, 3] and line4 == [2, 4] and contributions == [0] and report.cdo_total == 11
+    return ok, f"per-degree contributions {contributions}, total {report.cdo_total}"
 
 
 def criterion_torsion_consistency(corpus):

@@ -49,26 +49,26 @@ def labelled_points(inc):
 
 def test_onehyp_triangle():
     inc, _ = proj_incidence(TRIANGLE)
-    per_line, best = onehyp_bounds(inc)
+    per_line = onehyp_bounds(inc)
     # all points are double: every line gives the bare n-1
     assert per_line == {0: 2, 1: 2, 2: 2}
-    assert best == 2
+    assert bound_report(inc).onehyp_best == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_onehyp_pencil_attained(n):
     inc, _ = proj_incidence(pencil(n))
-    per_line, best = onehyp_bounds(inc)
+    per_line = onehyp_bounds(inc)
     # the single point has m = n on every line: (n-1) + (n-2)(n-1)
-    assert best == (n - 1) ** 2
+    assert bound_report(inc).onehyp_best == (n - 1) ** 2
     assert set(per_line.values()) == {(n - 1) ** 2}
 
 
 def test_onehyp_braid():
     inc, _ = proj_incidence(BRAID)
-    per_line, best = onehyp_bounds(inc)
+    per_line = onehyp_bounds(inc)
     # each line carries two triple points; gcd(3, 6) = 3 adds 2 per triple
-    assert best == 9
+    assert bound_report(inc).onehyp_best == 9
     assert set(per_line.values()) == {9}
 
 
@@ -80,14 +80,14 @@ def test_onehyp_monotone_in_multiplicity():
 
     for n in range(3, 13):
         for m in range(2, n):
-            before = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m)),)))[0][0]
-            after = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m + 1)),)))[0][0]
+            before = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m)),)))[0]
+            after = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m + 1)),)))[0]
             if gcd(m + 1, n) >= gcd(m, n):
                 assert after >= before
     # when the gcd does drop the bound can fall: a 6-fold point among 12
     # lines contributes 4 * 5 = 20, a 7-fold point nothing
-    six = onehyp_bounds(SyntheticIncidence(12, (tuple(range(6)),)))[0][0]
-    seven = onehyp_bounds(SyntheticIncidence(12, (tuple(range(7)),)))[0][0]
+    six = onehyp_bounds(SyntheticIncidence(12, (tuple(range(6)),)))[0]
+    seven = onehyp_bounds(SyntheticIncidence(12, (tuple(range(7)),)))[0]
     assert (six, seven) == (31, 11)
 
 
@@ -169,8 +169,12 @@ def test_one_pass_bounds_match_per_line_reference():
     outcomes = {"fires": 0, "guard": 0, "silent": 0, "corollary": 0, "no-corollary": 0}
     for inc, n in cases:
         expected = {h: reference_onehyp_bound(inc, n, h) for h in range(n)}
-        assert onehyp_bounds(inc) == (expected, min(expected.values()))
-        assert cdo_bound(inc) == reference_cdo_bound(inc, n)
+        per_k, total = reference_cdo_bound(inc, n)
+        report = bound_report(inc)
+        assert onehyp_bounds(inc) == report.onehyp_per_line == expected
+        assert report.onehyp_best == min(expected.values())
+        assert cdo_bound(inc) == report.cdo_per_k == per_k
+        assert report.cdo_total == total
         opc = one_point_check(inc)
         assert opc == reference_one_point_check(inc, n)
         outcomes["fires" if opc.fires else "guard" if opc.guard_blocked else "silent"] += 1
@@ -349,32 +353,29 @@ def test_split_refuses_infinity_out_of_range():
 
 def test_cdo_triangle():
     inc, _ = proj_incidence(TRIANGLE)
-    per_k, total = cdo_bound(inc)
-    assert per_k == {1: 0, 2: 0}
-    assert total == 2
+    assert cdo_bound(inc) == {1: 0, 2: 0}
+    assert bound_report(inc).cdo_total == 2
 
 
 def test_cdo_braid():
     inc, _ = proj_incidence(BRAID)
-    per_k, total = cdo_bound(inc)
     # triples only matter when 6 divides 3k, i.e. k even
-    assert per_k == {1: 0, 2: 2, 3: 0, 4: 2, 5: 0}
-    assert total == 9
+    assert cdo_bound(inc) == {1: 0, 2: 2, 3: 0, 4: 2, 5: 0}
+    assert bound_report(inc).cdo_total == 9
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_cdo_pencil(n):
     inc, _ = proj_incidence(pencil(n))
-    per_k, total = cdo_bound(inc)
     # the n-fold point counts for every k, on every line
-    assert all(v == n - 2 for v in per_k.values())
-    assert total == (n - 1) + (n - 1) * (n - 2)
+    assert all(v == n - 2 for v in cdo_bound(inc).values())
+    assert bound_report(inc).cdo_total == (n - 1) + (n - 1) * (n - 2)
 
 
 def test_cdo_symmetry():
     for text in (BRAID, presets.parallel_family_text()):
         inc, n = proj_incidence(text)
-        per_k, _ = cdo_bound(inc)
+        per_k = cdo_bound(inc)
         for k in range(1, n):
             assert per_k[k] == per_k[n - k]
 
@@ -386,7 +387,7 @@ def test_cdo_symmetry_on_corpus():
 
     for name, text in Corpus().entries:
         inc, n = proj_incidence(text)
-        per_k, _ = cdo_bound(inc)
+        per_k = cdo_bound(inc)
         assert all(per_k[k] == per_k[n - k] for k in range(1, n)), name
 
 
@@ -439,12 +440,11 @@ def test_synthetic_cdo_target():
     from milnorfiber.validation import synthetic_incidence_text
 
     inc = parse_incidence(synthetic_incidence_text())
-    per_k, total = cdo_bound(inc)
-    assert total == 11
-    assert set(per_k.values()) == {0}
+    report = bound_report(inc)
+    assert report.cdo_total == 11
+    assert set(cdo_bound(inc).values()) == {0}
     # while the per-line bound stays strictly larger
-    _, best = onehyp_bounds(inc)
-    assert best > 11
+    assert report.onehyp_best > 11
 
 
 # --- assembled report ----------------------------------------------------------------

@@ -486,3 +486,18 @@ def test_selftest_failure_sets_exit_code(capsys, monkeypatch):
     data = json.loads(out)
     assert data["passed"] is False
     assert data["criteria"][0]["name"] == "alpha"
+
+
+@pytest.mark.parametrize("index", ["0", "99"])
+def test_infinity_flag_is_refused_on_raw_incidence(tmp_path, capsys, index):
+    # a raw incidence file has no coordinates and no affine picture; the
+    # flag was ignored
+    p = tmp_path / "incidence3.txt"
+    p.write_text("incidence N=3\nm=2 lines=0,1\nm=2 lines=0,2\nm=2 lines=1,2\n")
+    assert run(capsys, "bounds", str(p), "--infinity", index) == (
+        2, "", "error: an infinity index applies to arrangement files, not raw incidence\n")
+
+
+def test_bad_modulus_is_reported_before_the_infinity_index(tri_file, capsys):
+    assert run(capsys, "analyze", tri_file, "--modulus", "-2", "--infinity", "7") == (
+        2, "", "error: modulus must be a positive integer, got -2\n")

@@ -1,0 +1,111 @@
+"""Fault injection: which verdicts catch a wrong intermediate result.
+
+Each fault is patched in with monkeypatch, on top of the package's own
+code; nothing here changes ``src/``.  For every fault family and input the
+set of verdicts that fail is pinned.  A fault that no verdict catches is
+pinned as a known gap, with its reason, and is never skipped: when a new
+check catches it, its row here fails and moves to the caught rows.
+"""
+
+from collections import Counter
+
+import pytest
+
+from milnorfiber import pipeline, presentation, presets, snf
+from milnorfiber.presentation import Word
+from milnorfiber.snf import AbelianGroup
+from milnorfiber.validation import Corpus
+
+
+def _last_unit(diagonal):
+    return max(k for k, d in enumerate(diagonal) if d == 1)
+
+
+# each takes a Smith diagonal that starts with a unit
+SMITH_FAULTS = {
+    "drop-a-unit": lambda d: d[1:],
+    "a-unit-becomes-2": lambda d: d[:_last_unit(d)] + (2,) + d[_last_unit(d) + 1:],
+    "an-extra-unit": lambda d: (1,) + d,
+}
+
+# failing verdicts -> number of corpus inputs.  The 114 inputs whose
+# bounds pin b1 = N - 1 catch every fault by the bounds; braid-a3, where
+# they leave b1 open, catches it by the modular oracle of
+# torsion_consistency.
+SMITH_VERDICT_MAP = {
+    "drop-a-unit": {
+        ("exact_prediction", "modular_upper_bound", "rank_upper_bound"): 114,
+        ("torsion_consistency",): 1,
+    },
+    "a-unit-becomes-2": {
+        ("exact_prediction", "modular_upper_bound"): 114,
+        ("torsion_consistency",): 1,
+    },
+    "an-extra-unit": {
+        ("exact_prediction", "rank_lower_bound"): 114,
+        ("torsion_consistency",): 1,
+    },
+}
+
+
+def failing(analysis):
+    return tuple(sorted(name for name, ok in analysis.verdicts.items() if not ok))
+
+
+@pytest.fixture(scope="module")
+def corpus_with_d2():
+    """The selftest corpus inputs whose d2 is nonempty: every one but the
+    eight pencils, whose decone has no vertex and so no relator."""
+    kept = []
+    for name, text in Corpus().entries:
+        a = pipeline.analyze_text(text)
+        assert a.all_verdicts_pass, name
+        if a.complex.seeds:
+            kept.append((name, text))
+    assert len(kept) == 115
+    return kept
+
+
+@pytest.mark.parametrize("fault", sorted(SMITH_FAULTS))
+def test_smith_diagonal_faults_fail_a_verdict_everywhere(monkeypatch, corpus_with_d2, fault):
+    smith = snf.smith_normal_form
+    change = SMITH_FAULTS[fault]
+
+    def faulted(*args, **kwargs):
+        diagonal = smith(*args, **kwargs).diagonal
+        assert diagonal[0] == 1
+        # past SmithForm's own checks, as a wrong elimination would be
+        return tuple.__new__(snf.SmithForm, (change(diagonal),))
+
+    monkeypatch.setattr(snf, "smith_normal_form", faulted)
+    verdict_map = Counter()
+    for name, text in corpus_with_d2:
+        caught = failing(pipeline.analyze_text(text))
+        assert caught, name
+        verdict_map[caught] += 1
+    assert verdict_map == SMITH_VERDICT_MAP[fault]
+
+
+def test_braid_relator_commutator_fault_is_a_known_gap(monkeypatch):
+    """Known gap: braid-a3's bounds leave b1 open (5 <= b1 <= 9, b1 = 7),
+    so a relator replaced by a commutator [g_a, g_b] gives a free H1 of
+    another rank inside the bounds, and no verdict fails."""
+    text = presets.preset_text("braid-a3")
+    report = pipeline.analyze_text(text).bound_report
+    assert (report.lower_bound, report.upper_bound, report.exact) == (5, 9, None)
+
+    sweep = presentation.arvola_randell
+    choices = [(k, a, b) for k in range(6) for a in range(1, 6) for b in range(1, 6) if a != b]
+    wrong = caught = 0
+    for k, a, b in choices:
+        def faulted(aff, k=k, a=a, b=b):
+            pres = sweep(aff)
+            relators = list(pres.relators)
+            relators[k] = relators[k]._replace(word=Word([a, b, -a, -b]))
+            return pres._replace(relators=tuple(relators))
+
+        monkeypatch.setattr(presentation, "arvola_randell", faulted)
+        analysis = pipeline.analyze_text(text)
+        wrong += analysis.h1 != AbelianGroup(7)
+        caught += bool(failing(analysis))
+    assert (len(choices), wrong, caught) == (120, 108, 0)

@@ -283,3 +283,66 @@ def test_preset_errors():
         presets.preset_text("heptagram")
     with pytest.raises(InputError):
         presets.preset_text("pencil:2")  # needs at least 3 lines
+
+
+# --- the cell budget, checked from the incidence ---------------------------
+
+
+def cell_counts(monkeypatch, text, **kw):
+    """The cell counts ``cover.check_cells`` gave during one analysis: the
+    prediction from the incidence, then the count of the built complex."""
+    counts = []
+    check = cover.check_cells
+
+    def recording(*args):
+        counts.append(check(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(cover, "check_cells", recording)
+    a = pipeline.analyze_text(text, **kw)
+    c = a.complex
+    assert counts[-1] == c.n * (1 + c.generator_count + c.relator_count)
+    return counts
+
+
+def test_predicted_cells_equal_the_built_complex_on_the_corpus(monkeypatch):
+    from milnorfiber.validation import Corpus
+
+    for name, text in Corpus().entries:
+        predicted, built = cell_counts(monkeypatch, text)
+        assert predicted == built, name
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("triangle", {}), ("braid-a3", {}), ("braid-a3", {"infinity_index": 0}),
+    ("braid-a3", {"modulus": 7}), ("pencil:9", {}), ("nearpencil:12", {}),
+    ("generic:16:1", {}), ("generic:12:2", {"modulus": 3}), ("parallel-family", {}),
+    ("parallel-family", {"infinity_index": 2}),
+])
+def test_predicted_cells_equal_the_built_complex_on_presets(monkeypatch, name, kw):
+    predicted, built = cell_counts(monkeypatch, presets.preset_text(name), **kw)
+    assert predicted == built
+
+
+def test_oversized_cover_is_refused_before_the_shear(monkeypatch):
+    # 300 tangent lines of a conic: every pair meets in its own double
+    # point, 300 * (1 + 299 + 44551) cells; the shear search alone took
+    # over a second on this file, and the sweep ran for minutes
+    def refuse(aff):
+        raise AssertionError("the shear was reached")
+
+    monkeypatch.setattr(geometry, "shear_to_generic", refuse)
+    text = "projective\n" + "".join(f"1 {k} {k * k}\n" for k in range(300))
+    with pytest.raises(InputError) as caught:
+        pipeline.analyze_text(text)
+    assert str(caught.value) == (
+        "the degree-300 cover would have 13455300 cells, over the budget of 250000")
+
+
+def test_bad_modulus_is_refused_before_any_geometry(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("geometry was reached")
+
+    monkeypatch.setattr(geometry, "affine_picture", refuse)
+    with pytest.raises(InputError, match="modulus must be a positive integer, got -2"):
+        analyze("triangle", modulus=-2, infinity_index=7)

@@ -258,7 +258,6 @@ def test_vertex_order_convention_is_cosmetic():
         top_down = Presentation(
             aff.n_lines,
             tuple(Relator(w, vertex=v, index=k) for w, v, k in reference_sweep(aff, top_down=True)),
-            "affine-decone",
         )
         ha = cover.h1_of_cover(cover.build_cover_complex(bottom_up), primes=(2, 3))
         hb = cover.h1_of_cover(cover.build_cover_complex(top_down), primes=(2, 3))
@@ -312,7 +311,7 @@ sweep = presentation.arvola_randell
 
 def dropping(aff):
     p = sweep(aff)
-    return presentation.Presentation(p.generator_count, p.relators[:-1], p.kind)
+    return presentation.Presentation(p.generator_count, p.relators[:-1])
 
 presentation.arvola_randell = dropping
 arr = geometry.parse_arrangement("projective\\n1 0 0\\n0 1 0\\n0 0 1\\n1 1 1\\n")
@@ -339,14 +338,14 @@ def test_relator_count_check_survives_dash_o():
 
 
 def test_free_reduce_and_strip():
-    p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),), "affine-decone")
+    p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),))
     out = free_reduce_and_strip(p)
     assert [r.word.format() for r in out.relators] == ["g2 g3 g2^-1 g3^-1"]
 
 
 def test_strip_drops_empty_relators():
     # conjugate of the identity collapses to nothing
-    p = Presentation(2, (Relator(Word([1, 2, -2, -1])),), "affine-decone")
+    p = Presentation(2, (Relator(Word([1, 2, -2, -1])),))
     assert free_reduce_and_strip(p).relators == ()
 
 
@@ -354,7 +353,7 @@ def test_strip_keeps_unwrapped_relators_as_they_are():
     # nothing to strip: the relator itself comes back, not a rebuilt copy
     kept = Relator(Word([1, 2, -1, -2]), vertex="v0")
     wrapped = Relator(Word([3, 1, 2, -1, -2, -3]), vertex="v1", index=1)
-    out = free_reduce_and_strip(Presentation(3, (kept, wrapped), "affine-decone")).relators
+    out = free_reduce_and_strip(Presentation(3, (kept, wrapped))).relators
     assert out[0] is kept
     assert out[1] == wrapped._replace(word=Word([1, 2, -1, -2]))
 
@@ -383,7 +382,7 @@ def test_strip_matches_pairwise_reference(parts):
         letters = reference_strip(r.word.letters)
         if letters:
             expected.append(r._replace(word=Word(letters)))
-    pres = Presentation(4, tuple(relators), "affine-decone")
+    pres = Presentation(4, tuple(relators))
     assert free_reduce_and_strip(pres).relators == tuple(expected)
 
 
@@ -409,12 +408,14 @@ def test_relator_is_an_immutable_value():
 @pytest.mark.parametrize("kind, relators, message", [
     ("affine-decone", (Relator(Word([1, 3, -1, -3])),), "letter 3 outside generator range"),
     ("projective", (Relator(Word([1, 3]), projective=True),), "letter 3 outside generator range"),
-    ("projective", (Relator(Word([1, 2, -1, -2])),), "exactly one product relator"),
     ("projective", (Relator(Word([1, 2]), projective=True),) * 2, "exactly one product relator"),
 ])
 def test_presentation_refusals(kind, relators, message):
+    # the first relator alone, over three generators, is a presentation of
+    # the kind its flag gives; the whole tuple over two is refused
+    assert Presentation(3, relators[:1]).kind == kind
     with pytest.raises(ValueError, match=message):
-        Presentation(2, relators, kind)
+        Presentation(2, relators)
 
 
 # --- reference sweep -------------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 
 import milnorfiber
 from milnorfiber import bounds, geometry, pipeline, presets, snf, validation
-from milnorfiber.bounds import SyntheticIncidence
+from milnorfiber.bounds import OnePointCheck, SyntheticIncidence
+from milnorfiber.cover import CoverHomology
 from milnorfiber.geometry import AffineArrangement, AffineLine, Arrangement, InputError, ProjLine
 from milnorfiber.presentation import Presentation, Relator, Word
 from milnorfiber.snf import AbelianGroup, SmithForm
@@ -72,7 +73,46 @@ def test_derived_fields_read_their_owner(records):
     assert a.incidence is a.proj.incidence
     assert a.n == a.complex.n == a.proj.n_lines
     assert a.homology.b1 == a.homology.group.free_rank == 7
+    assert a.primes == tuple(a.homology.betti_mod) == (2, 3, 5, 7, 11)
     assert a.bound_report.lower_bound == a.bound_report.n - 1
+    assert pipeline.report_dict(a)["betti"]["euler"] == a.complex.euler_characteristic()
+    assert a.presentation.kind == "affine-decone"
+
+
+def test_stored_fields_are_only_what_was_computed():
+    assert len(bounds.BoundReport._fields) == 6
+    assert len(Presentation._fields) == 2
+    assert len(pipeline.Analysis._fields) == 10
+    assert len(CoverHomology._fields) == 4
+
+
+def test_bound_report_reads_its_evaluators():
+    report = bounds.bound_report(TRIANGLE)
+    assert report.onehyp_best == min(report.onehyp_per_line.values()) == 2
+    assert report.cdo_total == report.n - 1 + sum(report.cdo_per_k.values()) == 2
+    assert report.applicable == (("coprime_or_double_line", 0),)
+    assert report.notes == ()
+    # each derived value follows a change of the field it reads
+    changed = report._replace(onehyp_per_line={0: 5, 1: 3, 2: 4}, cdo_per_k={1: 1, 2: 0})
+    assert (changed.onehyp_best, changed.cdo_total, changed.upper_bound) == (3, 3, 3)
+    fired = report._replace(corollary_witness=None, oka_sakamoto=((0,), (1,)),
+                            one_point=OnePointCheck(witness=(1, "p", 3)))
+    assert fired.applicable == (("single_heavy_point_line", (1, "p", 3)),
+                                ("transverse_split", ((0,), (1,))))
+    assert fired.exact == AbelianGroup(2)
+    assert report._replace(corollary_witness=None).exact is None
+    blocked = report._replace(one_point=OnePointCheck(guard_blocked=(2, "q", 3)))
+    (note,) = blocked.notes
+    assert note.startswith("single-heavy-point criterion matched line 2 literally (point q, ")
+
+
+def test_presentation_kind_reads_the_product_relator():
+    vertex = Relator(Word([1, 2, -1, -2]))
+    product = Relator(Word([1, 2]), projective=True)
+    affine = Presentation(2, (vertex,))
+    assert (affine.kind, affine.phi_modulus) == ("affine-decone", 3)
+    projective = affine._replace(relators=(vertex, product))
+    assert (projective.kind, projective.phi_modulus) == ("projective", 2)
 
 
 def test_fields_cannot_be_assigned(records):
@@ -101,12 +141,14 @@ REFUSALS = [
     (Arrangement((ProjLine((1, 0, 0)), ProjLine((0, 1, 0)))),
      {"lines": (ProjLine((1, 0, 0)), ProjLine((2, 0, 0)))}, InputError, "duplicate line"),
     (AffineArrangement((AffineLine((1, 0, 0)),)), {"lines": ()}, InputError, "at least 1 line"),
-    (Presentation(2, (Relator(Word([1, 2, -1, -2])),), "affine-decone"),
+    (Presentation(2, (Relator(Word([1, 2, -1, -2])),)),
      {"generator_count": 1}, ValueError, "outside generator range"),
     (TRIANGLE, {"points": ((0, 1), (1, 0, 2))}, InputError, "meet in two points"),
-    (bounds.bound_report(TRIANGLE), {"onehyp_best": 1}, AssertionError, "lower bound exceeds"),
+    (bounds.bound_report(TRIANGLE), {"onehyp_per_line": {0: 1, 1: 2, 2: 2}}, AssertionError,
+     "lower bound exceeds"),
     # the per-degree total is an upper bound too
-    (bounds.bound_report(TRIANGLE), {"cdo_total": 1}, AssertionError, "lower bound exceeds"),
+    (bounds.bound_report(TRIANGLE), {"cdo_per_k": {1: -1, 2: 0}}, AssertionError,
+     "lower bound exceeds"),
 ]
 # the record's class, and the changed fields for a second case of a class
 CASE_IDS = [type(case[0]).__name__ for case in REFUSALS]
