@@ -408,6 +408,8 @@ def test_relator_is_an_immutable_value():
 @pytest.mark.parametrize("kind, relators, message", [
     ("affine-decone", (Relator(Word([1, 3, -1, -3])),), "letter 3 outside generator range"),
     ("projective", (Relator(Word([1, 3]), projective=True),), "letter 3 outside generator range"),
+    ("projective", (Relator(Word([1, 2]), projective=True), Relator(Word([1, 2, -1, -2])),
+                    Relator(Word([2, 1]), projective=True)), "exactly one product relator"),
     ("projective", (Relator(Word([1, 2]), projective=True),) * 2, "exactly one product relator"),
 ])
 def test_presentation_refusals(kind, relators, message):
