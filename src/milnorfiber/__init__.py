@@ -24,7 +24,6 @@ from .geometry import (
 from .presentation import (
     Presentation,
     Relator,
-    Word,
     arvola_randell,
     free_reduce_and_strip,
     projective_presentation,
@@ -61,7 +60,6 @@ __all__ = [
     "Relator",
     "SmithForm",
     "SyntheticIncidence",
-    "Word",
     "arvola_randell",
     "bound_report",
     "build_cover_complex",

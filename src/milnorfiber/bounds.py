@@ -54,7 +54,9 @@ def parse_incidence(text):
     line as ``m=<int> lines=<comma-separated indices>``.  N above
     geometry.LINE_BUDGET is refused as soon as the header is read; each
     bound evaluator makes one pass over the points, and the densest input,
-    N(N-1)/2 double points, took 0.3-0.5 s in ``bounds`` at N = 300.
+    N(N-1)/2 double points, took 0.3-0.5 s in ``bounds`` at N = 300.  Two
+    lines meet at most once, so a point line past the N(N-1)/2-th, or one
+    with m > N, is refused before its indices are read.
 
     >>> parse_incidence("incidence N=3\\nm=2 lines=0,1\\n").n_lines
     3
@@ -77,15 +79,21 @@ def parse_incidence(text):
                 raise InputError(
                     f"line {lineno}: N={n} exceeds the budget of {geometry.LINE_BUDGET} lines"
                 )
+            budget = n * (n - 1) // 2
             continue
+        if len(points) == budget:
+            raise InputError(f"line {lineno}: more than N(N-1)/2 = {budget} points, over the budget")
         parts = line.split()
         if len(parts) != 2 or not parts[0].startswith("m=") or not parts[1].startswith("lines="):
             raise InputError(f"line {lineno}: expected 'm=<int> lines=<indices>'")
         try:
             m = int(parts[0][2:])
-            idx = tuple(int(tok) for tok in parts[1][6:].split(","))
+            if m <= n:
+                idx = tuple(int(tok) for tok in parts[1][6:].split(","))
         except ValueError:
             raise InputError(f"line {lineno}: multiplicity and line indices must be integers") from None
+        if m > n:
+            raise InputError(f"line {lineno}: m={m} is more than the N={n} lines")
         if m != len(set(idx)):
             raise InputError(f"line {lineno}: m={m} does not match {len(set(idx))} lines")
         points.append(idx)

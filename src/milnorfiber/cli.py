@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 try:  # the C accelerator alone; the json package would load its decoder too
@@ -143,7 +144,7 @@ def cmd_presentation(args, out):
                 "generators": pres.generator_count,
                 "cover_degree": pres.phi_modulus,
                 "relators": [
-                    {"word": r.word.format(), "vertex": r.vertex, "index": r.index}
+                    {"word": presentation_mod.word_text(r.word), "vertex": r.vertex, "index": r.index}
                     for r in pres.relators
                 ],
             },
@@ -154,10 +155,15 @@ def cmd_presentation(args, out):
     return 0
 
 
+# what the parsers skip before a header: whitespace, which every line
+# boundary of str.splitlines is, and comments, each up to a line boundary
+_BEFORE_HEADER = re.compile(r"(?:\s|#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*)*")
+
+
 def cmd_bounds(args, out):
     text = _read(args.file)
-    head = next((l.split("#")[0].strip() for l in text.splitlines() if l.split("#")[0].strip()), "")
-    if head.startswith("incidence"):
+    # one regex match, not a split of a file that may be far over its budget
+    if text.startswith("incidence", _BEFORE_HEADER.match(text).end()):
         if args.infinity is not None:
             raise InputError("an infinity index applies to arrangement files, not raw incidence")
         inc = bounds_mod.parse_incidence(text)

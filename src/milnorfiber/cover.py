@@ -28,7 +28,7 @@ from collections import namedtuple
 from . import snf
 from .geometry import InputError
 from .snf import AbelianGroup, RowOrbits
-from .presentation import Word
+from .presentation import exponent_sum, word_text
 
 # Largest cover, in cells, that build_cover_complex assembles.  The
 # Milnor cover of a generic arrangement of 50 lines has about 61 000.
@@ -38,12 +38,12 @@ CELL_BUDGET = 250_000
 def phi_degree(word, n):
     """Exponent sum of a word, reduced mod n (the class of its image loop).
 
-    >>> phi_degree(Word([1, 2, -1, -2]), 3)
+    >>> phi_degree((1, 2, -1, -2), 3)
     0
-    >>> phi_degree(Word([1, 2]), 3)
+    >>> phi_degree((1, 2), 3)
     2
     """
-    return word.exponent_sum() % n
+    return exponent_sum(word) % n
 
 
 def cyc_add(a, b):
@@ -94,11 +94,11 @@ def fox_derivative(word, gen, n):
     """Fox derivative of a word with respect to generator ``gen``, pushed
     into the group ring of Z/n: the block of ``gen`` in the word's seed.
 
-    >>> fox_derivative(Word([1, 2, -1, -2]), 1, 3)
+    >>> fox_derivative((1, 2, -1, -2), 1, 3)
     (1, -1, 0)
-    >>> fox_derivative(Word([1, 2, -1, -2]), 2, 3)
+    >>> fox_derivative((1, 2, -1, -2), 2, 3)
     (-1, 1, 0)
-    >>> fox_derivative(Word([1]), 2, 3)
+    >>> fox_derivative((1,), 2, 3)
     (0, 0, 0)
     """
     seed = _fox_seed(word, n, lambda g, k: (g, k))
@@ -188,7 +188,7 @@ def build_cover_complex(pres, modulus=None):
     for r in pres.relators:
         if phi_degree(r.word, n) != 0:
             raise ValueError(
-                f"relator {r.word.format()!r} has exponent sum {r.word.exponent_sum()}, "
+                f"relator {word_text(r.word)!r} has exponent sum {exponent_sum(r.word)}, "
                 f"not divisible by modulus {n}; no such cover exists"
             )
 

@@ -16,6 +16,7 @@ instance ``__dict__`` for their cached ``incidence``.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import gcd, lcm
 
 
@@ -68,29 +69,31 @@ def primitive_triple(a, b, c):
     return a // g, b // g, c // g
 
 
-def _order_keys(pairs):
-    """floor(num * q^2 / den) for unreduced pairs with den != 0, q the
-    largest |den|: distinct rationals with denominators <= q differ by at
-    least 1/q^2, so the keys order num/den exactly, and equal rationals tie
-    (a stable sort keeps them in input order)."""
-    q2 = max((abs(den) for _, den in pairs), default=1) ** 2
-    return [num * q2 // den for num, den in pairs]
+def _sweep_keys(points, t, q):
+    """floor((x - t*y) * q^2 / z), lazily, over points (x : y : z) with
+    z != 0, q at least every |z|: distinct rationals with denominators
+    <= q differ by at least 1/q^2, so the keys order the values
+    (x - t*y) / z exactly, and equal values tie (a stable sort keeps them
+    in input order)."""
+    q2 = q * q
+    return ((x - t * y) * q2 // z for x, y, z in points)
 
 
-def sweep_keys(points, t=0):
-    """Integer keys ordered as x - t*y over the affine points (x : y : z)."""
+def sweep_keys(points):
+    """Integer keys ordered as x over the affine points (x : y : z)."""
     for point in points:
         if not point[2]:
             raise ValueError(f"point {point} lies at infinity")
-    return _order_keys([(x - t * y, z) for x, y, z in points])
+    return list(_sweep_keys(points, 0, max((abs(z) for _, _, z in points), default=1)))
 
 
 def slope_keys(lines):
-    """Integer keys ordered as the slopes -a/b of non-vertical affine lines."""
+    """Integer keys ordered as the slopes -a/b of non-vertical affine
+    lines: the x values of the points (-a : 0 : b)."""
     for line in lines:
         if not line.coeffs[1]:
             raise ValueError(f"vertical line {line} has no slope")
-    return _order_keys([(-a, b) for a, b, _ in (line.coeffs for line in lines)])
+    return sweep_keys([(-a, 0, b) for a, b, _ in (line.coeffs for line in lines)])
 
 
 class _Line(_Checked):
@@ -329,14 +332,30 @@ def affine_picture(arr, infinity_index=None):
     return proj, aff, infinity_index
 
 
-def is_sweep_generic(aff, t=0):
+def is_sweep_generic(aff):
     """No vertical line, and no two intersection points share an x value
-    (distinct ``sweep_keys`` at t), after the shear (x, y) -> (x - t*y, y)."""
-    # a line's new y-coefficient is a*t + b; a vertex (x, y) moves to x - t*y
-    if any(a * t + b == 0 for a, b, _ in (l.coeffs for l in aff.lines)):
-        return False
+    (distinct ``sweep_keys``)."""
+    return next(_shear_tests(aff))
+
+
+def _shear_tests(aff):
+    """``is_sweep_generic`` of the shear (x, y) -> (x - t*y, y) of ``aff``
+    for t = 0, 1, 2, ...: the points and the key scale are read once, and
+    a t fails at its first repeated key."""
+    coeffs = [l.coeffs for l in aff.lines]
     points = [pt.point for pt in aff.incidence.points]
-    return len(set(sweep_keys(points, t))) == len(points)
+    q = max((abs(z) for _, _, z in points), default=1)
+    for t in count():
+        # a line's new y-coefficient is a*t + b; a vertex (x, y) moves to x - t*y
+        ok = not any(a * t + b == 0 for a, b, _ in coeffs)
+        if ok:
+            seen = set()
+            for key in _sweep_keys(points, t, q):
+                if key in seen:
+                    ok = False
+                    break
+                seen.add(key)
+        yield ok
 
 
 def shear_to_generic(aff):
@@ -345,15 +364,14 @@ def shear_to_generic(aff):
     The substitution keeps the arrangement's topology (it is an ambient
     linear isotopy) while removing vertical lines and making all
     intersection-point x coordinates distinct.  t is the smallest
-    non-negative integer ``is_sweep_generic`` accepts, found by trying t = 0,
-    1, 2, ... (only finitely many fail), so runs are reproducible.  At t = 0
+    non-negative integer whose shear ``is_sweep_generic`` accepts, found by
+    trying t = 0, 1, 2, ... (only finitely many fail), so runs are
+    reproducible.  At t = 0
     the result has the input's lines and shares its ``incidence``, which
     just passed the test; a sheared picture computes its own and is
     tested again.
     """
-    t = 0
-    while not is_sweep_generic(aff, t):
-        t += 1
+    t = next(t for t, ok in enumerate(_shear_tests(aff)) if ok)
     if not t:
         out = aff._replace(shear=0)
         vars(out)["incidence"] = aff.incidence

@@ -4,8 +4,8 @@ the projective variant with one extra generator and a product relator.
 
 Generators are numbered 1..G and correspond to the arrangement's lines in
 input order; each generator is the meridian loop picked up on the line's
-rightmost unbroken ray.  Words are sequences of nonzero signed integers:
--k is the inverse of generator k.
+rightmost unbroken ray.  Words are tuples of nonzero signed integers,
+-k the inverse of generator k; a relator's word is freely reduced.
 """
 
 from collections import namedtuple
@@ -16,49 +16,34 @@ from . import geometry
 from .geometry import InputError, _Checked
 
 
-class Word:
-    """A freely reduced word in numbered generators.
+def free_reduce(letters):
+    """The freely reduced tuple of a letter sequence, reduced in one pass.
 
-    >>> Word([1, 2, -2, 3])
-    Word([1, 3])
-    >>> Word([1, 2]) * Word([-2, -1])
-    Word([])
+    >>> free_reduce((1, 2, -2, 3))
+    (1, 3)
+    >>> free_reduce((1, 2, -2, -1))
+    ()
     """
+    out = []
+    for l in letters:
+        if out and out[-1] == -l:
+            out.pop()
+        else:
+            out.append(l)
+    return tuple(out)
 
-    __slots__ = ("letters",)
 
-    def __init__(self, letters=()):
-        letters = [int(l) for l in letters]
-        if 0 in letters:
-            raise ValueError("generator indices are nonzero")
-        self.letters = _word(letters).letters
+def exponent_sum(letters):
+    """The sum of a word's exponents: +1 for each letter k > 0, -1 for
+    each letter -k."""
+    return sum([1 if l > 0 else -1 for l in letters])
 
-    def __mul__(self, other):
-        return _word(self.letters + other.letters)
 
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return f"Word({list(self.letters)!r})"
-
-    def exponent_sum(self):
-        return sum([1 if l > 0 else -1 for l in self.letters])
-
-    def format(self):
-        """Stable text form, e.g. 'g1 g2 g1^-1 g2^-1' ('1' for the identity)."""
-        if not self.letters:
-            return "1"
-        return " ".join(map(_letter_text, self.letters))
+def word_text(letters):
+    """Stable text form, e.g. 'g1 g2 g1^-1 g2^-1' ('1' for the identity)."""
+    if not letters:
+        return "1"
+    return " ".join(map(_letter_text, letters))
 
 
 @lru_cache(maxsize=None)
@@ -70,39 +55,21 @@ def _inverse(letters):
     return tuple(map(neg, reversed(letters)))
 
 
-def _word(letters):
-    """The Word of letters taken from other Words: freely reduced once,
-    with no letter validated again."""
-    out = []
-    for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return _reduced(tuple(out))
-
-
-def _reduced(letters):
-    """The Word of a letter tuple that is already freely reduced."""
-    w = Word.__new__(Word)
-    w.letters = letters
-    return w
-
-
 def _commutator(u, l):
     """U L U^-1 L^-1 from one free reduction (free reduction is unique)."""
-    return _word(u + l + _inverse(u) + _inverse(l))
+    return free_reduce(u + l + _inverse(u) + _inverse(l))
 
 
 class Relator(_Checked, namedtuple("Relator", "word vertex index projective")):
-    """A relator with its provenance: the vertex that produced it and its
-    index k among that vertex's relators.  The single product relator of a
-    projective presentation is flagged.  An immutable tuple of its fields."""
+    """A relator, a freely reduced letter tuple ``word``, with its
+    provenance: the vertex that produced it and its index k among that
+    vertex's relators.  The single product relator of a projective
+    presentation is flagged.  An immutable tuple of its fields."""
 
     __slots__ = ()
 
     def __new__(cls, word, vertex="", index=0, projective=False):
-        if not projective and word.exponent_sum() != 0:
+        if not projective and exponent_sum(word) != 0:
             raise ValueError("vertex relators must have exponent sum 0")
         return tuple.__new__(cls, (word, vertex, index, projective))
 
@@ -123,7 +90,7 @@ class Presentation(_Checked, namedtuple("Presentation", "generator_count relator
         n_proj = sum(1 for r in relators if r.projective)
         if n_proj > 1:
             raise ValueError(f"a projective presentation has exactly one product relator, not {n_proj}")
-        bad = [l for r in relators for l in r.word.letters if not 1 <= abs(l) <= generator_count]
+        bad = [l for r in relators for l in r.word if not 1 <= abs(l) <= generator_count]
         if bad:
             raise ValueError(f"letter {bad[0]} outside generator range")
         return tuple.__new__(cls, (generator_count, relators))
@@ -138,7 +105,7 @@ class Presentation(_Checked, namedtuple("Presentation", "generator_count relator
 
     def text(self):
         out = [f"gens: {self.generator_count}"]
-        out.extend(r.word.format() for r in self.relators)
+        out.extend(word_text(r.word) for r in self.relators)
         return "\n".join(out) + "\n"
 
     def total_relator_length(self):
@@ -167,8 +134,8 @@ def arvola_randell(aff):
     those three junctions cancels.
 
     >>> aff = geometry.shear_to_generic(geometry.parse_arrangement("affine\\n1 0 0\\n0 1 0"))
-    >>> [r.word.format() for r in arvola_randell(aff).relators]
-    ['g2 g1 g2^-1 g1^-1']
+    >>> [r.word for r in arvola_randell(aff).relators]
+    [(2, 1, -2, -1)]
     """
     if aff.shear is None:
         raise ValueError("arrangement is not in sweep position; apply shear_to_generic first")
@@ -187,11 +154,9 @@ def arvola_randell(aff):
             if slope[hi] < slope[lo]:
                 lo, hi = hi, lo
             u, l = words[hi], words[lo]
-            letters = u + l + _inverse(l + u)
+            word = u + l + _inverse(l + u)
             if u[-1] == -l[0] or u[0] == -l[-1] or u[-1] == l[-1]:
-                word = _word(letters)
-            else:
-                word = _reduced(letters)
+                word = free_reduce(word)
             relators.append(Relator(word, pt.label(), 1))
             continue
         order = sorted(pt.incident, key=slope.__getitem__)
@@ -207,7 +172,7 @@ def arvola_randell(aff):
             relators.append(Relator(_commutator(upper, lower[m - k]), vertex, k))
         for pos in range(1, m - 1):
             c = lower[pos]
-            words[order[pos]] = _word(_inverse(c) + W[pos] + c).letters
+            words[order[pos]] = free_reduce(_inverse(c) + W[pos] + c)
     return Presentation(aff.n_lines, tuple(relators))
 
 
@@ -256,32 +221,33 @@ def projective_presentation(arr):
         raise AssertionError("the sweep missed an intersection point")
     # descending slope; parallel lines keep input order
     slope = geometry.slope_keys(aff.lines)
-    delta = Word([i + 1 for i in sorted(range(aff.n_lines), key=slope.__getitem__, reverse=True)])
+    delta = tuple(i + 1 for i in sorted(range(aff.n_lines), key=slope.__getitem__, reverse=True))
     relators = sweep.relators + (Relator(delta, vertex="infinity", index=0, projective=True),)
     return Presentation(arr.n_lines, relators)
 
 
 def free_reduce_and_strip(pres):
-    """Freely reduce every relator, strip conjugating wrappers w r w^-1,
-    and drop empty relators.
+    """Strip conjugating wrappers w r w^-1 and drop empty relators.  A
+    relator's word is freely reduced, and so is every slice of it: a
+    stripped word needs no second reduction.
 
     Sound for everything downstream: the cover boundary of w r w^-1 is a
     cyclic shift of the boundary of r, and the cover complex includes all
     shifts of every relator anyway.
 
-    >>> p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),))
-    >>> [r.word.format() for r in free_reduce_and_strip(p).relators]
-    ['g2 g3 g2^-1 g3^-1']
+    >>> p = Presentation(3, (Relator((1, 2, 3, -2, -3, -1)),))
+    >>> [r.word for r in free_reduce_and_strip(p).relators]
+    [(2, 3, -2, -3)]
     """
     kept = []
     for r in pres.relators:
-        letters = r.word.letters  # already freely reduced
-        n, k = len(letters), 0  # k = the wrapper's length, found in one scan
-        while n - 2 * k >= 2 and letters[k] == -letters[n - 1 - k]:
+        word = r.word
+        n, k = len(word), 0  # k = the wrapper's length, found in one scan
+        while n - 2 * k >= 2 and word[k] == -word[n - 1 - k]:
             k += 1
         if n == 2 * k:
             continue
         if k:
-            r = Relator(_word(letters[k:n - k]), r.vertex, r.index, r.projective)
+            r = r._replace(word=word[k:n - k])
         kept.append(r)
     return Presentation(pres.generator_count, tuple(kept))

@@ -18,7 +18,6 @@ from . import geometry
 from . import pipeline
 from . import presets
 from . import snf
-from .presentation import Word
 from .bounds import bound_report, parse_incidence
 from .snf import AbelianGroup
 
@@ -207,7 +206,7 @@ def criterion_identities(corpus):
     for trial in range(1000):
         n = rng.randint(1, 8)
         gens = rng.randint(1, 5)
-        w = Word([rng.choice([-1, 1]) * rng.randint(1, gens) for _ in range(rng.randint(0, 30))])
+        w = [rng.choice([-1, 1]) * rng.randint(1, gens) for _ in range(rng.randint(0, 30))]
         x_minus_1 = [0] * n
         x_minus_1[1 % n] += 1
         x_minus_1[0] -= 1

@@ -425,6 +425,17 @@ def test_parse_incidence_line_budget():
         parse_incidence(over)
 
 
+def test_parse_incidence_point_budget():
+    # three lines meet in at most three points
+    triangle = "incidence N=3\nm=2 lines=0,1\nm=2 lines=0,2\nm=2 lines=1,2\n"
+    assert len(parse_incidence(triangle).points) == 3
+    with pytest.raises(InputError, match=r"^line 5: more than N\(N-1\)/2 = 3 points, over the budget$"):
+        parse_incidence(triangle + "m=2 lines=0,1\n")
+    # m is read before the indices: the malformed list is never reached
+    with pytest.raises(InputError, match=r"^line 2: m=4 is more than the N=3 lines$"):
+        parse_incidence("incidence N=3\nm=4 lines=0,1,2,x\n")
+
+
 def test_synthetic_matches_geometric():
     # feeding the triangle's incidence synthetically gives identical bounds
     inc, _ = proj_incidence(TRIANGLE)

@@ -259,6 +259,33 @@ def test_bounds_refuses_incidence_over_line_budget(tmp_path, capsys):
     assert err == "error: line 1: N=100000000 exceeds the budget of 300 lines\n"
 
 
+# the characters around a file's header: every line boundary str.splitlines
+# knows, other whitespace, comment marks and header words
+HEADER_PIECES = ["incidence", "incidenc", "projective", "x", "#", " ", "\t", "\n", "\r", "\r\n",
+                 "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\xa0"]
+
+
+@given(st.lists(st.sampled_from(HEADER_PIECES), max_size=10).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_bounds_reads_incidence_by_its_first_content_line(text):
+    # reference: the first line with content outside its comment, as the
+    # parsers number lines
+    head = next((l.split("#")[0].strip() for l in text.splitlines() if l.split("#")[0].strip()), "")
+    assert text.startswith("incidence", cli._BEFORE_HEADER.match(text).end()) == head.startswith("incidence")
+
+
+def test_bounds_refuses_incidence_over_point_budget(tmp_path, capsys):
+    # without the budget, 2 000 000 such point lines ran 5.6 s and 334 MB
+    # before the repeated pair was refused
+    p = tmp_path / "points.txt"
+    p.write_text("incidence N=3\n" + "m=2 lines=0,1\n" * 200_000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: line 5: more than N(N-1)/2 = 3 points, over the budget\n"
+
+
 def lines_text(header, count):
     """An arrangement file of ``count`` lines x + k*y + k^2 = 0: distinct,
     with distinct slopes, and no three through one point."""

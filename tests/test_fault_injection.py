@@ -12,7 +12,6 @@ from collections import Counter
 import pytest
 
 from milnorfiber import pipeline, presentation, presets, snf
-from milnorfiber.presentation import Word
 from milnorfiber.snf import AbelianGroup
 from milnorfiber.validation import Corpus
 
@@ -54,14 +53,15 @@ def failing(analysis):
 
 @pytest.fixture(scope="module")
 def corpus_with_d2():
-    """The selftest corpus inputs whose d2 is nonempty: every one but the
-    eight pencils, whose decone has no vertex and so no relator."""
+    """The selftest corpus inputs whose d2 is nonempty, with their H1:
+    every one but the eight pencils, whose decone has no vertex and so no
+    relator."""
     kept = []
     for name, text in Corpus().entries:
         a = pipeline.analyze_text(text)
         assert a.all_verdicts_pass, name
         if a.complex.seeds:
-            kept.append((name, text))
+            kept.append((name, text, a.h1))
     assert len(kept) == 115
     return kept
 
@@ -79,7 +79,7 @@ def test_smith_diagonal_faults_fail_a_verdict_everywhere(monkeypatch, corpus_wit
 
     monkeypatch.setattr(snf, "smith_normal_form", faulted)
     verdict_map = Counter()
-    for name, text in corpus_with_d2:
+    for name, text, _ in corpus_with_d2:
         caught = failing(pipeline.analyze_text(text))
         assert caught, name
         verdict_map[caught] += 1
@@ -101,7 +101,7 @@ def test_braid_relator_commutator_fault_is_a_known_gap(monkeypatch):
         def faulted(aff, k=k, a=a, b=b):
             pres = sweep(aff)
             relators = list(pres.relators)
-            relators[k] = relators[k]._replace(word=Word([a, b, -a, -b]))
+            relators[k] = relators[k]._replace(word=(a, b, -a, -b))
             return pres._replace(relators=tuple(relators))
 
         monkeypatch.setattr(presentation, "arvola_randell", faulted)
@@ -109,3 +109,25 @@ def test_braid_relator_commutator_fault_is_a_known_gap(monkeypatch):
         wrong += analysis.h1 != AbelianGroup(7)
         caught += bool(failing(analysis))
     assert (len(choices), wrong, caught) == (120, 108, 0)
+
+
+@pytest.mark.parametrize("kept", [slice(1, None), slice(None, -1)], ids=["first", "last"])
+def test_dropped_sweep_relator(monkeypatch, corpus_with_d2, kept):
+    """A sweep that loses its first or its last relator.  Where that
+    relator is redundant in the cover's H1, the group does not change; in
+    every other case the bounds catch the larger rank."""
+    sweep = presentation.arvola_randell
+
+    def faulted(aff):
+        pres = sweep(aff)
+        return pres._replace(relators=pres.relators[kept])
+
+    monkeypatch.setattr(presentation, "arvola_randell", faulted)
+    outcomes = Counter()
+    for name, text, h1 in corpus_with_d2:
+        analysis = pipeline.analyze_text(text)
+        outcomes[analysis.h1 != h1, failing(analysis)] += 1
+    assert outcomes == {
+        (True, ("exact_prediction", "modular_upper_bound", "rank_upper_bound")): 33,
+        (False, ()): 82,
+    }

@@ -4,6 +4,7 @@ and the shear that puts an affine arrangement into sweep position."""
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd
 
 import pytest
@@ -402,9 +403,14 @@ def test_shear_noop_when_already_generic():
 def test_shear_tests_once_at_t0(monkeypatch):
     # the t = 0 picture keeps the lines and the incidence that just passed
     calls = []
-    real = geometry.is_sweep_generic
-    monkeypatch.setattr(geometry, "is_sweep_generic",
-                        lambda aff, t=0: calls.append((aff, t)) or real(aff, t))
+    real = geometry._shear_tests
+
+    def recording(aff):
+        for t, ok in enumerate(real(aff)):
+            calls.append((aff, t))
+            yield ok
+
+    monkeypatch.setattr(geometry, "_shear_tests", recording)
     aff = parse_arrangement("affine\n1 -1 0\n1 1 0\n0 1 0\n0 1 -1\n")
     out = shear_to_generic(aff)
     assert out.shear == 0 and calls == [(aff, 0)]
@@ -412,10 +418,9 @@ def test_shear_tests_once_at_t0(monkeypatch):
 
 
 def test_shear_post_check_runs_when_t_is_positive(monkeypatch):
-    real = geometry.is_sweep_generic
-    # the search tests the unsheared input; the post-check tests the result
-    monkeypatch.setattr(geometry, "is_sweep_generic",
-                        lambda aff, t=0: aff.shear is None and real(aff, t))
+    # the search does not call is_sweep_generic; only the post-check of a
+    # sheared picture does
+    monkeypatch.setattr(geometry, "is_sweep_generic", lambda aff: False)
     with pytest.raises(AssertionError, match="shear failed"):
         shear_to_generic(parse_arrangement("affine\n1 0 0\n0 1 0\n"))
     assert shear_to_generic(parse_arrangement("affine\n1 -1 0\n1 1 0\n")).shear == 0
@@ -540,7 +545,8 @@ def with_scaled_copies(points):
 def test_sweep_keys_order_as_fractions(points, t):
     # z has either sign, and a scaled copy ties with its point: a projective
     # point is its own multiples
-    assert_keys_order_as(sweep_keys(points, t), [Fraction(x - t * y, z) for x, y, z in points])
+    sheared = [(x - t * y, y, z) for x, y, z in points]
+    assert_keys_order_as(sweep_keys(sheared), [Fraction(x - t * y, z) for x, y, z in points])
 
 
 @given(st.lists(st.tuples(huge, nonzero, huge).filter(any), max_size=12))
@@ -571,5 +577,30 @@ def test_is_sweep_generic_matches_fraction_reference(coeffs, t):
     lines = list({AffineLine(c): None for c in coeffs if c[:2] != (0, 0)})
     if lines:
         aff = AffineArrangement(lines)
-        assert is_sweep_generic(aff, t) == sweep_generic_reference(aff, t)
+        expected = sweep_generic_reference(aff, t)
+        # the shear search's t-th test, and the test of the sheared picture
+        assert next(islice(geometry._shear_tests(aff), t, None)) == expected
+        sheared = [AffineLine((a, a * t + b, c)) for a, b, c in (l.coeffs for l in lines)]
+        assert is_sweep_generic(AffineArrangement(sheared)) == expected
+
+
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_shear_is_the_smallest_generic_t(coeffs):
+    # vertical and parallel lines included
+    lines = list({AffineLine(c): None for c in coeffs if c[:2] != (0, 0)})
+    if lines:
+        aff = AffineArrangement(lines)
+        t = 0
+        while not sweep_generic_reference(aff, t):
+            t += 1
+        assert shear_to_generic(aff).shear == t
+
+
+def test_shear_of_the_tangent_lines():
+    # the 100 lines (1 : k : k^2), a long search: many t fail, each at an
+    # early repeated key
+    arr = parse_arrangement("projective\n" + "".join(f"1 {k} {k * k}\n" for k in range(100)))
+    _, aff, _ = geometry.affine_picture(arr)
+    assert shear_to_generic(aff).shear == 1804
 

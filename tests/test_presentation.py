@@ -20,7 +20,6 @@ from milnorfiber import cover, geometry, presentation, presets
 from milnorfiber.presentation import (
     Presentation,
     Relator,
-    Word,
     arvola_randell,
     free_reduce_and_strip,
     projective_presentation,
@@ -31,20 +30,38 @@ def sweep(text):
     return arvola_randell(geometry.shear_to_generic(geometry.parse_arrangement(text)))
 
 
+def mul(u, v):
+    """Reference product of two freely reduced words: cancel letter pairs
+    where they meet."""
+    k = 0
+    while k < min(len(u), len(v)) and u[len(u) - 1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
 def inverse(w):
     """Reference inverse, letter by letter."""
-    return Word([-l for l in reversed(w.letters)])
+    return tuple(-l for l in reversed(w))
+
+
+def stepwise(words):
+    """Reference product: reduce every partial product, as the package
+    did before it reduced each concatenation once."""
+    out = ()
+    for w in words:
+        out = mul(out, w)
+    return out
 
 
 def commutator(a, b):
-    """Reference commutator a b a^-1 b^-1, as a product of Words."""
-    return a * b * inverse(a) * inverse(b)
+    """Reference commutator a b a^-1 b^-1, as a stepwise product."""
+    return stepwise([a, b, inverse(a), inverse(b)])
 
 
 def exponent_vector(w, n_generators):
     """Reference abelianization: the exponent sum of each generator."""
     vec = [0] * n_generators
-    for l in w.letters:
+    for l in w:
         vec[abs(l) - 1] += 1 if l > 0 else -1
     return vec
 
@@ -53,75 +70,60 @@ def exponent_vector(w, n_generators):
 
 
 def test_word_free_reduction():
-    assert Word([1, -1]) == Word()
-    assert Word([1, 2, -2, -1, 3]) == Word([3])
-    assert (Word([1, 2]) * Word([-2, 1])) == Word([1, 1])
+    assert presentation.free_reduce((1, -1)) == ()
+    assert presentation.free_reduce([1, 2, -2, -1, 3]) == (3,)
+    assert presentation.free_reduce((1, 2) + (-2, 1)) == (1, 1)
 
 
 def test_word_inverse_and_conjugate():
-    # the sweep inverts and conjugates letter tuples with _inverse and _word
-    w = Word([1, 2, -3])
-    assert presentation._inverse(w.letters) == (3, -2, -1)
-    assert w * presentation._word(presentation._inverse(w.letters)) == Word()
-    c = Word([2])
-    conjugate = presentation._word(presentation._inverse(c.letters) + w.letters + c.letters)
-    assert conjugate == Word([-2, 1, 2, -3, 2])  # c^-1 w c
-
-
-def test_word_validates_letters():
-    assert Word(["2", 3.0, -1]).letters == (2, 3, -1)
-    with pytest.raises(ValueError):
-        Word([1, 0])
-    with pytest.raises(ValueError):
-        Word(["g1"])
+    # the sweep inverts and conjugates letter tuples with _inverse and free_reduce
+    w = (1, 2, -3)
+    assert presentation._inverse(w) == (3, -2, -1)
+    assert presentation.free_reduce(w + presentation._inverse(w)) == ()
+    c = (2,)
+    conjugate = presentation.free_reduce(presentation._inverse(c) + w + c)
+    assert conjugate == (-2, 1, 2, -3, 2)  # c^-1 w c
 
 
 def test_word_formatting():
-    assert Word([2, 1, -2, -1]).format() == "g2 g1 g2^-1 g1^-1"
-    assert Word().format() == "1"
+    assert presentation.word_text((2, 1, -2, -1)) == "g2 g1 g2^-1 g1^-1"
+    assert presentation.word_text(()) == "1"
 
 
 def test_exponent_vector():
     # the reference the abelianization tests read, and its sum
-    w = Word([1, 1, -2, 3, -1])
+    w = (1, 1, -2, 3, -1)
     assert exponent_vector(w, 4) == [1, -1, 1, 0]
-    assert w.exponent_sum() == 1
+    assert presentation.exponent_sum(w) == 1
 
 
 def test_commutator_product():
-    assert presentation._commutator((1,), (2,)) == Word([1, 2, -1, -2])
-    assert presentation._word((1, 2, -2, 1)) == Word([1, 1])
+    assert presentation._commutator((1,), (2,)) == (1, 2, -1, -2)
+    assert presentation._commutator((1, 2), (-2, 1)) == (1, 1, -2, -1, -1, 2)
 
 
-def stepwise(words):
-    """Reference product: reduce every partial product, as the package
-    did before it reduced each concatenation once."""
-    out = Word()
-    for w in words:
-        out = out * w
-    return out
-
-
-words = st.lists(st.integers(-4, 4).filter(bool), max_size=12).map(Word)
+# freely reduced words, reduced by the reference
+words = st.lists(st.integers(-4, 4).filter(bool), max_size=12).map(
+    lambda letters: stepwise((l,) for l in letters))
 
 
 @given(st.lists(words, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_products_match_stepwise_products(ws):
-    product = presentation._word([l for w in ws for l in w.letters])
+    product = presentation.free_reduce([l for w in ws for l in w])
     assert product == stepwise(ws)
     # the sweep reduces W_k ... W_1 once, over the concatenated letters
-    descending = [l for w in reversed(ws) for l in w.letters]
-    assert presentation._word(descending) == stepwise(reversed(ws))
-    assert Word(product.letters) == product  # already reduced
+    descending = [l for w in reversed(ws) for l in w]
+    assert presentation.free_reduce(descending) == stepwise(reversed(ws))
+    assert presentation.free_reduce(product) == product  # already reduced
 
 
 @given(words, words)
 @settings(max_examples=300, deadline=None)
 def test_commutator_and_conjugate_match_stepwise_products(a, b):
-    assert presentation._commutator(a.letters, b.letters) == commutator(a, b)
-    conjugate = presentation._word(presentation._inverse(b.letters) + a.letters + b.letters)
-    assert conjugate == inverse(b) * a * b
+    assert presentation._commutator(a, b) == commutator(a, b)
+    conjugate = presentation.free_reduce(presentation._inverse(b) + a + b)
+    assert conjugate == stepwise([inverse(b), a, b])
 
 
 pairs = st.tuples(
@@ -157,7 +159,8 @@ def test_two_crossing_lines():
     pres = sweep("affine\n1 0 0\n0 1 0\n")
     assert pres.generator_count == 2
     assert pres.phi_modulus == 3
-    assert [r.word.format() for r in pres.relators] == ["g2 g1 g2^-1 g1^-1"]
+    assert [r.word for r in pres.relators] == [(2, 1, -2, -1)]
+    assert pres.text() == "gens: 2\ng2 g1 g2^-1 g1^-1\n"
 
 
 def test_pencil_relator_counts():
@@ -173,9 +176,8 @@ def test_triple_point_relators_are_nested_commutators():
     pres = sweep("affine\n1 0 0\n1 1 0\n1 2 0\n")
     [r1, r2] = pres.relators
     # at [W1, W2, W3] the two relators are [W3, W2 W1] and [W3 W2, W1]
-    W = [Word([i]) for i in (1, 2, 3)]
-    assert r1.word == commutator(W[2], W[1] * W[0])
-    assert r2.word == commutator(W[2] * W[1], W[0])
+    assert r1.word == commutator((3,), (2, 1))
+    assert r2.word == commutator((3, 2), (1,))
     assert r1.vertex == r2.vertex
     assert (r1.index, r2.index) == (1, 2)
 
@@ -338,24 +340,24 @@ def test_relator_count_check_survives_dash_o():
 
 
 def test_free_reduce_and_strip():
-    p = Presentation(3, (Relator(Word([1, 2, 3, -2, -3, -1])),))
+    p = Presentation(3, (Relator((1, 2, 3, -2, -3, -1)),))
     out = free_reduce_and_strip(p)
-    assert [r.word.format() for r in out.relators] == ["g2 g3 g2^-1 g3^-1"]
+    assert [r.word for r in out.relators] == [(2, 3, -2, -3)]
 
 
 def test_strip_drops_empty_relators():
     # conjugate of the identity collapses to nothing
-    p = Presentation(2, (Relator(Word([1, 2, -2, -1])),))
+    p = Presentation(2, (Relator(()), Relator((1, -1))))
     assert free_reduce_and_strip(p).relators == ()
 
 
 def test_strip_keeps_unwrapped_relators_as_they_are():
     # nothing to strip: the relator itself comes back, not a rebuilt copy
-    kept = Relator(Word([1, 2, -1, -2]), vertex="v0")
-    wrapped = Relator(Word([3, 1, 2, -1, -2, -3]), vertex="v1", index=1)
+    kept = Relator((1, 2, -1, -2), vertex="v0")
+    wrapped = Relator((3, 1, 2, -1, -2, -3), vertex="v1", index=1)
     out = free_reduce_and_strip(Presentation(3, (kept, wrapped))).relators
     assert out[0] is kept
-    assert out[1] == wrapped._replace(word=Word([1, 2, -1, -2]))
+    assert out[1] == wrapped._replace(word=(1, 2, -1, -2))
 
 
 def reference_strip(letters):
@@ -367,50 +369,52 @@ def reference_strip(letters):
     return letters
 
 
-wrappers = st.lists(st.integers(-4, 4).filter(bool), max_size=80).map(Word)
+wrappers = st.lists(st.integers(-4, 4).filter(bool), max_size=80).map(
+    lambda letters: stepwise((l,) for l in letters))
 
 
 @given(st.lists(st.tuples(wrappers, words, words), max_size=6))
-@example([(Word([1, 2, 3, 4] * 100), Word([1]), Word([2])), (Word([3] * 300), Word([1, 2]), Word([1]))])
+@example([((1, 2, 3, 4) * 100, (1,), (2,)), ((3,) * 300, (1, 2), (1,))])
 @settings(max_examples=300, deadline=None)
 def test_strip_matches_pairwise_reference(parts):
     # w [a, b] w^-1: exponent sum 0; [a, a] leaves an empty relator
-    relators = [Relator(w * commutator(a, b) * inverse(w), vertex=f"v{k}", index=k)
+    relators = [Relator(stepwise([w, commutator(a, b), inverse(w)]), vertex=f"v{k}", index=k)
                 for k, (w, a, b) in enumerate(parts)]
     expected = []
     for r in relators:
-        letters = reference_strip(r.word.letters)
+        letters = reference_strip(r.word)
         if letters:
-            expected.append(r._replace(word=Word(letters)))
+            expected.append(r._replace(word=tuple(letters)))
     pres = Presentation(4, tuple(relators))
     assert free_reduce_and_strip(pres).relators == tuple(expected)
 
 
 def test_vertex_relator_exponent_sum_validated():
     with pytest.raises(ValueError, match="vertex relators must have exponent sum 0"):
-        Relator(Word([1, 2]))
+        Relator((1, 2))
     # fine when flagged as the projective product relator
-    Relator(Word([1, 2]), projective=True)
+    Relator((1, 2), projective=True)
 
 
 def test_relator_is_an_immutable_value():
-    r = Relator(Word([1, 2, -1, -2]), vertex="(0:0:1)", index=1)
+    r = Relator((1, 2, -1, -2), vertex="(0:0:1)", index=1)
     for field in ("word", "vertex", "index", "projective"):
         with pytest.raises(AttributeError):
             setattr(r, field, getattr(r, field))
-    twin = Relator(Word([1, 2, -1, -2]), vertex="(0:0:1)", index=1)
+    twin = Relator((1, 2, -1, -2), vertex="(0:0:1)", index=1)
     assert r == twin and hash(r) == hash(twin)
-    assert r != Relator(Word([1, 2, -1, -2]), vertex="(0:0:1)", index=2)
+    assert r != Relator((1, 2, -1, -2), vertex="(0:0:1)", index=2)
     with pytest.raises(ValueError, match="exponent sum 0"):
-        r._replace(word=Word([1, 2]))
+        r._replace(word=(1, 2))
 
 
 @pytest.mark.parametrize("kind, relators, message", [
-    ("affine-decone", (Relator(Word([1, 3, -1, -3])),), "letter 3 outside generator range"),
-    ("projective", (Relator(Word([1, 3]), projective=True),), "letter 3 outside generator range"),
-    ("projective", (Relator(Word([1, 2]), projective=True), Relator(Word([1, 2, -1, -2])),
-                    Relator(Word([2, 1]), projective=True)), "exactly one product relator"),
-    ("projective", (Relator(Word([1, 2]), projective=True),) * 2, "exactly one product relator"),
+    ("affine-decone", (Relator((1, 3, -1, -3)),), "letter 3 outside generator range"),
+    ("projective", (Relator((1, 3), projective=True),), "letter 3 outside generator range"),
+    ("projective", (Relator((1, 2), projective=True), Relator((1, 2, -1, -2)),
+                    Relator((2, 1), projective=True)), "exactly one product relator"),
+    ("projective", (Relator((1, 2), projective=True),) * 2, "exactly one product relator"),
+    ("affine-decone", (Relator((1, 2, -1, -2)), Relator((0, 1))), "letter 0 outside generator range"),
 ])
 def test_presentation_refusals(kind, relators, message):
     # the first relator alone, over three generators, is a presentation of
@@ -438,7 +442,7 @@ def reference_sweep(aff, top_down=False):
 
     verts = sorted(aff.incidence.points, key=x_of, reverse=True)
     assert all(x_of(a) != x_of(b) for a, b in zip(verts, verts[1:]))
-    current = [Word([i + 1]) for i in range(aff.n_lines)]
+    current = [(i + 1,) for i in range(aff.n_lines)]
     out = []
     for pt in verts:
         order = sorted(pt.incident, key=slope)
@@ -452,7 +456,7 @@ def reference_sweep(aff, top_down=False):
             out.append((commutator(upper, lower), pt.label(), k))
         for pos in range(1, m - 1):
             c = stepwise(reversed(W[:pos]))
-            current[order[pos]] = inverse(c) * W[pos] * c
+            current[order[pos]] = stepwise([inverse(c), W[pos], c])
     return out
 
 
@@ -464,7 +468,7 @@ def reference_product_relator(arr):
     aff = geometry.shear_to_generic(geometry.decone(extended, extended.n_lines - 1))
     by_slope = sorted(range(aff.n_lines), reverse=True,
                       key=lambda i: Fraction(-aff.lines[i].coeffs[0], aff.lines[i].coeffs[1]))
-    return stepwise([Word([i + 1]) for i in by_slope]), reference_sweep(aff)
+    return stepwise([(i + 1,) for i in by_slope]), reference_sweep(aff)
 
 
 def triples(pres):
@@ -554,8 +558,8 @@ def test_double_point_junction_cancellation_is_reduced(monkeypatch):
     aff = geometry.shear_to_generic(geometry.parse_arrangement(JUNCTION_CANCELLING))
     expected = reference_sweep(aff)
     calls = []
-    real = presentation._word
-    monkeypatch.setattr(presentation, "_word", lambda letters: calls.append(letters) or real(letters))
+    real = presentation.free_reduce
+    monkeypatch.setattr(presentation, "free_reduce", lambda letters: calls.append(letters) or real(letters))
     assert triples(arvola_randell(aff)) == expected
     # a vertex of multiplicity m >= 3 reduces m - 1 relators and m - 2
     # conjugates; every further call is the double-point fallback
@@ -569,7 +573,7 @@ def test_generic_double_points_are_never_reduced(monkeypatch):
     _, aff, _ = geometry.affine_picture(geometry.parse_arrangement(presets.preset_text("generic:8:1")))
     aff = geometry.shear_to_generic(aff)
     expected = reference_sweep(aff)
-    monkeypatch.setattr(presentation, "_word", None)
+    monkeypatch.setattr(presentation, "free_reduce", None)
     pres = arvola_randell(aff)
     assert len(pres.relators) == len(aff.incidence.points) == 21
     assert triples(pres) == expected

@@ -15,7 +15,7 @@ from milnorfiber import bounds, geometry, pipeline, presets, snf, validation
 from milnorfiber.bounds import OnePointCheck, SyntheticIncidence
 from milnorfiber.cover import CoverHomology
 from milnorfiber.geometry import AffineArrangement, AffineLine, Arrangement, InputError, ProjLine
-from milnorfiber.presentation import Presentation, Relator, Word
+from milnorfiber.presentation import Presentation, Relator
 from milnorfiber.snf import AbelianGroup, SmithForm
 
 RECORD_CLASSES = {
@@ -107,8 +107,8 @@ def test_bound_report_reads_its_evaluators():
 
 
 def test_presentation_kind_reads_the_product_relator():
-    vertex = Relator(Word([1, 2, -1, -2]))
-    product = Relator(Word([1, 2]), projective=True)
+    vertex = Relator((1, 2, -1, -2))
+    product = Relator((1, 2), projective=True)
     affine = Presentation(2, (vertex,))
     assert (affine.kind, affine.phi_modulus) == ("affine-decone", 3)
     projective = affine._replace(relators=(vertex, product))
@@ -141,7 +141,7 @@ REFUSALS = [
     (Arrangement((ProjLine((1, 0, 0)), ProjLine((0, 1, 0)))),
      {"lines": (ProjLine((1, 0, 0)), ProjLine((2, 0, 0)))}, InputError, "duplicate line"),
     (AffineArrangement((AffineLine((1, 0, 0)),)), {"lines": ()}, InputError, "at least 1 line"),
-    (Presentation(2, (Relator(Word([1, 2, -1, -2])),)),
+    (Presentation(2, (Relator((1, 2, -1, -2)),)),
      {"generator_count": 1}, ValueError, "outside generator range"),
     (TRIANGLE, {"points": ((0, 1), (1, 0, 2))}, InputError, "meet in two points"),
     (bounds.bound_report(TRIANGLE), {"onehyp_per_line": {0: 1, 1: 2, 2: 2}}, AssertionError,
