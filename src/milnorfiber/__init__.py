@@ -28,7 +28,7 @@ from .presentation import (
     free_reduce_and_strip,
     projective_presentation,
 )
-from .cover import CoverComplex, CoverHomology, build_cover_complex, fox_derivative, h1_of_cover, phi_degree
+from .cover import CoverComplex, CoverHomology, build_cover_complex, h1_of_cover
 from .bounds import (
     BoundReport,
     SyntheticIncidence,
@@ -67,7 +67,6 @@ __all__ = [
     "cone",
     "corollary_check",
     "decone",
-    "fox_derivative",
     "free_reduce_and_strip",
     "h1_of_cover",
     "intersection_points",
@@ -76,7 +75,6 @@ __all__ = [
     "onehyp_bounds",
     "parse_arrangement",
     "parse_incidence",
-    "phi_degree",
     "predict",
     "projective_presentation",
     "shear_to_generic",

@@ -63,10 +63,7 @@ def parse_incidence(text):
     """
     n = None
     points = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in geometry.content_lines(text):
         if n is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "incidence" or not parts[1].startswith("N="):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import re
 import sys
 
 try:  # the C accelerator alone; the json package would load its decoder too
@@ -155,15 +154,9 @@ def cmd_presentation(args, out):
     return 0
 
 
-# what the parsers skip before a header: whitespace, which every line
-# boundary of str.splitlines is, and comments, each up to a line boundary
-_BEFORE_HEADER = re.compile(r"(?:\s|#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*)*")
-
-
 def cmd_bounds(args, out):
     text = _read(args.file)
-    # one regex match, not a split of a file that may be far over its budget
-    if text.startswith("incidence", _BEFORE_HEADER.match(text).end()):
+    if next(geometry.content_lines(text), (0, ""))[1].startswith("incidence"):
         if args.infinity is not None:
             raise InputError("an infinity index applies to arrangement files, not raw incidence")
         inc = bounds_mod.parse_incidence(text)
@@ -190,7 +183,7 @@ def cmd_bounds(args, out):
 
 def cmd_preset(args, out):
     from . import presets
-    out.write(presets.preset_text(args.name, seed=args.seed))
+    out.write(presets.preset_text(args.name))
     return 0
 
 
@@ -258,7 +251,6 @@ def build_parser():
     p = sub.add_parser("preset", help="emit a built-in arrangement")
     p.add_argument("name", help="triangle | pencil:n | nearpencil:n | generic:n:seed | "
                                 "braid-a3 | parallel-family")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_preset)
 
     p = sub.add_parser("selftest", help="run the validation suite")

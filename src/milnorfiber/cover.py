@@ -1,23 +1,23 @@
 """Chain complex of the n-fold cyclic cover of a presentation complex.
 
-The covering map sends every generator to 1 in Z/n.  Group-ring elements
-over Z/n are integer tuples of length n (entry i = coefficient of x^i);
-multiplying by x^k rotates a tuple k places to the right:
-
->>> cyc_mul((1, 2, 3, 0), cyc_unit(4, 2))
-(3, 0, 1, 2)
-
-The cover has n vertices x^i v, n edges x^i g_j per generator (oriented
-from x^i v to x^{i+1} v), and n 2-cells per relator (the x^i-shifts of its
-lift).  The boundary d2 has one column per edge, in one block of n columns
-per generator: g_2, ..., g_G first and g_1 last, the edge x^k g in column
-k of its block.  Each relator is stored once, as the sparse ``{column:
+The covering map sends every generator to 1 in Z/n.  The cover has n
+vertices x^i v, n edges x^i g_j per generator (oriented from x^i v to
+x^{i+1} v), and n 2-cells per relator (the x^i-shifts of its lift).  The
+boundary d2 has one column per edge, in one block of n columns per
+generator: g_2, ..., g_G first and g_1 last, the edge x^k g in column k
+of its block.  Each relator is stored once, as the sparse ``{column:
 value}`` seed of its lift, read off its Fox derivatives; the deck
 transformation x moves column k of a block to column k + 1 (mod n), and
 the seed's n shifts are the relator's rows of d2.  ``CoverComplex.d2`` is
 that matrix as ``snf.RowOrbits``: the seeds and the deck permutation,
 never the shifts themselves.  The edge boundary needs no matrix: the
 edges x^0 g_1 .. x^{n-2} g_1 form a spanning tree of the 1-skeleton.
+
+The commutator [g_1, g_2] lifts to the triple cover with dr/dg_1 = 1 - x
+in columns 3..5 and dr/dg_2 = x - 1 in columns 0..2:
+
+>>> _fox_seed((1, 2, -1, -2), 3, 2)
+{3: 1, 1: 1, 4: -1, 0: -1}
 
 A cover with more than CELL_BUDGET cells (n vertices plus n edges per
 generator plus n 2-cells per relator) is refused by ``check_cells``.
@@ -35,44 +35,11 @@ from .presentation import exponent_sum, word_text
 CELL_BUDGET = 250_000
 
 
-def phi_degree(word, n):
-    """Exponent sum of a word, reduced mod n (the class of its image loop).
-
-    >>> phi_degree((1, 2, -1, -2), 3)
-    0
-    >>> phi_degree((1, 2), 3)
-    2
-    """
-    return exponent_sum(word) % n
-
-
-def cyc_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def cyc_mul(a, b):
-    """Cyclic convolution: the group-ring product."""
-    n = len(a)
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % n] += x * y
-    return tuple(out)
-
-
-def cyc_unit(n, k=0):
-    """The tuple of x^k."""
-    out = [0] * n
-    out[k % n] = 1
-    return tuple(out)
-
-
-def _fox_seed(word, n, column):
+def _fox_seed(word, n, G):
     """Every Fox derivative of a word in one pass, pushed into the group
-    ring of Z/n (every generator maps to x): ``{column(g, k): c}`` for each
-    nonzero coefficient c of x^k in the derivative with respect to g.
+    ring of Z/n (every generator maps to x): ``{column: c}`` for each
+    nonzero coefficient c of x^k in the derivative with respect to g, in
+    column (g - 2) % G * n + k (the blocks of g_2 .. g_G first, g_1 last).
 
     Satisfies d(uv) = du + x^{phi(u)} dv, d(g)/dg = 1, d(g^-1)/dg = -x^-1.
     """
@@ -80,29 +47,14 @@ def _fox_seed(word, n, column):
     deg = 0
     for letter in word:
         if letter > 0:
-            c = column(letter, deg % n)
+            c = (letter - 2) % G * n + deg % n
             out[c] = out.get(c, 0) + 1
             deg += 1
         else:
             deg -= 1
-            c = column(-letter, deg % n)
+            c = (-letter - 2) % G * n + deg % n
             out[c] = out.get(c, 0) - 1
     return {c: v for c, v in out.items() if v}
-
-
-def fox_derivative(word, gen, n):
-    """Fox derivative of a word with respect to generator ``gen``, pushed
-    into the group ring of Z/n: the block of ``gen`` in the word's seed.
-
-    >>> fox_derivative((1, 2, -1, -2), 1, 3)
-    (1, -1, 0)
-    >>> fox_derivative((1, 2, -1, -2), 2, 3)
-    (-1, 1, 0)
-    >>> fox_derivative((1,), 2, 3)
-    (0, 0, 0)
-    """
-    seed = _fox_seed(word, n, lambda g, k: (g, k))
-    return tuple(seed.get((gen, k), 0) for k in range(n))
 
 
 class CoverComplex(namedtuple("CoverComplex", "n generator_count seeds")):
@@ -186,16 +138,12 @@ def build_cover_complex(pres, modulus=None):
     G = pres.generator_count
     check_cells(n, G, len(pres.relators), modulus)
     for r in pres.relators:
-        if phi_degree(r.word, n) != 0:
+        if exponent_sum(r.word) % n:
             raise ValueError(
                 f"relator {word_text(r.word)!r} has exponent sum {exponent_sum(r.word)}, "
                 f"not divisible by modulus {n}; no such cover exists"
             )
-
-    def column(g, k):  # g_2 .. g_G first, g_1 last
-        return (g - 2) % G * n + k
-
-    seeds = tuple(_fox_seed(r.word, n, column) for r in pres.relators)
+    seeds = tuple(_fox_seed(r.word, n, G) for r in pres.relators)
     return CoverComplex(n, G, seeds)
 
 

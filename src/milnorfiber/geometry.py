@@ -13,6 +13,7 @@ whose ``_make``, and so ``_replace``, calls it.  The arrangements keep an
 instance ``__dict__`` for their cached ``incidence``.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -400,6 +401,27 @@ def _rational(token):
     return Fraction(token)
 
 
+# one line of str.splitlines and its boundary, or the text's last line
+_LINE = re.compile(
+    r"([^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*)(?:\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]|\Z)"
+)
+
+
+def content_lines(text):
+    """``(lineno, line)`` for each line of a file's text that holds more
+    than a comment and whitespace, both stripped.  Lines are numbered from
+    1 at the boundaries ``str.splitlines`` uses and read one at a time, so
+    a refusal at line K reads no further.  ``#`` starts a comment.
+
+    >>> list(content_lines("# head\\r\\n\\n  affine  # a comment\\n1 0 0"))
+    [(3, 'affine'), (4, '1 0 0')]
+    """
+    for lineno, match in enumerate(_LINE.finditer(text), start=1):
+        line = match[1].split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_arrangement(text):
     """Parse the arrangement file format.
 
@@ -418,10 +440,7 @@ def parse_arrangement(text):
     """
     mode = None
     triples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if mode is None:
             if line not in ("projective", "affine"):
                 raise InputError(f"line {lineno}: header must be 'projective' or 'affine'")

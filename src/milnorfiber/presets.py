@@ -111,7 +111,7 @@ def parallel_family_text():
     )
 
 
-def preset_text(name, seed=None):
+def preset_text(name):
     """Arrangement text for a preset name with optional ':' parameters.
 
     >>> preset_text("triangle")
@@ -140,8 +140,6 @@ def preset_text(name, seed=None):
         want(1)
         return nearpencil_text(int_param(0, "size"))
     if base == "generic":
-        if len(params) == 1 and seed is not None:
-            return generic_text(int_param(0, "size"), seed)
         want(2)
         return generic_text(int_param(0, "size"), int_param(1, "seed"))
     if base == "braid-a3":

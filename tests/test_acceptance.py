@@ -26,20 +26,20 @@ def check(number, name, fn, budget):
     return result
 
 
-def test_c01_triangle_exact_homology():
-    check(1, "triangle-exact-homology", validation.criterion_triangle, budget=1)
+def test_c01_triangle_exact_homology(corpus):
+    check(1, "triangle-exact-homology", lambda: validation.criterion_triangle(corpus), budget=1)
 
 
-def test_c02_near_pencil_family():
-    check(2, "near-pencil-family", validation.criterion_nearpencil, budget=5)
+def test_c02_near_pencil_family(corpus):
+    check(2, "near-pencil-family", lambda: validation.criterion_nearpencil(corpus), budget=5)
 
 
-def test_c03_generic_family():
-    check(3, "generic-family", validation.criterion_generic, budget=30)
+def test_c03_generic_family(corpus):
+    check(3, "generic-family", lambda: validation.criterion_generic(corpus), budget=30)
 
 
-def test_c04_pencil_family():
-    check(4, "pencil-family", validation.criterion_pencil, budget=10)
+def test_c04_pencil_family(corpus):
+    check(4, "pencil-family", lambda: validation.criterion_pencil(corpus), budget=10)
 
 
 def test_c05_bound_sandwich(corpus):

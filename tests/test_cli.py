@@ -268,10 +268,10 @@ HEADER_PIECES = ["incidence", "incidenc", "projective", "x", "#", " ", "\t", "\n
 @given(st.lists(st.sampled_from(HEADER_PIECES), max_size=10).map("".join))
 @settings(max_examples=1000, deadline=None)
 def test_bounds_reads_incidence_by_its_first_content_line(text):
-    # reference: the first line with content outside its comment, as the
-    # parsers number lines
-    head = next((l.split("#")[0].strip() for l in text.splitlines() if l.split("#")[0].strip()), "")
-    assert text.startswith("incidence", cli._BEFORE_HEADER.match(text).end()) == head.startswith("incidence")
+    # reference: each line with content outside its comment, numbered as
+    # str.splitlines splits; cmd_bounds reads the first one's header
+    want = [(k, l.split("#")[0].strip()) for k, l in enumerate(text.splitlines(), 1) if l.split("#")[0].strip()]
+    assert list(geometry.content_lines(text)) == want
 
 
 def test_bounds_refuses_incidence_over_point_budget(tmp_path, capsys):
@@ -350,8 +350,12 @@ def test_preset_generic_seeded(capsys):
     assert code == 0
     code, second, _ = run(capsys, "preset", "generic:5:7")
     assert first == second
-    code, other, _ = run(capsys, "preset", "generic:5", "--seed", "8")
+    code, other, _ = run(capsys, "preset", "generic:5:8")
     assert other != first
+    # the name is the one way to give the seed
+    code, out, err = run_usage(capsys, "preset", "generic:5", "--seed", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: unrecognized arguments: --seed 8\n"
 
 
 def test_python_dash_m_runs_the_cli():

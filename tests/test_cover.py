@@ -1,7 +1,9 @@
 """Cyclic-cover chain complexes built by Fox calculus.
 
-Group-ring elements of Z[Z/n] are length-n integer tuples; entry i is the
-coefficient of x^i.
+Group-ring elements of Z[Z/n] are length-n integer tuples here; entry i is
+the coefficient of x^i.  The package stores each relator's Fox derivatives
+as one sparse seed (``cover._fox_seed``); the tests read it block by block
+against a textbook derivative.
 """
 
 import pytest
@@ -9,20 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milnorfiber import cover, geometry, pipeline, presets, snf, validation
-from milnorfiber.cover import (
-    CELL_BUDGET,
-    build_cover_complex,
-    cyc_add,
-    cyc_mul,
-    cyc_unit,
-    fox_derivative,
-    h1_of_cover,
-    phi_degree,
-)
+from milnorfiber.cover import CELL_BUDGET, build_cover_complex, h1_of_cover
 from milnorfiber.presentation import (
     Presentation,
     Relator,
     arvola_randell,
+    exponent_sum,
     free_reduce,
     projective_presentation,
 )
@@ -61,42 +55,53 @@ def cyc_shift(t, k):
     return tuple(t[(i - k) % n] for i in range(n))
 
 
+def cyc_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def test_cyclic_shift():
     # multiplying by x^k is the rotation
     for t, k, want in [((1, 2, 3, 0), 2, (3, 0, 1, 2)), ((1, 2, 3), 0, (1, 2, 3)),
                        ((1, 2, 3), 5, (2, 3, 1)), ((1, 2, 3), -1, (2, 3, 1))]:
-        assert cyc_shift(t, k) == cyc_mul(t, cyc_unit(len(t), k)) == want
-
-
-def test_cyc_mul_is_convolution():
-    # (1 + x)(1 - x) = 1 - x^2 in Z[x]/(x^4 - 1)
-    assert cyc_mul((1, 1, 0, 0), (1, -1, 0, 0)) == (1, 0, -1, 0)
-    # x^2 * x^3 = x mod x^4
-    assert cyc_mul(cyc_unit(4, 2), cyc_unit(4, 3)) == cyc_unit(4, 1)
-
-
-def test_cyc_mul_commutes_with_shift():
-    a, b = (1, -2, 0, 3), (0, 1, 1, -1)
-    assert cyc_mul(cyc_shift(a, 1), b) == cyc_shift(cyc_mul(a, b), 1)
-
-
-def test_phi_degree():
-    assert phi_degree((1, 2, -1, -2), 5) == 0
-    assert phi_degree((1, 2), 3) == 2
-    assert phi_degree((-1,), 3) == 2
+        assert cyc_shift(t, k) == want
 
 
 # --- Fox derivatives ------------------------------------------------------
 
 
+def fox_reference(word, gen, n):
+    """Textbook dw/dg in Z[Z/n], for one generator: the product rule
+    d(uv) = du + x^{phi(u)} dv applied letter by letter, with
+    d(g)/dg = 1, d(g^-1)/dg = -x^-1 and 0 for the other letters."""
+    out = [0] * n
+    deg = 0
+    for letter in word:
+        if letter == gen:
+            out[deg % n] += 1
+        elif letter == -gen:
+            out[(deg - 1) % n] -= 1
+        deg += 1 if letter > 0 else -1
+    return tuple(out)
+
+
+def seed_block(word, gen, n, G=4):
+    """dw/dg read off the word's seed: the block of g in the cover's column
+    layout, g_2 .. g_G first and g_1 last."""
+    seed = cover._fox_seed(word, n, G)
+    return tuple(seed.get((gen - 2) % G * n + k, 0) for k in range(n))
+
+
 def test_fox_golden_values():
     comm = (1, 2, -1, -2)
-    assert fox_derivative(comm, 1, 3) == (1, -1, 0)
-    assert fox_derivative(comm, 2, 3) == (-1, 1, 0)
-    assert fox_derivative((1,), 2, 3) == (0, 0, 0)
-    assert fox_derivative((1,), 1, 3) == (1, 0, 0)
-    assert fox_derivative((-1,), 1, 3) == (0, 0, -1)  # -x^{-1}
-    assert fox_derivative((1, 1, 1), 1, 3) == (1, 1, 1)
+    for word, gen, n, want in [
+        (comm, 1, 3, (1, -1, 0)),
+        (comm, 2, 3, (-1, 1, 0)),
+        ((1,), 2, 3, (0, 0, 0)),
+        ((1,), 1, 3, (1, 0, 0)),
+        ((-1,), 1, 3, (0, 0, -1)),  # -x^{-1}
+        ((1, 1, 1), 1, 3, (1, 1, 1)),
+    ]:
+        assert seed_block(word, gen, n) == fox_reference(word, gen, n) == want
 
 
 words = st.lists(
@@ -107,13 +112,10 @@ words = st.lists(
 @given(words, words, st.integers(1, 6))
 @settings(max_examples=300, deadline=None)
 def test_fox_product_rule(u, v, n):
-    # d(uv) = du + x^{phi(u)} dv
+    # d(uv) = du + x^{phi(u)} dv, uv freely reduced as a relator is
     for gen in range(1, 5):
-        lhs = fox_derivative(free_reduce(u + v), gen, n)
-        rhs = cyc_add(
-            fox_derivative(u, gen, n),
-            cyc_shift(fox_derivative(v, gen, n), phi_degree(u, n)),
-        )
+        lhs = seed_block(free_reduce(u + v), gen, n)
+        rhs = cyc_add(fox_reference(u, gen, n), cyc_shift(fox_reference(v, gen, n), exponent_sum(u)))
         assert lhs == rhs
 
 
@@ -121,13 +123,15 @@ def test_fox_product_rule(u, v, n):
 @settings(max_examples=300, deadline=None)
 def test_fox_fundamental_identity(w, n):
     # sum_g (dw/dg)(x - 1) = x^{phi(w)} - 1
-    x_minus_1 = cyc_add(cyc_unit(n, 1), tuple(-c for c in cyc_unit(n, 0)))
-    total = cyc_unit(n, 0)
-    total = tuple(0 for _ in total)
+    total = (0,) * n
     for gen in range(1, 5):
-        total = cyc_add(total, cyc_mul(fox_derivative(w, gen, n), x_minus_1))
-    expected = cyc_add(cyc_unit(n, phi_degree(w, n)), tuple(-c for c in cyc_unit(n, 0)))
-    assert total == expected
+        block = seed_block(w, gen, n)
+        assert block == fox_reference(w, gen, n)
+        total = cyc_add(total, cyc_add(cyc_shift(block, 1), tuple(-c for c in block)))
+    expected = [0] * n
+    expected[exponent_sum(w) % n] += 1
+    expected[0] -= 1
+    assert total == tuple(expected)
 
 
 def test_fox_inverse_rule():
@@ -135,8 +139,8 @@ def test_fox_inverse_rule():
     w = (1, -2, 1, 2)
     n = 5
     for gen in (1, 2):
-        lhs = fox_derivative(tuple(-l for l in reversed(w)), gen, n)
-        rhs = tuple(-c for c in cyc_shift(fox_derivative(w, gen, n), -phi_degree(w, n)))
+        lhs = seed_block(tuple(-l for l in reversed(w)), gen, n)
+        rhs = tuple(-c for c in cyc_shift(fox_reference(w, gen, n), -exponent_sum(w)))
         assert lhs == rhs
 
 
@@ -199,7 +203,7 @@ def test_seed_blocks_are_fox_derivatives():
         row = c.d2.rows[r * n]
         for gen in range(1, G + 1):
             block = (gen - 2) % G
-            assert tuple(row[block * n : block * n + n]) == fox_derivative(relator.word, gen, n)
+            assert tuple(row[block * n : block * n + n]) == fox_reference(relator.word, gen, n)
 
 
 def test_d2_nonzeros_match_dense_view():

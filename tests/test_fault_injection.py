@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from milnorfiber import pipeline, presentation, presets, snf
+from milnorfiber import cover, pipeline, presentation, presets, snf
 from milnorfiber.snf import AbelianGroup
 from milnorfiber.validation import Corpus
 
@@ -131,3 +131,62 @@ def test_dropped_sweep_relator(monkeypatch, corpus_with_d2, kept):
         (True, ("exact_prediction", "modular_upper_bound", "rank_upper_bound")): 33,
         (False, ()): 82,
     }
+
+
+def _plus_one_on_lowest_column(seed, n, G):
+    seed[min(seed)] += 1
+
+
+def _lowest_to_next_generator(seed, n, G):
+    # the same power of x in the next generator's block of n columns
+    c = min(seed)
+    target = (c + n) % (G * n)
+    seed[target] = seed.get(target, 0) + seed.pop(c)
+
+
+# outcome -> number of corpus inputs; an outcome is the failing verdicts,
+# or ("raises", message) for an analysis that raises before any verdict
+SEED_FAULTS = {
+    "plus-one-on-lowest-column": (_plus_one_on_lowest_column, {
+        ("chain_condition", "exact_prediction", "rank_lower_bound"): 33,
+        ("chain_condition", "rank_lower_bound"): 1,
+        # known gap: d2 then has rank above the n*G - (n - 1) columns left
+        # past the spanning tree, and h1_of_cover's AbelianGroup refuses a
+        # negative free rank before chain_condition is read
+        ("raises", "free rank must be non-negative"): 81,
+    }),
+    "lowest-coefficient-to-next-generator": (_lowest_to_next_generator, {
+        # the coefficient sums by power of x are unchanged, so the chain
+        # condition cannot see it; the rank of d2 drops
+        ("exact_prediction", "rank_lower_bound"): 114,
+        ("rank_lower_bound",): 1,
+    }),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SEED_FAULTS))
+def test_one_fox_seed_coefficient(monkeypatch, corpus_with_d2, fault):
+    """One coefficient of the first relator's Fox seed is wrong, as a slip
+    in the Fox pass would make it."""
+    change, want = SEED_FAULTS[fault]
+    fox = cover._fox_seed
+    calls = []
+
+    def faulted(word, n, G):
+        seed = fox(word, n, G)
+        if not calls:  # the first relator of this analysis
+            change(seed, n, G)
+            seed = {c: v for c, v in seed.items() if v}
+        calls.append(word)
+        return seed
+
+    monkeypatch.setattr(cover, "_fox_seed", faulted)
+    outcomes = Counter()
+    for name, text, _ in corpus_with_d2:
+        calls.clear()
+        try:
+            outcomes[failing(pipeline.analyze_text(text))] += 1
+        except ValueError as exc:
+            outcomes["raises", str(exc)] += 1
+        assert calls, name
+    assert outcomes == want

@@ -252,8 +252,8 @@ def test_vertex_order_convention_is_cosmetic():
             geometry.parse_arrangement("affine\n1 -1 -2\n0 1 0\n1 1 -2\n10 -1 0\n")
         )
     ]
-    for name in ("braid-a3", "nearpencil:5", "parallel-family", "generic:5"):
-        arr = geometry.parse_arrangement(presets.preset_text(name, seed=11))
+    for name in ("braid-a3", "nearpencil:5", "parallel-family", "generic:5:11"):
+        arr = geometry.parse_arrangement(presets.preset_text(name))
         affines.append(geometry.shear_to_generic(geometry.decone(arr, 0)))
     for aff in affines:
         bottom_up = arvola_randell(aff)
