@@ -134,14 +134,14 @@ def cmd_analyze(args, out):
 
 def cmd_presentation(args, out):
     arr = geometry.parse_arrangement(_read(args.file))
-    _, aff, _ = geometry.affine_picture(arr, args.infinity)
+    proj, aff, _ = geometry.affine_picture(arr, args.infinity)
     pres = presentation_mod.arvola_randell(geometry.shear_to_generic(aff))
     if args.json:
         _emit_json(
             {
-                "kind": pres.kind,
+                "kind": "affine-decone",
                 "generators": pres.generator_count,
-                "cover_degree": pres.phi_modulus,
+                "cover_degree": proj.n_lines,
                 "relators": [
                     {"word": presentation_mod.word_text(r.word), "vertex": r.vertex, "index": r.index}
                     for r in pres.relators

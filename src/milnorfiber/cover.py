@@ -115,28 +115,27 @@ def check_cells(n, generator_count, relator_count, modulus):
     return cells
 
 
-def build_cover_complex(pres, modulus=None):
-    """Assemble the cover's boundary d2 from a presentation: one seed per
-    relator.
+def build_cover_complex(pres, n):
+    """Assemble the d2 of the degree-n cover, every generator sent to 1 in
+    Z/n, from a presentation: one seed per relator.
 
-    ``modulus`` overrides the presentation's cover degree (for studying
-    the auxiliary covers with every generator sent to 1 in Z/m); every
-    relator must still map to 0 mod the chosen modulus.  A cover of more
-    than CELL_BUDGET cells is refused with an InputError.
+    The Milnor fiber of N lines is the degree-N cover; a smaller n gives
+    an auxiliary quotient cover.  Every relator must map to 0 mod n.  A
+    cover of more than CELL_BUDGET cells is refused with an InputError.
 
     >>> from . import geometry, presentation
     >>> aff = geometry.shear_to_generic(geometry.parse_arrangement("affine\\n1 0 0\\n0 1 0"))
-    >>> c = build_cover_complex(presentation.arvola_randell(aff))
+    >>> c = build_cover_complex(presentation.arvola_randell(aff), 3)
     >>> c.n, c.d2.shape
     (3, (3, 6))
     >>> c.chain_ok()
     True
     """
-    n = pres.phi_modulus if modulus is None else int(modulus)
+    n = int(n)
     if n < 1:
         raise ValueError("cover degree must be >= 1")
     G = pres.generator_count
-    check_cells(n, G, len(pres.relators), modulus)
+    check_cells(n, G, len(pres.relators), None)
     for r in pres.relators:
         if exponent_sum(r.word) % n:
             raise ValueError(

@@ -135,11 +135,11 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     incidence = proj.incidence
     # the sweep's m - 1 relators per affine point of multiplicity m, none stripped away
     relators = sum(pt.multiplicity - 1 for pt in incidence.points if infinity_index not in pt.incident)
-    cover_mod.check_cells(modulus or proj.n_lines, proj.n_lines - 1, relators, modulus)
+    n = int(modulus or proj.n_lines)
+    cover_mod.check_cells(n, proj.n_lines - 1, relators, modulus)
     aff = geometry.shear_to_generic(aff0)
     pres = presentation_mod.free_reduce_and_strip(presentation_mod.arvola_randell(aff))
-    complex_ = cover_mod.build_cover_complex(pres, modulus=modulus)
-    n = complex_.n
+    complex_ = cover_mod.build_cover_complex(pres, n)
     hom = cover_mod.h1_of_cover(complex_, primes=probe_primes(incidence) if primes is None else primes)
     if n == proj.n_lines:
         report = bounds_mod.bound_report(incidence, infinity=infinity_index)
@@ -204,7 +204,7 @@ def projective_h1(arr):
     pres = presentation_mod.free_reduce_and_strip(
         presentation_mod.projective_presentation(arr)
     )
-    complex_ = cover_mod.build_cover_complex(pres)
+    complex_ = cover_mod.build_cover_complex(pres, arr.n_lines)
     return cover_mod.h1_of_cover(complex_).group
 
 
@@ -227,7 +227,7 @@ def report_dict(a):
         "census": {str(m): c for m, c in sorted(a.incidence.multiplicity_census().items())},
     }
     presentation_block = {
-        "kind": a.presentation.kind,
+        "kind": "affine-decone",
         "generators": a.presentation.generator_count,
         "relators": len(a.presentation.relators),
         "total_length": a.presentation.total_relator_length(),

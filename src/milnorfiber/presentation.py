@@ -75,33 +75,18 @@ class Relator(_Checked, namedtuple("Relator", "word vertex index projective")):
 
 
 class Presentation(_Checked, namedtuple("Presentation", "generator_count relators")):
-    """A finite presentation; its kind fixes its Milnor cover's degree, ``phi_modulus``.
-
-    kind 'affine-decone': one generator per affine line, cover degree
-    = generators + 1.  kind 'projective': one generator per projective
-    line including the one at infinity, one flagged product relator,
-    cover degree = generators.  An immutable tuple of its fields.
-    """
+    """A finite presentation: ``generator_count`` generators and a tuple
+    of relators whose letters all name one of them.  An immutable tuple of
+    its fields."""
 
     __slots__ = ()
 
     def __new__(cls, generator_count, relators):
         relators = tuple(relators)
-        n_proj = sum(1 for r in relators if r.projective)
-        if n_proj > 1:
-            raise ValueError(f"a projective presentation has exactly one product relator, not {n_proj}")
         bad = [l for r in relators for l in r.word if not 1 <= abs(l) <= generator_count]
         if bad:
             raise ValueError(f"letter {bad[0]} outside generator range")
         return tuple.__new__(cls, (generator_count, relators))
-
-    @property
-    def kind(self):
-        return "projective" if any(r.projective for r in self.relators) else "affine-decone"
-
-    @property
-    def phi_modulus(self):
-        return self.generator_count + (self.kind == "affine-decone")
 
     def text(self):
         out = [f"gens: {self.generator_count}"]

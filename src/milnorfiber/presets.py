@@ -49,6 +49,20 @@ def nearpencil_text(n):
     return "\n".join(rows) + "\n"
 
 
+def random_lines(rng, n, c):
+    """n distinct lines drawn from ``rng``, each coefficient uniform in
+    [-c, c]: a draw of (0, 0, 0) or of a line already drawn is skipped."""
+    lines = []
+    while len(lines) < n:
+        cand = (rng.randint(-c, c), rng.randint(-c, c), rng.randint(-c, c))
+        if cand == (0, 0, 0):
+            continue
+        line = geometry.ProjLine(cand)
+        if line not in lines:
+            lines.append(line)
+    return lines
+
+
 def generic_text(n, seed):
     """n lines in general position (every intersection point is double),
     found by seeded random search and verified before emitting."""
@@ -61,14 +75,7 @@ def generic_text(n, seed):
     # The narrow range stays for n <= 25, so those texts do not change.
     c = 9 if n <= 25 else 99
     for _ in range(500):
-        lines = []
-        while len(lines) < n:
-            cand = (rng.randint(-c, c), rng.randint(-c, c), rng.randint(-c, c))
-            if cand == (0, 0, 0):
-                continue
-            line = geometry.ProjLine(cand)
-            if line not in lines:
-                lines.append(line)
+        lines = random_lines(rng, n, c)
         if _all_points_double(lines):
             return geometry.arrangement_text(geometry.Arrangement(tuple(lines)))
     raise InputError(f"no generic arrangement of {n} lines found for seed {seed}")

@@ -40,15 +40,7 @@ def random_arrangement_texts(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     texts = []
     while len(texts) < RANDOM_CORPUS_SIZE:
-        k = rng.randint(3, 7)
-        lines = []
-        while len(lines) < k:
-            cand = (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-            if cand == (0, 0, 0):
-                continue
-            line = geometry.ProjLine(cand)
-            if line not in lines:
-                lines.append(line)
+        lines = presets.random_lines(rng, rng.randint(3, 7), 5)
         texts.append(geometry.arrangement_text(geometry.Arrangement(tuple(lines))))
     return texts
 

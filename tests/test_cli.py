@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorfiber import cli, geometry, validation
+from milnorfiber import cli, geometry, presets, validation
 from milnorfiber.validation import CriterionResult
 
 TRIANGLE = "projective\n1 0 0\n0 1 0\n0 0 1\n"
@@ -194,6 +194,22 @@ def test_presentation_command(tri_file, capsys):
     assert data["generators"] == 2
     assert data["cover_degree"] == 3
     assert data["relators"][0]["word"] == "g2 g1 g2^-1 g1^-1"
+
+
+@pytest.mark.parametrize("text, flags, degree", [
+    ("affine\n1 0 0\n0 1 0\n1 1 -1\n", (), 4),
+    (presets.preset_text("generic:12:1"), (), 12),
+    (presets.preset_text("generic:12:1"), ("--infinity", "0"), 12),
+])
+def test_presentation_cover_degree_is_the_projective_line_count(tmp_path, capsys, text, flags, degree):
+    # three affine lines and the line at infinity; or the twelve
+    # projective lines, whichever one is sent to infinity
+    p = tmp_path / "lines.txt"
+    p.write_text(text)
+    code, out, _ = run(capsys, "presentation", "--json", *flags, str(p))
+    assert code == 0
+    data = json.loads(out)
+    assert (data["kind"], data["cover_degree"], data["generators"]) == ("affine-decone", degree, degree - 1)
 
 
 def test_bounds_command_arrangement(tri_file, capsys):

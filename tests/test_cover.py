@@ -23,9 +23,11 @@ from milnorfiber.presentation import (
 from milnorfiber.snf import AbelianGroup, RowOrbits, ranks_mod_primes, smith_normal_form
 
 
-def affine_complex(text, modulus=None):
+def affine_complex(text):
+    """The Milnor cover of an affine arrangement: its cone's N + 1 lines
+    give the degree."""
     aff = geometry.shear_to_generic(geometry.parse_arrangement(text))
-    return build_cover_complex(arvola_randell(aff), modulus=modulus)
+    return build_cover_complex(arvola_randell(aff), aff.n_lines + 1)
 
 
 def contracted_d2(c):
@@ -197,7 +199,7 @@ def test_seed_blocks_are_fox_derivatives():
     in block j - 2 for j >= 2, and by g_1 in the last block."""
     aff = geometry.shear_to_generic(geometry.parse_arrangement("affine\n1 0 0\n0 1 0\n1 1 0\n"))
     pres = arvola_randell(aff)
-    c = build_cover_complex(pres)
+    c = build_cover_complex(pres, aff.n_lines + 1)
     n, G = c.n, c.generator_count
     for r, relator in enumerate(pres.relators):
         row = c.d2.rows[r * n]
@@ -237,21 +239,22 @@ def test_contracted_d2_drops_tree_columns():
 def test_cell_budget():
     # a relator-free presentation: n vertices and n edges, so 2n cells
     free = Presentation(1, ())
-    c = build_cover_complex(free, modulus=CELL_BUDGET // 2)
+    c = build_cover_complex(free, CELL_BUDGET // 2)
     assert c.d2.shape == (0, CELL_BUDGET // 2)
-    with pytest.raises(geometry.InputError, match=f"budget of {CELL_BUDGET}.*--modulus"):
-        build_cover_complex(free, modulus=CELL_BUDGET // 2 + 1)
+    # only the analysis knows whether --modulus set the degree; see test_cli
+    with pytest.raises(geometry.InputError, match=f"budget of {CELL_BUDGET}$"):
+        build_cover_complex(free, CELL_BUDGET // 2 + 1)
 
 
 def test_modulus_override_validation():
     pres = Presentation(2, (Relator((1, 1, -2, -2), projective=True),))
-    build_cover_complex(pres, modulus=2)  # exponent sum 0 works for any n
+    build_cover_complex(pres, 2)  # exponent sum 0 works for any n
     bad = Presentation(2, (Relator((1, 1), projective=True),))
-    build_cover_complex(bad, modulus=2)
+    build_cover_complex(bad, 2)
     with pytest.raises(ValueError, match="^relator 'g1 g1' has exponent sum 2, not divisible by modulus 3;"):
-        build_cover_complex(bad, modulus=3)
+        build_cover_complex(bad, 3)
     with pytest.raises(ValueError, match="degree"):
-        build_cover_complex(bad, modulus=0)
+        build_cover_complex(bad, 0)
 
 
 # --- homology ----------------------------------------------------------------
@@ -297,7 +300,7 @@ def test_h1_betti_mod_detects_torsion():
     # one generator, relator g^4, double cover: the Fox row folds to
     # 2 + 2x, so H1 = Z/2 and only the mod-2 Betti number sees it
     pres = Presentation(1, (Relator((1, 1, 1, 1), projective=True),))
-    c = build_cover_complex(pres, modulus=2)
+    c = build_cover_complex(pres, 2)
     assert c.seeds == ({0: 2, 1: 2},)
     h = h1_of_cover(c, primes=(2, 3))
     assert h.group == AbelianGroup(0, (2,))
@@ -373,7 +376,7 @@ def test_h1_of_projective_triangle():
     # the projective presentation carries an extra product relator, so its
     # complex is not the fiber (different euler number), but H1 agrees
     arr = geometry.parse_arrangement("projective\n1 0 0\n0 1 0\n0 0 1\n")
-    c = build_cover_complex(projective_presentation(arr))
+    c = build_cover_complex(projective_presentation(arr), arr.n_lines)
     h = h1_of_cover(c, primes=(2, 3, 5))
     assert h.group == AbelianGroup(2)
     assert h.b0 == 1
@@ -391,8 +394,8 @@ def test_shift_invariance_of_homology():
     cover must not change."""
     base = Presentation(2, (Relator((1, 2, -1, -2)),))
     conj = Presentation(2, (Relator((2, 1, 2, -1, -2, -2)),))
-    h_base = h1_of_cover(build_cover_complex(base, modulus=5), primes=(2, 5))
-    h_conj = h1_of_cover(build_cover_complex(conj, modulus=5), primes=(2, 5))
+    h_base = h1_of_cover(build_cover_complex(base, 5), primes=(2, 5))
+    h_conj = h1_of_cover(build_cover_complex(conj, 5), primes=(2, 5))
     assert h_base.group == h_conj.group
     assert h_base.betti_mod == h_conj.betti_mod
 

@@ -190,3 +190,25 @@ def test_one_fox_seed_coefficient(monkeypatch, corpus_with_d2, fault):
             outcomes["raises", str(exc)] += 1
         assert calls, name
     assert outcomes == want
+
+
+def test_betti_mod_at_the_smallest_prime(monkeypatch, corpus_with_d2):
+    """dim H1 over F_p one too large at the smallest probe prime, as a
+    slip in reading the Betti numbers off the Smith form would make it.
+    The 114 inputs whose bounds pin b1 = N - 1 catch it by the bound and
+    by torsion_consistency's first clause; braid-a3, where the bounds
+    leave room, catches it by torsion_consistency alone."""
+    h1 = cover.h1_of_cover
+
+    def faulted(complex_, primes=()):
+        hom = h1(complex_, primes)
+        p = min(hom.betti_mod)
+        return hom._replace(betti_mod={**hom.betti_mod, p: hom.betti_mod[p] + 1})
+
+    monkeypatch.setattr(cover, "h1_of_cover", faulted)
+    caught = {name: failing(pipeline.analyze_text(text)) for name, text, _ in corpus_with_d2}
+    assert Counter(caught.values()) == {
+        ("modular_upper_bound", "torsion_consistency"): 114,
+        ("torsion_consistency",): 1,
+    }
+    assert [name for name, c in caught.items() if c == ("torsion_consistency",)] == ["braid-a3"]

@@ -76,7 +76,6 @@ def test_derived_fields_read_their_owner(records):
     assert a.primes == tuple(a.homology.betti_mod) == (2, 3, 5, 7, 11)
     assert a.bound_report.lower_bound == a.bound_report.n - 1
     assert pipeline.report_dict(a)["betti"]["euler"] == a.complex.euler_characteristic()
-    assert a.presentation.kind == "affine-decone"
 
 
 def test_stored_fields_are_only_what_was_computed():
@@ -104,15 +103,6 @@ def test_bound_report_reads_its_evaluators():
     blocked = report._replace(one_point=OnePointCheck(guard_blocked=(2, "q", 3)))
     (note,) = blocked.notes
     assert note.startswith("single-heavy-point criterion matched line 2 literally (point q, ")
-
-
-def test_presentation_kind_reads_the_product_relator():
-    vertex = Relator((1, 2, -1, -2))
-    product = Relator((1, 2), projective=True)
-    affine = Presentation(2, (vertex,))
-    assert (affine.kind, affine.phi_modulus) == ("affine-decone", 3)
-    projective = affine._replace(relators=(vertex, product))
-    assert (projective.kind, projective.phi_modulus) == ("projective", 2)
 
 
 def test_fields_cannot_be_assigned(records):
