@@ -8,7 +8,8 @@ Commands:
     selftest              run the whole validation suite
 
 Exit status: 0 on success, 1 when a consistency verdict or self-check
-fails, 2 on malformed input.
+fails or the cover's d2 breaks the chain condition past reading H1, 2 on
+malformed input.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import bounds as bounds_mod
 from . import geometry
 from . import pipeline
 from . import presentation as presentation_mod
+from .cover import ChainConditionError
 from .geometry import InputError
 
 
@@ -272,6 +274,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ChainConditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -131,7 +131,8 @@ def build_cover_complex(pres, n):
     >>> c.chain_ok()
     True
     """
-    n = int(n)
+    if type(n) is not int:  # a bool too
+        raise TypeError(f"cover degree must be an int, got {n!r}")
     if n < 1:
         raise ValueError("cover degree must be >= 1")
     G = pres.generator_count
@@ -144,6 +145,13 @@ def build_cover_complex(pres, n):
             )
     seeds = tuple(_fox_seed(r.word, n, G) for r in pres.relators)
     return CoverComplex(n, G, seeds)
+
+
+class ChainConditionError(Exception):
+    """A d2 that is not the boundary of the cover's 2-cells: its rank
+    exceeds the columns left past the spanning tree, so it cannot present
+    H1.  A failed consistency check, which the command line reports with
+    exit status 1."""
 
 
 class CoverHomology(namedtuple("CoverHomology", "group b0 b2 betti_mod")):
@@ -166,7 +174,8 @@ def h1_of_cover(complex_, primes=()):
     over Z and over every prime field (Fox, Free differential calculus I).
     Over F_p the rank of d2 is the number of diagonal entries prime to p,
     so H1 over F_p has dimension b1 plus the number of invariant factors
-    that p divides.
+    that p divides.  A d2 of rank above the columns past the tree breaks
+    the chain condition and raises ChainConditionError.
     """
     primes = sorted(set(primes))
     for p in primes:
@@ -176,6 +185,11 @@ def h1_of_cover(complex_, primes=()):
     tree = complex_.tree_edges
     cols = d2.ncols - tree
     form = snf.smith_normal_form(d2)
+    if form.rank > cols:
+        raise ChainConditionError(
+            f"chain_condition fails: d2 has rank {form.rank}, above the {cols} columns "
+            "past the spanning tree"
+        )
     b1 = cols - form.rank
     torsion = tuple(d for d in form.diagonal if d != 1)
     return CoverHomology(

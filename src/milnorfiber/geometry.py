@@ -142,16 +142,15 @@ class AffineLine(_Line, namedtuple("AffineLine", "coeffs")):
         return tuple.__new__(cls, (coeffs,))
 
 
-class Arrangement(_Checked, namedtuple("Arrangement", "lines")):
-    """An ordered arrangement of at least two distinct projective lines."""
+class _Lines(_Checked):
+    """What Arrangement and AffineArrangement share: distinct lines, their
+    count, and their intersection points, cached in an instance
+    ``__dict__``."""
 
-    def __new__(cls, lines):
-        lines = tuple(lines)
-        if len(lines) < 2:
-            raise InputError("an arrangement needs at least 2 lines")
+    def __new__(cls, lines, *fields):
         if len(set(lines)) != len(lines):
             raise InputError("duplicate line in arrangement")
-        return tuple.__new__(cls, (lines,))
+        return tuple.__new__(cls, (lines, *fields))
 
     @property
     def n_lines(self):
@@ -159,11 +158,22 @@ class Arrangement(_Checked, namedtuple("Arrangement", "lines")):
 
     @cached_property
     def incidence(self):
-        """Intersection points, computed once per arrangement object."""
+        """Intersection points, finite ones for an affine arrangement,
+        computed once per arrangement object."""
         return intersection_points(self)
 
 
-class AffineArrangement(_Checked, namedtuple("AffineArrangement", "lines shear")):
+class Arrangement(_Lines, namedtuple("Arrangement", "lines")):
+    """An ordered arrangement of at least two distinct projective lines."""
+
+    def __new__(cls, lines):
+        lines = tuple(lines)
+        if len(lines) < 2:
+            raise InputError("an arrangement needs at least 2 lines")
+        return super().__new__(cls, lines)
+
+
+class AffineArrangement(_Lines, namedtuple("AffineArrangement", "lines shear")):
     """An ordered affine arrangement.  ``shear`` is the t of the shear that
     put it in sweep position (``shear_to_generic``); the sweep refuses an
     arrangement whose ``shear`` is None.
@@ -173,18 +183,7 @@ class AffineArrangement(_Checked, namedtuple("AffineArrangement", "lines shear")
         lines = tuple(lines)
         if not lines:
             raise InputError("an affine arrangement needs at least 1 line")
-        if len(set(lines)) != len(lines):
-            raise InputError("duplicate line in arrangement")
-        return tuple.__new__(cls, (lines, shear))
-
-    @property
-    def n_lines(self):
-        return len(self.lines)
-
-    @cached_property
-    def incidence(self):
-        """Finite intersection points, computed once per arrangement object."""
-        return intersection_points(self)
+        return super().__new__(cls, lines, shear)
 
 
 class IncidencePoint(_Checked, namedtuple("IncidencePoint", "point incident")):
@@ -300,11 +299,7 @@ def cone(aff):
     The infinity line {z = 0} is appended last, so deconing along the
     default (last) line of the result recovers the input lines.
     """
-    lines = [ProjLine(l.coeffs) for l in aff.lines]
-    inf = ProjLine((0, 0, 1))
-    if inf in lines:
-        raise InputError("arrangement already contains the infinity line")
-    return Arrangement(tuple(lines) + (inf,))
+    return Arrangement(tuple(ProjLine(l.coeffs) for l in aff.lines) + (ProjLine((0, 0, 1)),))
 
 
 def projective_picture(arr, infinity_index):
@@ -333,16 +328,11 @@ def affine_picture(arr, infinity_index=None):
     return proj, aff, infinity_index
 
 
-def is_sweep_generic(aff):
-    """No vertical line, and no two intersection points share an x value
-    (distinct ``sweep_keys``)."""
-    return next(_shear_tests(aff))
-
-
 def _shear_tests(aff):
-    """``is_sweep_generic`` of the shear (x, y) -> (x - t*y, y) of ``aff``
-    for t = 0, 1, 2, ...: the points and the key scale are read once, and
-    a t fails at its first repeated key."""
+    """For t = 0, 1, 2, ...: whether the shear (x, y) -> (x - t*y, y) puts
+    ``aff`` in sweep position, no line vertical and no two intersection
+    points on one vertical (distinct ``sweep_keys``).  The points and the
+    key scale are read once, and a t fails at its first repeated key."""
     coeffs = [l.coeffs for l in aff.lines]
     points = [pt.point for pt in aff.incidence.points]
     q = max((abs(z) for _, _, z in points), default=1)
@@ -365,23 +355,20 @@ def shear_to_generic(aff):
     The substitution keeps the arrangement's topology (it is an ambient
     linear isotopy) while removing vertical lines and making all
     intersection-point x coordinates distinct.  t is the smallest
-    non-negative integer whose shear ``is_sweep_generic`` accepts, found by
+    non-negative integer whose shear ``_shear_tests`` accepts, found by
     trying t = 0, 1, 2, ... (only finitely many fail), so runs are
-    reproducible.  At t = 0
-    the result has the input's lines and shares its ``incidence``, which
-    just passed the test; a sheared picture computes its own and is
-    tested again.
+    reproducible.  At t = 0 the result has the input's lines and shares
+    its ``incidence``; a sheared picture computes its own when the sweep,
+    which refuses a picture out of sweep position, reads it.
     """
     t = next(t for t, ok in enumerate(_shear_tests(aff)) if ok)
     if not t:
         out = aff._replace(shear=0)
         vars(out)["incidence"] = aff.incidence
         return out
-    new_lines = tuple(AffineLine((a, a * t + b, c)) for a, b, c in (l.coeffs for l in aff.lines))
-    out = AffineArrangement(new_lines, shear=t)
-    if not is_sweep_generic(out):
-        raise AssertionError("shear failed to reach sweep position")
-    return out
+    return AffineArrangement(
+        tuple(AffineLine((a, a * t + b, c)) for a, b, c in (l.coeffs for l in aff.lines)), shear=t
+    )
 
 
 def _rational(token):

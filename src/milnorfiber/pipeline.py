@@ -123,19 +123,19 @@ def analyze(arr, infinity_index=None, primes=None, modulus=None):
     analyzes the Z/m quotient cover instead of the full Milnor-fiber cover;
     combinatorial bounds are about the full cover, so they are skipped in
     that case.  Each of the requested ``primes`` must be a prime below
-    snf.PRIME_CEILING, and ``modulus`` positive, before any geometry; the
+    snf.PRIME_CEILING, and ``modulus`` a positive int, before any geometry; the
     cell budget is checked from the incidence, before the shear.
     """
     if primes is not None:
         _check_primes(primes)
-    if modulus is not None and modulus < 1:
-        raise geometry.InputError(f"modulus must be a positive integer, got {modulus}")
+    if modulus is not None and (type(modulus) is not int or modulus < 1):  # a bool too
+        raise geometry.InputError(f"modulus must be a positive integer, got {modulus!r}")
     mode = "affine" if isinstance(arr, geometry.AffineArrangement) else "projective"
     proj, aff0, infinity_index = geometry.affine_picture(arr, infinity_index)
     incidence = proj.incidence
     # the sweep's m - 1 relators per affine point of multiplicity m, none stripped away
     relators = sum(pt.multiplicity - 1 for pt in incidence.points if infinity_index not in pt.incident)
-    n = int(modulus or proj.n_lines)
+    n = modulus or proj.n_lines
     cover_mod.check_cells(n, proj.n_lines - 1, relators, modulus)
     aff = geometry.shear_to_generic(aff0)
     pres = presentation_mod.free_reduce_and_strip(presentation_mod.arvola_randell(aff))

@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import neg
 
 from . import geometry
-from .geometry import InputError, _Checked
+from .geometry import _Checked
 
 
 def free_reduce(letters):
@@ -60,18 +60,12 @@ def _commutator(u, l):
     return free_reduce(u + l + _inverse(u) + _inverse(l))
 
 
-class Relator(_Checked, namedtuple("Relator", "word vertex index projective")):
+class Relator(namedtuple("Relator", "word vertex index", defaults=("", 0))):
     """A relator, a freely reduced letter tuple ``word``, with its
     provenance: the vertex that produced it and its index k among that
-    vertex's relators.  The single product relator of a projective
-    presentation is flagged.  An immutable tuple of its fields."""
+    vertex's relators.  An immutable tuple of its fields."""
 
     __slots__ = ()
-
-    def __new__(cls, word, vertex="", index=0, projective=False):
-        if not projective and exponent_sum(word) != 0:
-            raise ValueError("vertex relators must have exponent sum 0")
-        return tuple.__new__(cls, (word, vertex, index, projective))
 
 
 class Presentation(_Checked, namedtuple("Presentation", "generator_count relators")):
@@ -111,6 +105,8 @@ def arvola_randell(aff):
     then lets the outermost lines (positions 1 and m) continue unchanged
     while each middle line i picks up a conjugation by W_{i-1} ... W_1.
     Words are letter tuples; each relator and conjugate is reduced once.
+    Every relator is a commutator, so its exponent sum is 0; the sweep
+    checks that of each one it emits.
 
     A double point (m = 2), almost every vertex of a generic picture, has
     no middle line: it emits [W_2, W_1] and changes no word.  Every word
@@ -158,6 +154,8 @@ def arvola_randell(aff):
         for pos in range(1, m - 1):
             c = lower[pos]
             words[order[pos]] = free_reduce(_inverse(c) + W[pos] + c)
+    if any(map(exponent_sum, (r.word for r in relators))):
+        raise AssertionError("sweep relator with nonzero exponent sum")
     return Presentation(aff.n_lines, tuple(relators))
 
 
@@ -207,7 +205,7 @@ def projective_presentation(arr):
     # descending slope; parallel lines keep input order
     slope = geometry.slope_keys(aff.lines)
     delta = tuple(i + 1 for i in sorted(range(aff.n_lines), key=slope.__getitem__, reverse=True))
-    relators = sweep.relators + (Relator(delta, vertex="infinity", index=0, projective=True),)
+    relators = sweep.relators + (Relator(delta, vertex="infinity", index=0),)
     return Presentation(arr.n_lines, relators)
 
 

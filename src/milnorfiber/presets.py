@@ -13,7 +13,6 @@ from itertools import combinations
 from . import geometry
 from .geometry import InputError
 
-PRESET_NAMES = ("triangle", "pencil", "nearpencil", "generic", "braid-a3", "parallel-family")
 PRESET_LINE_BUDGET = 100  # largest n a sized preset builds
 
 
@@ -118,41 +117,33 @@ def parallel_family_text():
     )
 
 
+# name -> (builder, the names of its integer parameters), in listing order
+PRESETS = {
+    "triangle": (triangle_text, ()),
+    "pencil": (pencil_text, ("size",)),
+    "nearpencil": (nearpencil_text, ("size",)),
+    "generic": (generic_text, ("size", "seed")),
+    "braid-a3": (braid_a3_text, ()),
+    "parallel-family": (parallel_family_text, ()),
+}
+
+
 def preset_text(name):
     """Arrangement text for a preset name with optional ':' parameters.
 
     >>> preset_text("triangle")
     'projective\\n1 0 0\\n0 1 0\\n0 0 1\\n'
     """
-    parts = name.split(":")
-    base, params = parts[0], parts[1:]
-
-    def want(k):
-        if len(params) != k:
-            raise InputError(f"preset {base!r} takes {k} parameter(s), got {len(params)}")
-
-    def int_param(i, what):
+    base, *params = name.split(":")
+    if base not in PRESETS:
+        raise InputError(f"unknown preset {base!r} (choose from {', '.join(PRESETS)})")
+    build, names = PRESETS[base]
+    if len(params) != len(names):
+        raise InputError(f"preset {base!r} takes {len(names)} parameter(s), got {len(params)}")
+    values = []
+    for what, param in zip(names, params):
         try:
-            return int(params[i])
+            values.append(int(param))
         except ValueError:
             raise InputError(f"preset {base!r}: {what} must be an integer") from None
-
-    if base == "triangle":
-        want(0)
-        return triangle_text()
-    if base == "pencil":
-        want(1)
-        return pencil_text(int_param(0, "size"))
-    if base == "nearpencil":
-        want(1)
-        return nearpencil_text(int_param(0, "size"))
-    if base == "generic":
-        want(2)
-        return generic_text(int_param(0, "size"), int_param(1, "seed"))
-    if base == "braid-a3":
-        want(0)
-        return braid_a3_text()
-    if base == "parallel-family":
-        want(0)
-        return parallel_family_text()
-    raise InputError(f"unknown preset {base!r} (choose from {', '.join(PRESET_NAMES)})")
+    return build(*values)

@@ -247,14 +247,21 @@ def test_cell_budget():
 
 
 def test_modulus_override_validation():
-    pres = Presentation(2, (Relator((1, 1, -2, -2), projective=True),))
+    pres = Presentation(2, (Relator((1, 1, -2, -2)),))
     build_cover_complex(pres, 2)  # exponent sum 0 works for any n
-    bad = Presentation(2, (Relator((1, 1), projective=True),))
+    bad = Presentation(2, (Relator((1, 1)),))
     build_cover_complex(bad, 2)
     with pytest.raises(ValueError, match="^relator 'g1 g1' has exponent sum 2, not divisible by modulus 3;"):
         build_cover_complex(bad, 3)
     with pytest.raises(ValueError, match="degree"):
         build_cover_complex(bad, 0)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True, "2"])
+def test_cover_degree_must_be_an_int(n):
+    pres = Presentation(2, (Relator((1, 2, -1, -2)),))
+    with pytest.raises(TypeError, match=f"^cover degree must be an int, got {n!r}$"):
+        build_cover_complex(pres, n)
 
 
 # --- homology ----------------------------------------------------------------
@@ -299,7 +306,7 @@ def test_h1_two_parallel_lines():
 def test_h1_betti_mod_detects_torsion():
     # one generator, relator g^4, double cover: the Fox row folds to
     # 2 + 2x, so H1 = Z/2 and only the mod-2 Betti number sees it
-    pres = Presentation(1, (Relator((1, 1, 1, 1), projective=True),))
+    pres = Presentation(1, (Relator((1, 1, 1, 1)),))
     c = build_cover_complex(pres, 2)
     assert c.seeds == ({0: 2, 1: 2},)
     h = h1_of_cover(c, primes=(2, 3))

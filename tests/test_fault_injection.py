@@ -7,11 +7,12 @@ pinned as a known gap, with its reason, and is never skipped: when a new
 check catches it, its row here fails and moves to the caught rows.
 """
 
+import inspect
 from collections import Counter
 
 import pytest
 
-from milnorfiber import cover, pipeline, presentation, presets, snf
+from milnorfiber import cli, cover, pipeline, presentation, presets, snf
 from milnorfiber.snf import AbelianGroup
 from milnorfiber.validation import Corpus
 
@@ -145,15 +146,15 @@ def _lowest_to_next_generator(seed, n, G):
 
 
 # outcome -> number of corpus inputs; an outcome is the failing verdicts,
-# or ("raises", message) for an analysis that raises before any verdict
+# or ("refused", check) for an analysis that h1_of_cover refuses before
+# any verdict, naming the failed check
 SEED_FAULTS = {
     "plus-one-on-lowest-column": (_plus_one_on_lowest_column, {
         ("chain_condition", "exact_prediction", "rank_lower_bound"): 33,
         ("chain_condition", "rank_lower_bound"): 1,
-        # known gap: d2 then has rank above the n*G - (n - 1) columns left
-        # past the spanning tree, and h1_of_cover's AbelianGroup refuses a
-        # negative free rank before chain_condition is read
-        ("raises", "free rank must be non-negative"): 81,
+        # d2 then has rank above the n*G - (n - 1) columns left past the
+        # spanning tree: no H1 can be read, and the chain condition is named
+        ("refused", "chain_condition"): 81,
     }),
     "lowest-coefficient-to-next-generator": (_lowest_to_next_generator, {
         # the coefficient sums by power of x are unchanged, so the chain
@@ -164,11 +165,9 @@ SEED_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(SEED_FAULTS))
-def test_one_fox_seed_coefficient(monkeypatch, corpus_with_d2, fault):
-    """One coefficient of the first relator's Fox seed is wrong, as a slip
-    in the Fox pass would make it."""
-    change, want = SEED_FAULTS[fault]
+def _patch_first_fox_seed(monkeypatch, change):
+    """Apply ``change`` to the first Fox seed of each analysis; returns the
+    list of words seen, which the caller clears between analyses."""
     fox = cover._fox_seed
     calls = []
 
@@ -181,15 +180,39 @@ def test_one_fox_seed_coefficient(monkeypatch, corpus_with_d2, fault):
         return seed
 
     monkeypatch.setattr(cover, "_fox_seed", faulted)
+    return calls
+
+
+@pytest.mark.parametrize("fault", sorted(SEED_FAULTS))
+def test_one_fox_seed_coefficient(monkeypatch, corpus_with_d2, fault):
+    """One coefficient of the first relator's Fox seed is wrong, as a slip
+    in the Fox pass would make it."""
+    change, want = SEED_FAULTS[fault]
+    calls = _patch_first_fox_seed(monkeypatch, change)
     outcomes = Counter()
     for name, text, _ in corpus_with_d2:
         calls.clear()
         try:
             outcomes[failing(pipeline.analyze_text(text))] += 1
-        except ValueError as exc:
-            outcomes["raises", str(exc)] += 1
+        except cover.ChainConditionError as exc:
+            assert str(exc).startswith("chain_condition fails: d2 has rank "), name
+            outcomes["refused", "chain_condition"] += 1
         assert calls, name
     assert outcomes == want
+
+
+def test_chain_refusal_is_one_line_and_exit_1(monkeypatch, tmp_path, capsys):
+    """The command line reports the refused d2 as a failed consistency
+    check: one line on stderr, exit status 1, nothing on stdout."""
+    path = tmp_path / "generic5.txt"
+    path.write_text(presets.preset_text("generic:5:1"))
+    calls = _patch_first_fox_seed(monkeypatch, _plus_one_on_lowest_column)
+    for argv in (["analyze", str(path)], ["analyze", "--json", str(path)]):
+        calls.clear()
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", "error: chain_condition fails: d2 has rank 17, "
+                                    "above the 16 columns past the spanning tree\n")
 
 
 def test_betti_mod_at_the_smallest_prime(monkeypatch, corpus_with_d2):
@@ -212,3 +235,69 @@ def test_betti_mod_at_the_smallest_prime(monkeypatch, corpus_with_d2):
         ("torsion_consistency",): 1,
     }
     assert [name for name, c in caught.items() if c == ("torsion_consistency",)] == ["braid-a3"]
+
+
+PAPPUS = ("projective\n0 1 0\n0 1 -1\n-1 2 0\n-1 5 0\n-1 -1 1\n-1 4 1\n-1 -3 3\n"
+          "-1 -1 3\n-1 29 -9\n")
+
+# one line of presentation.arvola_randell, and its mutated form
+SWEEP_MUTATIONS = {
+    # conjugate a vertex's middle lines by W^-1 ... W instead of W ... W^-1
+    "conjugate-on-the-wrong-side": (
+        "words[order[pos]] = free_reduce(_inverse(c) + W[pos] + c)",
+        "words[order[pos]] = free_reduce(c + W[pos] + _inverse(c))",
+    ),
+    # the last middle line keeps its word
+    "skip-the-last-conjugation": (
+        "for pos in range(1, m - 1):",
+        "for pos in range(1, m - 2):",
+    ),
+}
+
+
+def mutated_sweep(line, replacement):
+    """presentation.arvola_randell with one source line replaced, compiled
+    in the module's namespace."""
+    source = inspect.getsource(presentation.arvola_randell)
+    assert source.count(line) == 1
+    namespace = dict(vars(presentation))
+    exec(compile(source.replace(line, replacement), presentation.__file__, "exec"), namespace)
+    return namespace["arvola_randell"]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs():
+    """The corpus, three larger presets and Pappus: 127 inputs with their H1."""
+    entries = Corpus().entries + [
+        (name, presets.preset_text(name)) for name in ("pencil:12", "nearpencil:20", "generic:16:1")
+    ] + [("pappus", PAPPUS)]
+    truth = [(name, text, pipeline.analyze_text(text).h1) for name, text in entries]
+    assert len(truth) == 127
+    return truth
+
+
+@pytest.mark.parametrize("mutation", sorted(SWEEP_MUTATIONS))
+def test_sweep_mutation_is_a_known_gap(monkeypatch, sweep_inputs, mutation):
+    """Known gap: a one-line mutation of the sweep's conjugation changes
+    H1 only where a vertex of multiplicity 3 or more has a middle line
+    whose word matters, and there the wrong rank stays inside the bounds,
+    which leave b1 open (5 <= b1 <= 9 on braid-a3), so no verdict fails."""
+    monkeypatch.setattr(presentation, "arvola_randell", mutated_sweep(*SWEEP_MUTATIONS[mutation]))
+    outcomes = Counter()
+    wrong = {}
+    for name, text, h1 in sweep_inputs:
+        analysis = pipeline.analyze_text(text)
+        outcomes[analysis.h1 != h1, failing(analysis)] += 1
+        if analysis.h1 != h1:
+            wrong[name] = (str(h1), str(analysis.h1))
+    assert outcomes == {(False, ()): 125, (True, ()): 2}
+    assert wrong == {"braid-a3": ("Z^7", "Z^5 + Z/3"), "pappus": ("Z^10", "Z^8 + Z/3")}
+
+
+def test_unmutated_sweep_copy_is_the_sweep(sweep_inputs):
+    # the compiled copy with no line replaced gives the package's relators
+    line = SWEEP_MUTATIONS["skip-the-last-conjugation"][0]
+    copy = mutated_sweep(line, line)
+    for name, text, _ in sweep_inputs[:3] + sweep_inputs[-4:]:
+        aff = pipeline.analyze_text(text).aff
+        assert copy(aff) == presentation.arvola_randell(aff), name

@@ -4,7 +4,7 @@ and the shear that puts an affine arrangement into sweep position."""
 import random
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import comb, gcd
 
 import pytest
@@ -24,7 +24,6 @@ from milnorfiber.geometry import (
     cone,
     decone,
     intersection_points,
-    is_sweep_generic,
     parse_arrangement,
     arrangement_text,
     shear_to_generic,
@@ -295,7 +294,7 @@ def test_integer_geometry_builds_no_fraction(monkeypatch):
         aff = decone(arr, idx)
         assert len(intersection_points(aff).points) == 4
         sheared = shear_to_generic(aff)
-        assert is_sweep_generic(sheared)
+        assert next(geometry._shear_tests(sheared))
         assert len(presentation.arvola_randell(sheared).relators) == 2 * 2 + 2
     assert cone(decone(arr, 2)).n_lines == 6
     # the stacked crossings of x = 0 need a shear
@@ -390,7 +389,7 @@ def test_shear_removes_vertical():
     aff = parse_arrangement("affine\n1 0 0\n0 1 0\n")
     out = shear_to_generic(aff)
     assert out.shear == 1
-    assert is_sweep_generic(out)
+    assert next(geometry._shear_tests(out))
 
 
 def test_shear_noop_when_already_generic():
@@ -418,13 +417,23 @@ def test_shear_tests_once_at_t0(monkeypatch):
     assert out.lines == aff.lines and out.incidence is aff.incidence
 
 
-def test_shear_post_check_runs_when_t_is_positive(monkeypatch):
-    # the search does not call is_sweep_generic; only the post-check of a
-    # sheared picture does
-    monkeypatch.setattr(geometry, "is_sweep_generic", lambda aff: False)
-    with pytest.raises(AssertionError, match="shear failed"):
-        shear_to_generic(parse_arrangement("affine\n1 0 0\n0 1 0\n"))
-    assert shear_to_generic(parse_arrangement("affine\n1 -1 0\n1 1 0\n")).shear == 0
+@pytest.mark.parametrize("text, message", [
+    # x = 0 is vertical at t = 0, y = x at t = 1; t = 2 is the first that works
+    ("affine\n1 0 0\n1 -1 0\n0 1 0\n", "vertical line"),
+    # y = 0, y = x, y = 1, y = x + 1: at t = 1 the vertices (0, 0) and
+    # (1, 1) move to x = 0 together
+    ("affine\n0 1 0\n1 -1 0\n0 1 -1\n1 -1 1\n", "share an x coordinate"),
+], ids=["vertical", "shared-x"])
+def test_sweep_refuses_a_shear_accepted_wrongly(monkeypatch, text, message):
+    # the shear does not re-test its result: a search that accepts t = 1
+    # where t = 1 fails leaves a picture that the sweep refuses
+    aff = parse_arrangement(text)
+    assert list(islice(geometry._shear_tests(aff), 2)) == [False, False]
+    monkeypatch.setattr(geometry, "_shear_tests", lambda aff: (t >= 1 for t in count()))
+    out = shear_to_generic(aff)
+    assert out.shear == 1
+    with pytest.raises(ValueError, match=message):
+        presentation.arvola_randell(out)
 
 
 def test_concurrent_affine_incidence():
@@ -440,7 +449,7 @@ def test_shear_separates_stacked_points():
     # y = 0, y = 1 crossed by x = 0: both crossings share x = 0
     aff = parse_arrangement("affine\n0 1 0\n0 1 -1\n1 0 0\n")
     out = shear_to_generic(aff)
-    assert is_sweep_generic(out)
+    assert next(geometry._shear_tests(out))
     xs = sweep_keys([pt.point for pt in intersection_points(out).points])
     assert len(set(xs)) == len(xs) == 2
 
@@ -498,7 +507,12 @@ def test_incidence_is_computed_once_per_object(monkeypatch):
     assert arr.incidence is arr.incidence
     assert arr.incidence == real(arr)
     aff = decone(arr, 2)
-    shear_to_generic(aff)
+    out = shear_to_generic(aff)
+    assert out.shear == 1
+    assert [type(a) for a in calls] == [Arrangement, AffineArrangement]
+    # the sheared picture's own, computed where the sweep first reads it
+    presentation.arvola_randell(out)
+    assert out.incidence is out.incidence
     assert [type(a) for a in calls] == [Arrangement, AffineArrangement, AffineArrangement]
 
 
@@ -574,7 +588,7 @@ def sweep_generic_reference(aff, t):
 
 @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=7), st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
-def test_is_sweep_generic_matches_fraction_reference(coeffs, t):
+def test_shear_tests_match_fraction_reference(coeffs, t):
     lines = list({AffineLine(c): None for c in coeffs if c[:2] != (0, 0)})
     if lines:
         aff = AffineArrangement(lines)
@@ -582,7 +596,7 @@ def test_is_sweep_generic_matches_fraction_reference(coeffs, t):
         # the shear search's t-th test, and the test of the sheared picture
         assert next(islice(geometry._shear_tests(aff), t, None)) == expected
         sheared = [AffineLine((a, a * t + b, c)) for a, b, c in (l.coeffs for l in lines)]
-        assert is_sweep_generic(AffineArrangement(sheared)) == expected
+        assert next(geometry._shear_tests(AffineArrangement(sheared))) == expected
 
 
 @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=7))

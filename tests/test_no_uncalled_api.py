@@ -39,8 +39,7 @@ ALLOWED_DEFAULTS = {
 
 # Method names defined in two or more package classes, each for the reason given.
 SHARED = {
-    "n_lines": "geometry.Arrangement and AffineArrangement: callers take either picture",
-    "incidence": "geometry.Arrangement and AffineArrangement: callers take either picture; "
+    "incidence": "geometry._Lines, the base of both arrangements, computes it; "
     "pipeline.Analysis reads its projective arrangement's",
 }
 

@@ -346,3 +346,17 @@ def test_bad_modulus_is_refused_before_any_geometry(monkeypatch):
     monkeypatch.setattr(geometry, "affine_picture", refuse)
     with pytest.raises(InputError, match="modulus must be a positive integer, got -2"):
         analyze("triangle", modulus=-2, infinity_index=7)
+
+
+@pytest.mark.parametrize("modulus, shown", [(2.5, "2.5"), (True, "True"), (False, "False"),
+                                            ("3", "'3'"), (3.0, "3.0"), (0, "0")])
+def test_modulus_must_be_a_positive_int(monkeypatch, modulus, shown):
+    # the library takes no float, bool or string for the degree; the
+    # command line parses --modulus as an int
+    def refuse(*args):
+        raise AssertionError("geometry was reached")
+
+    monkeypatch.setattr(geometry, "affine_picture", refuse)
+    with pytest.raises(InputError) as caught:
+        pipeline.analyze_text(presets.preset_text("triangle"), modulus=modulus)
+    assert str(caught.value) == f"modulus must be a positive integer, got {shown}"

@@ -229,7 +229,7 @@ def test_sweep_refuses_shared_x():
     # picture with a shear set and two vertices on x = 0 is refused
     lines = [geometry.AffineLine(c) for c in ((0, 1, 0), (1, -1, 0), (0, 1, -1), (1, -1, 1))]
     aff = geometry.AffineArrangement(tuple(lines), shear=0)
-    assert not geometry.is_sweep_generic(aff)
+    assert not next(geometry._shear_tests(aff))
     with pytest.raises(ValueError, match="share an x coordinate"):
         arvola_randell(aff)
 
@@ -275,7 +275,7 @@ def test_projective_triangle():
     assert pres.generator_count == 3
     # three double points give one relator each, plus the product relator
     assert len(pres.relators) == 4
-    prods = [r for r in pres.relators if r.projective]
+    prods = [r for r in pres.relators if r.vertex == "infinity"]
     assert len(prods) == 1
     assert exponent_vector(prods[0].word, 3) == [1, 1, 1]
 
@@ -386,28 +386,40 @@ def test_strip_matches_pairwise_reference(parts):
     assert free_reduce_and_strip(pres).relators == tuple(expected)
 
 
-def test_vertex_relator_exponent_sum_validated():
-    with pytest.raises(ValueError, match="vertex relators must have exponent sum 0"):
-        Relator((1, 2))
-    # fine when flagged as the projective product relator
-    Relator((1, 2), projective=True)
+def test_relators_of_any_exponent_sum_meet_only_the_cover_rule():
+    # a hand-built relator is a plain record; the degree-n cover refuses
+    # one whose exponent sum n does not divide
+    with pytest.raises(ValueError, match="^relator 'g1 g2' has exponent sum 2, not divisible by modulus 3;"):
+        cover.build_cover_complex(Presentation(2, (Relator((1, 2)),)), 3)
+    torsion = cover.build_cover_complex(Presentation(1, (Relator((1, 1, 1, 1)),)), 4)
+    assert torsion.seeds == ({0: 1, 1: 1, 2: 1, 3: 1},)
+
+
+def test_sweep_checks_each_relator_exponent_sum(monkeypatch):
+    # a commutator that lost its inverse half: braid-a3's triple points
+    # build their relators with _commutator, and the sweep refuses them
+    _, aff, _ = geometry.affine_picture(geometry.parse_arrangement(presets.preset_text("braid-a3")))
+    aff = geometry.shear_to_generic(aff)
+    assert len(arvola_randell(aff).relators) == 6
+    monkeypatch.setattr(presentation, "_commutator", lambda u, l: presentation.free_reduce(u + l))
+    with pytest.raises(AssertionError, match="nonzero exponent sum"):
+        arvola_randell(aff)
 
 
 def test_relator_is_an_immutable_value():
     r = Relator((1, 2, -1, -2), vertex="(0:0:1)", index=1)
-    for field in ("word", "vertex", "index", "projective"):
+    for field in ("word", "vertex", "index"):
         with pytest.raises(AttributeError):
             setattr(r, field, getattr(r, field))
     twin = Relator((1, 2, -1, -2), vertex="(0:0:1)", index=1)
     assert r == twin and hash(r) == hash(twin)
     assert r != Relator((1, 2, -1, -2), vertex="(0:0:1)", index=2)
-    with pytest.raises(ValueError, match="exponent sum 0"):
-        r._replace(word=(1, 2))
+    assert r._replace(word=(1, 2)) == ((1, 2), "(0:0:1)", 1)
 
 
 @pytest.mark.parametrize("relators, message", [
     ((Relator((1, 3, -1, -3)),), "letter 3 outside generator range"),
-    ((Relator((1, 3), projective=True),), "letter 3 outside generator range"),
+    ((Relator((1, 3)),), "letter 3 outside generator range"),
     ((Relator((1, 2, -1, -2)), Relator((0, 1))), "letter 0 outside generator range"),
 ])
 def test_presentation_refusals(relators, message):

@@ -53,3 +53,46 @@ def test_generic_text_above_25_lines(n):
     # past 25 lines the search draws from a wider coefficient range
     census = geometry.parse_arrangement(presets.generic_text(n, 1)).incidence.multiplicity_census()
     assert census == {2: n * (n - 1) // 2}
+
+
+# every refusal of preset_text, with its whole message
+PRESET_REFUSALS = {
+    "nope": "unknown preset 'nope' (choose from triangle, pencil, nearpencil, generic, "
+    "braid-a3, parallel-family)",
+    "": "unknown preset '' (choose from triangle, pencil, nearpencil, generic, "
+    "braid-a3, parallel-family)",
+    "Triangle": "unknown preset 'Triangle' (choose from triangle, pencil, nearpencil, generic, "
+    "braid-a3, parallel-family)",
+    "triangle:3": "preset 'triangle' takes 0 parameter(s), got 1",
+    "braid-a3:": "preset 'braid-a3' takes 0 parameter(s), got 1",
+    "parallel-family:1:2": "preset 'parallel-family' takes 0 parameter(s), got 2",
+    "pencil": "preset 'pencil' takes 1 parameter(s), got 0",
+    "nearpencil:5:6": "preset 'nearpencil' takes 1 parameter(s), got 2",
+    "generic:5": "preset 'generic' takes 2 parameter(s), got 1",
+    "generic:5:1:2": "preset 'generic' takes 2 parameter(s), got 3",
+    "pencil:x": "preset 'pencil': size must be an integer",
+    "nearpencil:": "preset 'nearpencil': size must be an integer",
+    "generic:5.0:1": "preset 'generic': size must be an integer",
+    "generic:x:y": "preset 'generic': size must be an integer",
+    "generic:5:y": "preset 'generic': seed must be an integer",
+    "pencil:2": "pencil needs at least 3 lines",
+    "nearpencil:3": "near-pencil needs at least 4 lines",
+    "generic:2:1": "generic arrangement needs at least 3 lines",
+    "pencil:101": "preset size 101 exceeds the budget of 100 lines",
+    "nearpencil:101": "preset size 101 exceeds the budget of 100 lines",
+    "generic:101:1": "preset size 101 exceeds the budget of 100 lines",
+    "generic:24:3": "no generic arrangement of 24 lines found for seed 3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_REFUSALS))
+def test_preset_refusal_texts(name):
+    with pytest.raises(geometry.InputError) as info:
+        presets.preset_text(name)
+    assert str(info.value) == PRESET_REFUSALS[name]
+
+
+def test_preset_parameters_are_read_by_int():
+    # a sign, spaces and digit separators, as int() takes them
+    assert presets.preset_text("pencil: +5 ") == presets.preset_text("pencil:5")
+    assert presets.preset_text("generic:1_2:0_1") == presets.preset_text("generic:12:1")

@@ -63,7 +63,7 @@ def test_every_record_class_is_covered(records):
 def test_every_checked_record_replaces_through_one_hook():
     # namedtuple's own _make would build a record without running __new__
     checked = [cls for cls in package_record_classes() if "__new__" in vars(cls)]
-    assert len(checked) == 11
+    assert len(checked) == 10
     for cls in checked:
         assert cls._make.__func__ is geometry._Checked._make.__func__, cls.__name__
 
