@@ -33,13 +33,8 @@ from .bounds import (
     BoundReport,
     SyntheticIncidence,
     bound_report,
-    cdo_bound,
-    corollary_check,
     oka_sakamoto_check,
-    one_point_check,
-    onehyp_bounds,
     parse_incidence,
-    predict,
 )
 
 __version__ = "0.1.0"
@@ -63,19 +58,14 @@ __all__ = [
     "arvola_randell",
     "bound_report",
     "build_cover_complex",
-    "cdo_bound",
     "cone",
-    "corollary_check",
     "decone",
     "free_reduce_and_strip",
     "h1_of_cover",
     "intersection_points",
     "oka_sakamoto_check",
-    "one_point_check",
-    "onehyp_bounds",
     "parse_arrangement",
     "parse_incidence",
-    "predict",
     "projective_presentation",
     "shear_to_generic",
     "smith_normal_form",

@@ -21,8 +21,8 @@ class SyntheticIncidence(_Checked, namedtuple("SyntheticIncidence", "n_lines poi
     """Incidence data given combinatorially, with no coordinates.
 
     ``points`` holds one tuple of line indices per intersection point.
-    Accepted directly by the bound evaluators, enabling synthetic inputs
-    that were never realized geometrically.
+    Accepted directly by ``bound_report`` and ``oka_sakamoto_check``,
+    enabling synthetic inputs that were never realized geometrically.
     """
 
     __slots__ = ()
@@ -52,11 +52,12 @@ class SyntheticIncidence(_Checked, namedtuple("SyntheticIncidence", "n_lines poi
 def parse_incidence(text):
     """Parse raw incidence text: ``incidence N=<int>`` then one point per
     line as ``m=<int> lines=<comma-separated indices>``.  N above
-    geometry.LINE_BUDGET is refused as soon as the header is read; each
-    bound evaluator makes one pass over the points, and the densest input,
+    geometry.LINE_BUDGET is refused as soon as the header is read;
+    ``bound_report`` makes one pass over the points, and the densest input,
     N(N-1)/2 double points, took 0.3-0.5 s in ``bounds`` at N = 300.  Two
     lines meet at most once, so a point line past the N(N-1)/2-th, or one
-    with m > N, is refused before its indices are read.
+    with m > N, is refused before its indices are read.  ``text`` is the
+    file's text or its lines (see ``geometry.content_lines``).
 
     >>> parse_incidence("incidence N=3\\nm=2 lines=0,1\\n").n_lines
     3
@@ -108,40 +109,22 @@ def _incident(inc):
     raise TypeError(f"cannot read incidence from {type(inc).__name__}")
 
 
-def _heavy(inc):
-    """(index, m, line indices) of the points of multiplicity m > 2."""
-    return [(k, len(p), p) for k, p in enumerate(_incident(inc)) if len(p) > 2]
-
-
-def _label(inc, k):
-    return inc.points[k].label() if isinstance(inc, geometry.IncidenceData) else f"pt{k}"
-
-
-def onehyp_bounds(inc):
-    """Every line's bound, ``{line: bound}``, in one pass over the points."""
+def _counting_points(inc):
+    """(label, m, line indices) of each point whose multiplicity m makes
+    it count for the bounds, in point order: m > 2 and gcd(m, n) > 1, so
+    that some n-th root of unity other than 1 has m-th power 1.  Labels are
+    ``(x:y:z)``, or ``pt<k>`` for synthetic incidence."""
     n = inc.n_lines
-    per_line = dict.fromkeys(range(n), n - 1)
-    for _, m, incident in _heavy(inc):
-        excess = (m - 2) * (gcd(m, n) - 1)
-        for h in incident:
-            per_line[h] += excess
-    return per_line
-
-
-def corollary_check(inc):
-    """A line whose points all have multiplicity 2 or multiplicity coprime
-    to the number of lines n; such a line forces H1 to be free of rank n-1.
-    Returns the lowest such line index, or None."""
-    n = inc.n_lines
-    spoiled = {h for _, m, incident in _heavy(inc) if gcd(m, n) != 1 for h in incident}
-    return next((h for h in range(n) if h not in spoiled), None)
+    labelled = isinstance(inc, geometry.IncidenceData)
+    return [(inc.points[k].label() if labelled else f"pt{k}", m, p)
+            for k, p in enumerate(_incident(inc)) if (m := len(p)) > 2 and gcd(m, n) > 1]
 
 
 class OnePointCheck(namedtuple("OnePointCheck", "witness guard_blocked", defaults=(None, None))):
     """Outcome of the single-heavy-point criterion.
 
-    A point is *heavy* for the criterion when its multiplicity m exceeds 2
-    and shares a factor with the number of lines.  The literal criterion
+    A point is *heavy* for the criterion when it counts for the bounds
+    (``_counting_points``).  The literal criterion
     asks for a line carrying exactly one heavy point; the guard further
     requires that heavy point to miss at least one line (m < n), because
     the underlying deconing argument needs a line away from it.  On a
@@ -163,22 +146,18 @@ class OnePointCheck(namedtuple("OnePointCheck", "witness guard_blocked", default
         return self.fires or self.guard_blocked is not None
 
 
-def one_point_check(inc):
-    n = inc.n_lines
-    heavy = {h: [] for h in range(n)}
-    for k, m, incident in _heavy(inc):
-        if gcd(m, n) != 1:
-            for h in incident:
-                heavy[h].append((k, m))
+def _one_point(on_line, n):
+    """The single-heavy-point criterion over ``{line: [(label, m), ...]}``,
+    the points that count on each line, lines in order."""
     blocked = None
-    for h, found in heavy.items():
+    for h, found in on_line.items():
         if len(found) != 1:
             continue
-        k, m = found[0]
+        label, m = found[0]
         if m < n:
-            return OnePointCheck(witness=(h, _label(inc, k), m))
+            return OnePointCheck(witness=(h, label, m))
         if blocked is None:
-            blocked = (h, _label(inc, k), m)
+            blocked = (h, label, m)
     return OnePointCheck(guard_blocked=blocked)
 
 
@@ -233,35 +212,16 @@ def oka_sakamoto_check(inc, infinity):
     return side_a, side_b
 
 
-def cdo_bound(inc):
-    """Local-system style bound, n the number of lines: for each k in
-    1..n-1, the minimum over lines of the total excess (m-2) of the line's
-    points whose multiplicity m satisfies n | k*m (points with m = 2 never
-    count).  Returns ``{k: contribution}``; ``BoundReport.cdo_total``, the
-    aggregate bound, is (n-1) plus their sum.
-    """
-    n = inc.n_lines
-    heavy = _heavy(inc)
-    per_k = {}
-    for k in range(1, n):
-        excess = dict.fromkeys(range(n), 0)
-        for _, m, incident in heavy:
-            if (k * m) % n == 0:
-                for h in incident:
-                    excess[h] += m - 2
-        per_k[k] = min(excess.values())
-    return per_k
-
-
 def _jsonable(w):
     return [_jsonable(x) for x in w] if isinstance(w, tuple) else w
 
 
-class BoundReport(_Checked, namedtuple("BoundReport", "n onehyp_per_line cdo_per_k "
-                                       "corollary_witness one_point oka_sakamoto")):
+class BoundReport(_Checked, namedtuple("BoundReport",
+                                       "n onehyp_per_line cdo_per_k one_point oka_sakamoto")):
     """Every combinatorial bound and criterion outcome for one arrangement
-    of n lines, as the evaluators gave them (``one_point`` a OnePointCheck);
-    the best bounds, the criteria that fired and the notes read them."""
+    of n lines, as ``bound_report`` gave them (``one_point`` a
+    OnePointCheck); the best bounds, the coprime-or-double line, the
+    criteria that fired and the notes read them."""
 
     __slots__ = ()
 
@@ -278,6 +238,13 @@ class BoundReport(_Checked, namedtuple("BoundReport", "n onehyp_per_line cdo_per
     @property
     def cdo_total(self):
         return self.n - 1 + sum(self.cdo_per_k.values())
+
+    @property
+    def corollary_witness(self):
+        """The lowest line whose points all have multiplicity 2 or one
+        coprime to n, which forces H1 free of rank n - 1: the lowest line
+        whose per-line bound is n - 1, or None."""
+        return min((h for h, v in self.onehyp_per_line.items() if v == self.n - 1), default=None)
 
     @property
     def applicable(self):
@@ -338,18 +305,28 @@ class BoundReport(_Checked, namedtuple("BoundReport", "n onehyp_per_line cdo_per
 
 
 def bound_report(inc, infinity=None):
-    """Assemble a BoundReport from incidence data: both upper bounds, and
-    each exactness criterion with its witness.  The transverse-split check
-    runs when ``infinity``, the index of the line sent to infinity, is
-    given; it is None for incidence without an affine picture."""
-    return BoundReport(inc.n_lines, onehyp_bounds(inc), cdo_bound(inc), corollary_check(inc),
-                       one_point_check(inc),
+    """The BoundReport of incidence data, read from its points that count
+    in one pass: each line's bound n - 1 + sum of (m - 2)(gcd(m, n) - 1)
+    over its points, the per-degree bound (Cohen, Dimca & Orlik: for each
+    k, the least excess m - 2 of a line's points with n | k*m) and the
+    single-heavy-point criterion.  The transverse-split check runs when
+    ``infinity``, the index of the line sent to infinity, is given."""
+    n = inc.n_lines
+    counted = _counting_points(inc)
+    per_line = dict.fromkeys(range(n), n - 1)
+    on_line = {h: [] for h in range(n)}
+    for label, m, incident in counted:
+        excess = (m - 2) * (gcd(m, n) - 1)
+        for h in incident:
+            per_line[h] += excess
+            on_line[h].append((label, m))
+    per_k = {}
+    for k in range(1, n):
+        excess = dict.fromkeys(range(n), 0)
+        for _, m, incident in counted:
+            if (k * m) % n == 0:
+                for h in incident:
+                    excess[h] += m - 2
+        per_k[k] = min(excess.values())
+    return BoundReport(n, per_line, per_k, _one_point(on_line, n),
                        None if infinity is None else oka_sakamoto_check(inc, infinity))
-
-
-def predict(arr, infinity_index=None):
-    """The BoundReport of an arrangement: its projective incidence, with
-    the transverse-split check on the line sent to infinity
-    (``geometry.projective_picture`` picks and checks it)."""
-    proj, infinity = geometry.projective_picture(arr, infinity_index)
-    return bound_report(proj.incidence, infinity=infinity)

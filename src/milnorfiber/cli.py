@@ -32,12 +32,29 @@ from .cover import ChainConditionError
 from .geometry import InputError
 
 
-def _read(path):
+def _lines(path):
+    """The lines of the file at ``path``, read as a parser takes them; an
+    open, read or decode error is one InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _sniff(lines):
+    """The first content line of ``lines`` ('' if none), then the same lines
+    for a parser, with those before it blank: a pipe is read once."""
+    skipped = 0
+    for line in lines:
+        found = next(geometry.content_lines(line), None)
+        if found:
+            yield found[1]
+            yield "\n" * skipped + line
+            yield from lines
+            return
+        skipped += len(line.splitlines())
+    yield ""
 
 
 def _parse_primes(text):
@@ -121,8 +138,10 @@ def _print_analysis(a, out):
 
 
 def cmd_analyze(args, out):
+    lines = _sniff(_lines(args.file))
+    next(lines)  # the header: an unreadable file is named before a malformed --primes list
     a = pipeline.analyze_text(
-        _read(args.file),
+        lines,
         infinity_index=args.infinity,
         primes=None if args.primes is None else _parse_primes(args.primes),
         modulus=args.modulus,
@@ -135,7 +154,7 @@ def cmd_analyze(args, out):
 
 
 def cmd_presentation(args, out):
-    arr = geometry.parse_arrangement(_read(args.file))
+    arr = geometry.parse_arrangement(_lines(args.file))
     proj, aff, _ = geometry.affine_picture(arr, args.infinity)
     pres = presentation_mod.arvola_randell(geometry.shear_to_generic(aff))
     if args.json:
@@ -157,16 +176,15 @@ def cmd_presentation(args, out):
 
 
 def cmd_bounds(args, out):
-    text = _read(args.file)
-    if next(geometry.content_lines(text), (0, ""))[1].startswith("incidence"):
+    lines = _sniff(_lines(args.file))
+    if next(lines).startswith("incidence"):
         if args.infinity is not None:
             raise InputError("an infinity index applies to arrangement files, not raw incidence")
-        inc = bounds_mod.parse_incidence(text)
-        report = bounds_mod.bound_report(inc)
+        report = bounds_mod.bound_report(bounds_mod.parse_incidence(lines))
         notes = ["raw incidence input: the transverse-split check needs coordinates and was skipped"]
     else:
-        arr = geometry.parse_arrangement(text)
-        report = bounds_mod.predict(arr, infinity_index=args.infinity)
+        proj, infinity = geometry.projective_picture(geometry.parse_arrangement(lines), args.infinity)
+        report = bounds_mod.bound_report(proj.incidence, infinity=infinity)
         notes = []
     payload = {**report.as_dict(), "n_lines": report.n, "notes": list(report.notes) + notes}
     if args.json:

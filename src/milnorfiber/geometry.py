@@ -361,6 +361,8 @@ def shear_to_generic(aff):
     its ``incidence``; a sheared picture computes its own when the sweep,
     which refuses a picture out of sweep position, reads it.
     """
+    if not isinstance(aff, AffineArrangement):
+        raise TypeError("shear_to_generic expects an affine arrangement")
     t = next(t for t, ok in enumerate(_shear_tests(aff)) if ok)
     if not t:
         out = aff._replace(shear=0)
@@ -388,23 +390,26 @@ def _rational(token):
     return Fraction(token)
 
 
-# one line of str.splitlines and its boundary, or the text's last line
+# one line of str.splitlines and its boundary, if any
 _LINE = re.compile(
-    r"([^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*)(?:\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]|\Z)"
+    r"(?!\Z)([^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*)(?:\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]|\Z)"
 )
 
 
-def content_lines(text):
-    """``(lineno, line)`` for each line of a file's text that holds more
-    than a comment and whitespace, both stripped.  Lines are numbered from
+def content_lines(source):
+    """``(lineno, line)`` for each line of a file that holds more than a
+    comment and whitespace, both stripped.  ``source`` is the file's text
+    or its lines as an open text file yields them.  Lines are numbered from
     1 at the boundaries ``str.splitlines`` uses and read one at a time, so
     a refusal at line K reads no further.  ``#`` starts a comment.
 
     >>> list(content_lines("# head\\r\\n\\n  affine  # a comment\\n1 0 0"))
     [(3, 'affine'), (4, '1 0 0')]
     """
-    for lineno, match in enumerate(_LINE.finditer(text), start=1):
-        line = match[1].split("#", 1)[0].strip()
+    chunks = (source,) if isinstance(source, str) else source
+    lines = (match[1] for chunk in chunks for match in _LINE.finditer(chunk))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
         if line:
             yield lineno, line
 
@@ -419,6 +424,7 @@ def parse_arrangement(text):
     starts a comment.  A token reads as ``Fraction(token)`` does, with the
     same value and the same errors; see ``_rational``.  A file of more than
     LINE_BUDGET lines, as written, is refused at the first line over it.
+    ``text`` is the file's text or its lines (see ``content_lines``).
 
     >>> parse_arrangement("projective\\n1 0 0\\n0 1 0\\n0 0 1").n_lines
     3

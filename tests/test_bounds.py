@@ -10,14 +10,9 @@ from milnorfiber import geometry, presets
 from milnorfiber.bounds import (
     OnePointCheck,
     SyntheticIncidence,
-    cdo_bound,
-    corollary_check,
-    oka_sakamoto_check,
-    one_point_check,
-    onehyp_bounds,
-    parse_incidence,
     bound_report,
-    predict,
+    oka_sakamoto_check,
+    parse_incidence,
 )
 from milnorfiber.geometry import LINE_BUDGET, InputError
 from milnorfiber.snf import AbelianGroup
@@ -49,27 +44,31 @@ def labelled_points(inc):
 
 def test_onehyp_triangle():
     inc, _ = proj_incidence(TRIANGLE)
-    per_line = onehyp_bounds(inc)
+    report = bound_report(inc)
     # all points are double: every line gives the bare n-1
-    assert per_line == {0: 2, 1: 2, 2: 2}
-    assert bound_report(inc).onehyp_best == 2
+    assert report.onehyp_per_line == {0: 2, 1: 2, 2: 2}
+    assert report.onehyp_best == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_onehyp_pencil_attained(n):
     inc, _ = proj_incidence(pencil(n))
-    per_line = onehyp_bounds(inc)
+    report = bound_report(inc)
     # the single point has m = n on every line: (n-1) + (n-2)(n-1)
-    assert bound_report(inc).onehyp_best == (n - 1) ** 2
-    assert set(per_line.values()) == {(n - 1) ** 2}
+    assert report.onehyp_best == (n - 1) ** 2
+    assert set(report.onehyp_per_line.values()) == {(n - 1) ** 2}
 
 
 def test_onehyp_braid():
     inc, _ = proj_incidence(BRAID)
-    per_line = onehyp_bounds(inc)
+    report = bound_report(inc)
     # each line carries two triple points; gcd(3, 6) = 3 adds 2 per triple
-    assert bound_report(inc).onehyp_best == 9
-    assert set(per_line.values()) == {9}
+    assert report.onehyp_best == 9
+    assert set(report.onehyp_per_line.values()) == {9}
+
+
+def line0_bound(inc):
+    return bound_report(inc).onehyp_per_line[0]
 
 
 def test_onehyp_monotone_in_multiplicity():
@@ -80,14 +79,14 @@ def test_onehyp_monotone_in_multiplicity():
 
     for n in range(3, 13):
         for m in range(2, n):
-            before = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m)),)))[0]
-            after = onehyp_bounds(SyntheticIncidence(n, (tuple(range(m + 1)),)))[0]
+            before = line0_bound(SyntheticIncidence(n, (tuple(range(m)),)))
+            after = line0_bound(SyntheticIncidence(n, (tuple(range(m + 1)),)))
             if gcd(m + 1, n) >= gcd(m, n):
                 assert after >= before
     # when the gcd does drop the bound can fall: a 6-fold point among 12
     # lines contributes 4 * 5 = 20, a 7-fold point nothing
-    six = onehyp_bounds(SyntheticIncidence(12, (tuple(range(6)),)))[0]
-    seven = onehyp_bounds(SyntheticIncidence(12, (tuple(range(7)),)))[0]
+    six = line0_bound(SyntheticIncidence(12, (tuple(range(6)),)))
+    seven = line0_bound(SyntheticIncidence(12, (tuple(range(7)),)))
     assert (six, seven) == (31, 11)
 
 
@@ -171,14 +170,14 @@ def test_one_pass_bounds_match_per_line_reference():
         expected = {h: reference_onehyp_bound(inc, n, h) for h in range(n)}
         per_k, total = reference_cdo_bound(inc, n)
         report = bound_report(inc)
-        assert onehyp_bounds(inc) == report.onehyp_per_line == expected
+        assert report.onehyp_per_line == expected
         assert report.onehyp_best == min(expected.values())
-        assert cdo_bound(inc) == report.cdo_per_k == per_k
+        assert report.cdo_per_k == per_k
         assert report.cdo_total == total
-        opc = one_point_check(inc)
+        opc = report.one_point
         assert opc == reference_one_point_check(inc, n)
         outcomes["fires" if opc.fires else "guard" if opc.guard_blocked else "silent"] += 1
-        witness = corollary_check(inc)
+        witness = report.corollary_witness
         assert witness == reference_corollary_check(inc, n)
         outcomes["corollary" if witness is not None else "no-corollary"] += 1
     # every branch of both criteria is reached
@@ -190,17 +189,17 @@ def test_one_pass_bounds_match_per_line_reference():
 
 def test_corollary_triangle_and_nearpencil():
     inc, _ = proj_incidence(TRIANGLE)
-    assert corollary_check(inc) == 0
+    assert bound_report(inc).corollary_witness == 0
     # near-pencil(5): the 4-fold point has gcd(4, 5) = 1, doubles are fine
     inc, _ = proj_incidence(presets.nearpencil_text(5))
-    assert corollary_check(inc) == 0
+    assert bound_report(inc).corollary_witness == 0
 
 
 def test_corollary_refuses_pencil_and_braid():
     inc, _ = proj_incidence(pencil(4))
-    assert corollary_check(inc) is None  # gcd(4, 4) = 4 on every line
+    assert bound_report(inc).corollary_witness is None  # gcd(4, 4) = 4 on every line
     inc, _ = proj_incidence(BRAID)
-    assert corollary_check(inc) is None  # every line has gcd-3 triples
+    assert bound_report(inc).corollary_witness is None  # every line has gcd-3 triples
 
 
 # --- single heavy point --------------------------------------------------------
@@ -208,7 +207,7 @@ def test_corollary_refuses_pencil_and_braid():
 
 def test_one_point_fires_on_parallel_family():
     inc, _ = proj_incidence(presets.parallel_family_text())
-    r = one_point_check(inc)
+    r = bound_report(inc).one_point
     assert r.fires and r.literal_fires
     assert r.witness == (0, "(0:0:1)", 4)
     assert r.guard_blocked is None
@@ -217,7 +216,7 @@ def test_one_point_fires_on_parallel_family():
 def test_one_point_guard_blocks_pencil():
     for n in (3, 5, 8):
         inc, _ = proj_incidence(pencil(n))
-        r = one_point_check(inc)
+        r = bound_report(inc).one_point
         assert r.literal_fires  # one heavy point on each line, literally
         assert not r.fires  # but it has multiplicity n: guard refuses
         assert r.witness is None and r.guard_blocked is not None
@@ -227,7 +226,7 @@ def test_one_point_guard_blocks_pencil():
 def test_one_point_silent_on_braid():
     # two heavy points per line: the criterion does not even match
     inc, _ = proj_incidence(BRAID)
-    r = one_point_check(inc)
+    r = bound_report(inc).one_point
     assert not r.fires and not r.literal_fires
     assert r.witness is None and r.guard_blocked is None
 
@@ -353,29 +352,32 @@ def test_split_refuses_infinity_out_of_range():
 
 def test_cdo_triangle():
     inc, _ = proj_incidence(TRIANGLE)
-    assert cdo_bound(inc) == {1: 0, 2: 0}
-    assert bound_report(inc).cdo_total == 2
+    report = bound_report(inc)
+    assert report.cdo_per_k == {1: 0, 2: 0}
+    assert report.cdo_total == 2
 
 
 def test_cdo_braid():
     inc, _ = proj_incidence(BRAID)
     # triples only matter when 6 divides 3k, i.e. k even
-    assert cdo_bound(inc) == {1: 0, 2: 2, 3: 0, 4: 2, 5: 0}
-    assert bound_report(inc).cdo_total == 9
+    report = bound_report(inc)
+    assert report.cdo_per_k == {1: 0, 2: 2, 3: 0, 4: 2, 5: 0}
+    assert report.cdo_total == 9
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_cdo_pencil(n):
     inc, _ = proj_incidence(pencil(n))
     # the n-fold point counts for every k, on every line
-    assert all(v == n - 2 for v in cdo_bound(inc).values())
-    assert bound_report(inc).cdo_total == (n - 1) + (n - 1) * (n - 2)
+    report = bound_report(inc)
+    assert all(v == n - 2 for v in report.cdo_per_k.values())
+    assert report.cdo_total == (n - 1) + (n - 1) * (n - 2)
 
 
 def test_cdo_symmetry():
     for text in (BRAID, presets.parallel_family_text()):
         inc, n = proj_incidence(text)
-        per_k = cdo_bound(inc)
+        per_k = bound_report(inc).cdo_per_k
         for k in range(1, n):
             assert per_k[k] == per_k[n - k]
 
@@ -387,7 +389,7 @@ def test_cdo_symmetry_on_corpus():
 
     for name, text in Corpus().entries:
         inc, n = proj_incidence(text)
-        per_k = cdo_bound(inc)
+        per_k = bound_report(inc).cdo_per_k
         assert all(per_k[k] == per_k[n - k] for k in range(1, n)), name
 
 
@@ -440,9 +442,7 @@ def test_synthetic_matches_geometric():
     # feeding the triangle's incidence synthetically gives identical bounds
     inc, _ = proj_incidence(TRIANGLE)
     synth = SyntheticIncidence(3, ((0, 1), (0, 2), (1, 2)))
-    assert onehyp_bounds(inc) == onehyp_bounds(synth)
-    assert cdo_bound(inc) == cdo_bound(synth)
-    assert corollary_check(inc) == corollary_check(synth)
+    assert bound_report(inc) == bound_report(synth)
 
 
 def test_synthetic_cdo_target():
@@ -453,7 +453,7 @@ def test_synthetic_cdo_target():
     inc = parse_incidence(synthetic_incidence_text())
     report = bound_report(inc)
     assert report.cdo_total == 11
-    assert set(cdo_bound(inc).values()) == {0}
+    assert set(report.cdo_per_k.values()) == {0}
     # while the per-line bound stays strictly larger
     assert report.onehyp_best > 11
 
@@ -471,15 +471,22 @@ def test_report_triangle():
     assert names == ["coprime_or_double_line"]
 
 
+def arrangement_report(text):
+    """The report ``bounds`` gives on an arrangement file: its projective
+    incidence, with the transverse split on the line at infinity."""
+    proj, infinity = geometry.projective_picture(geometry.parse_arrangement(text), None)
+    return bound_report(proj.incidence, infinity=infinity)
+
+
 def test_predict_exact_when_criterion_fires():
-    report = predict(geometry.parse_arrangement(presets.nearpencil_text(6)))
+    report = arrangement_report(presets.nearpencil_text(6))
     assert report.exact == AbelianGroup(5)
     assert report.lower_bound == 5
     assert report.n == 6
 
 
 def test_predict_no_exactness_on_braid():
-    report = predict(geometry.parse_arrangement(BRAID))
+    report = arrangement_report(BRAID)
     assert report.exact is None
     assert report.lower_bound == 5
     assert report.upper_bound == 9
@@ -487,7 +494,7 @@ def test_predict_no_exactness_on_braid():
 
 
 def test_predict_sandwich_enforced():
-    report = predict(geometry.parse_arrangement(pencil(5)))
+    report = arrangement_report(pencil(5))
     assert report.lower_bound == 4
     assert report.upper_bound == 16
     assert report.exact is None  # guard keeps the pencil out

@@ -172,6 +172,16 @@ def test_analyze_refuses_non_utf8_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_file_is_parsed_as_it_is_read(tmp_path, capsys):
+    # a bad byte far past a malformed line: the line's error comes first,
+    # since the parser stops there before the byte is decoded
+    p = tmp_path / "late.txt"
+    p.write_bytes(b"projective\n1 0 0\n0 1 x\n" + b"# pad\n" * 3000 + b"\xff\n")
+    for command in ("analyze", "bounds", "presentation"):
+        assert run(capsys, command, str(p)) == (
+            2, "", "error: line 3: malformed rational (Invalid literal for Fraction: 'x')\n")
+
+
 def test_analyze_refuses_empty_primes_list(tri_file, capsys):
     code, out, err = run(capsys, "analyze", tri_file, "--primes", "")
     assert code == 2
@@ -281,13 +291,46 @@ HEADER_PIECES = ["incidence", "incidenc", "projective", "x", "#", " ", "\t", "\n
                  "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\xa0"]
 
 
-@given(st.lists(st.sampled_from(HEADER_PIECES), max_size=10).map("".join))
+def file_lines(text, chunk):
+    """An open text file of ``text`` as ``open`` reads it (UTF-8, universal
+    newlines), decoding ``chunk`` bytes at a time."""
+    fh = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+    fh._CHUNK_SIZE = chunk
+    return fh
+
+
+@given(st.lists(st.sampled_from(HEADER_PIECES), max_size=10).map("".join), st.integers(1, 5))
 @settings(max_examples=1000, deadline=None)
-def test_bounds_reads_incidence_by_its_first_content_line(text):
+def test_bounds_reads_incidence_by_its_first_content_line(text, chunk):
     # reference: each line with content outside its comment, numbered as
     # str.splitlines splits; cmd_bounds reads the first one's header
     want = [(k, l.split("#")[0].strip()) for k, l in enumerate(text.splitlines(), 1) if l.split("#")[0].strip()]
     assert list(geometry.content_lines(text)) == want
+    # the lines an open file yields give the same lines, and cmd_bounds
+    # hands them on after it has read the header
+    assert list(geometry.content_lines(file_lines(text, chunk))) == want
+    lines = cli._sniff(file_lines(text, chunk))
+    assert next(lines) == (want[0][1] if want else "")
+    assert list(geometry.content_lines(lines)) == want
+
+
+def test_bounds_reads_a_refused_file_only_up_to_its_refusal(tmp_path, capsys):
+    # a 2.8 MB file refused at line 5: the parser takes the open file's
+    # lines, so the command allocates far less than the file's size
+    import tracemalloc
+
+    p = tmp_path / "points.txt"
+    p.write_text("incidence N=3\n" + "m=2 lines=0,1\n" * 200_000)
+    cli._parser()  # built once per process, outside the measurement
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "bounds", str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: line 5: more than N(N-1)/2 = 3 points, over the budget\n"
+    assert peak < 500_000
 
 
 def test_bounds_refuses_incidence_over_point_budget(tmp_path, capsys):

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from milnorfiber import cli, cover, pipeline, presentation, presets, snf
+from milnorfiber import cli, cover, geometry, pipeline, presentation, presets, snf
 from milnorfiber.snf import AbelianGroup
 from milnorfiber.validation import Corpus
 
@@ -301,3 +301,63 @@ def test_unmutated_sweep_copy_is_the_sweep(sweep_inputs):
     for name, text, _ in sweep_inputs[:3] + sweep_inputs[-4:]:
         aff = pipeline.analyze_text(text).aff
         assert copy(aff) == presentation.arvola_randell(aff), name
+
+
+def _heaviest_point_loses_a_line(intersection_points):
+    """``geometry.intersection_points`` whose projective incidence has its
+    first point of highest multiplicity without its last line; an affine
+    picture's incidence, which the sweep reads, is left alone."""
+
+    def faulted(arr):
+        inc = intersection_points(arr)
+        if not isinstance(arr, geometry.Arrangement):
+            return inc
+        points = list(inc.points)
+        k = max(range(len(points)), key=lambda k: points[k].multiplicity)
+        points[k] = points[k]._replace(incident=points[k].incident[:-1])
+        return inc._replace(points=tuple(points))
+
+    return faulted
+
+
+def test_heaviest_point_loses_a_line(monkeypatch):
+    """One point multiplicity of the projective incidence one too small, on
+    the 34 corpus inputs with a point of multiplicity 3 or more.  H1 comes
+    from the sweep, which reads the decone's own incidence, so only the
+    bounds, the criteria and the census move.
+
+    - The pencils: the point's multiplicity N - 1 is prime to N, so every
+      line is a coprime-or-double line and the bounds fall to N - 1.
+    - braid-a3: the triple point becomes a double, so its three lines
+      carry one triple point each and the single-heavy-point criterion
+      predicts Z^5 (the truth is Z^7, inside the faulted bounds).
+    - The near-pencils, parallel-family and four random inputs: the
+      transverse split finds components that the double points do not
+      join, and its re-verification raises AssertionError before any
+      verdict.
+    - Known gap, 13 random inputs: their bounds pin b1 = N - 1 with or
+      without the fault, so H1 agrees with every faulted bound and no
+      verdict fails.  Nothing compares the projective incidence with the
+      decone's that the sweep reads."""
+    entries = [(name, text) for name, text in Corpus().entries
+               if max(p.multiplicity for p in geometry.parse_arrangement(text).incidence.points) >= 3]
+    assert len(entries) == 34
+    monkeypatch.setattr(geometry, "intersection_points",
+                        _heaviest_point_loses_a_line(geometry.intersection_points))
+    outcomes, gaps = Counter(), []
+    for name, text in entries:
+        try:
+            caught = failing(pipeline.analyze_text(text))
+        except AssertionError as exc:
+            assert str(exc) == "transverse-split witness failed re-verification", name
+            caught = ("raised", "transverse-split re-verification")
+        outcomes[caught] += 1
+        if not caught:
+            gaps.append(name)
+    assert outcomes == {
+        ("exact_prediction", "modular_upper_bound", "rank_upper_bound"): 8,
+        ("exact_prediction",): 1,
+        ("raised", "transverse-split re-verification"): 12,
+        (): 13,
+    }
+    assert gaps == [f"random:{k}" for k in (8, 10, 18, 20, 22, 23, 39, 45, 49, 84, 85, 90, 93)]

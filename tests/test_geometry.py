@@ -392,6 +392,17 @@ def test_shear_removes_vertical():
     assert next(geometry._shear_tests(out))
 
 
+def test_shear_refuses_a_projective_arrangement():
+    # with the line z = 0 no t is generic, and lines meeting at infinity have
+    # no affine x key: both are refused at once, as decone refuses affine input
+    for text in ("projective\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n0 1 1\n1 1 1\n",
+                 "projective\n1 0 0\n1 0 1\n0 1 0\n"):
+        start = time.perf_counter()
+        with pytest.raises(TypeError, match="expects an affine arrangement"):
+            shear_to_generic(parse_arrangement(text))
+        assert time.perf_counter() - start < 1.0
+
+
 def test_shear_noop_when_already_generic():
     # y = x, y = -x, y = 0: one vertex, nothing vertical, t = 0
     aff = parse_arrangement("affine\n1 -1 0\n1 1 0\n0 1 0\n")

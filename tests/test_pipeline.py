@@ -231,7 +231,8 @@ def test_one_incidence_per_arrangement_object(name, monkeypatch):
     pipeline.analyze(geometry.decone(fresh(), 0))  # the input, its cone and the sheared picture
     assert len(calls) == 3
     del calls[:]
-    bounds.predict(fresh())  # the input only: the transverse split reads it too
+    proj, infinity = geometry.projective_picture(fresh(), None)
+    bounds.bound_report(proj.incidence, infinity=infinity)  # the input only: the transverse split reads it too
     assert len(calls) == 1
 
 

@@ -79,7 +79,7 @@ def test_derived_fields_read_their_owner(records):
 
 
 def test_stored_fields_are_only_what_was_computed():
-    assert len(bounds.BoundReport._fields) == 6
+    assert len(bounds.BoundReport._fields) == 5
     assert len(Presentation._fields) == 2
     assert len(pipeline.Analysis._fields) == 10
     assert len(CoverHomology._fields) == 4
@@ -94,15 +94,30 @@ def test_bound_report_reads_its_evaluators():
     # each derived value follows a change of the field it reads
     changed = report._replace(onehyp_per_line={0: 5, 1: 3, 2: 4}, cdo_per_k={1: 1, 2: 0})
     assert (changed.onehyp_best, changed.cdo_total, changed.upper_bound) == (3, 3, 3)
-    fired = report._replace(corollary_witness=None, oka_sakamoto=((0,), (1,)),
+    spoiled = {0: 4, 1: 4, 2: 6}  # no line at n - 1 = 2: no coprime-or-double line
+    fired = report._replace(onehyp_per_line=spoiled, oka_sakamoto=((0,), (1,)),
                             one_point=OnePointCheck(witness=(1, "p", 3)))
     assert fired.applicable == (("single_heavy_point_line", (1, "p", 3)),
                                 ("transverse_split", ((0,), (1,))))
     assert fired.exact == AbelianGroup(2)
-    assert report._replace(corollary_witness=None).exact is None
+    assert report._replace(onehyp_per_line=spoiled).exact is None
     blocked = report._replace(one_point=OnePointCheck(guard_blocked=(2, "q", 3)))
     (note,) = blocked.notes
     assert note.startswith("single-heavy-point criterion matched line 2 literally (point q, ")
+
+
+def test_corollary_witness_follows_the_per_line_bounds():
+    # the lowest line whose bound is the lower bound n - 1, whatever the order
+    report = bounds.bound_report(TRIANGLE)
+    assert report.corollary_witness == 0
+    for per_line, witness in [({0: 3, 1: 2, 2: 2}, 1), ({2: 2, 1: 2, 0: 5}, 1),
+                              ({0: 3, 1: 4, 2: 2}, 2), ({0: 3, 1: 3, 2: 3}, None)]:
+        changed = report._replace(onehyp_per_line=per_line)
+        assert changed.corollary_witness == witness
+        assert changed.as_dict()["corollary_witness"] == witness
+    # on braid-a3 every line carries a triple point, gcd(3, 6) = 3
+    braid = bounds.bound_report(geometry.parse_arrangement(presets.preset_text("braid-a3")).incidence)
+    assert set(braid.onehyp_per_line.values()) == {9} and braid.corollary_witness is None
 
 
 def test_fields_cannot_be_assigned(records):
